@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import InternalInconsistency
 from .ffmat import GfpMatrix, Subspace, solve_array
+from .talg import is_central, is_two_sided_ideal
 
 __all__ = ["CharReport", "CorollaryReport", "b0_unit_element", "check_equivalences", "check_corollary"]
 
@@ -100,12 +101,6 @@ def _thin_kills(artifacts, space: Subspace) -> bool:
     return True
 
 
-def _central_in_T(artifacts, m: np.ndarray) -> bool:
-    p = artifacts.field.p
-    tm = artifacts.talgebra.mats()
-    return np.array_equal((m @ tm) % p, (tm @ m) % p)
-
-
 def _complement_ideal(artifacts, unit: np.ndarray | None) -> bool:
     """T = B0 + D with D = (I - e) T a two-sided ideal meeting B0 in 0."""
     if unit is None:
@@ -121,14 +116,7 @@ def _complement_ideal(artifacts, unit: np.ndarray | None) -> bool:
         return False
     if dspace.intersect(artifacts.b0.space).dim != 0:
         return False
-    dmats = dspace.basis.reshape(-1, n, n)
-    tmats = tal.mats()
-    left = np.einsum("aij,bjk->abik", tmats, dmats) % p
-    right = np.einsum("bij,ajk->abik", dmats, tmats) % p
-    return (
-        dspace.coords(left.reshape(-1, n * n)) is not None
-        and dspace.coords(right.reshape(-1, n * n)) is not None
-    )
+    return is_two_sided_ideal(tal, dspace)
 
 
 def check_equivalences(artifacts) -> CharReport:
@@ -139,7 +127,7 @@ def check_equivalences(artifacts) -> CharReport:
     i_flag = artifacts.strata.p_prime_valenced
 
     unit = b0_unit_element(artifacts)
-    ii_flag = unit is not None and _central_in_T(artifacts, unit.a)
+    ii_flag = unit is not None and is_central(artifacts.talgebra, unit.a)
     unit_arr = unit.a if (unit is not None and ii_flag) else None
 
     iii_flag = _complement_ideal(artifacts, unit_arr)
@@ -175,7 +163,7 @@ def check_corollary(artifacts, char: CharReport) -> CorollaryReport:
     theorem verdicts; the regular-module summand count is implied."""
     unit = b0_unit_element(artifacts)
     simple_unital = artifacts.b1.dim == 0 and unit is not None
-    rad_kills = _thin_kills(artifacts, artifacts.rad)
+    rad_kills = char.vi_rad_thin_kills
     if simple_unital != rad_kills or simple_unital != char.i_pprime:
         raise InternalInconsistency(
             f"corollary booleans diverge: simple_unital={simple_unital} "

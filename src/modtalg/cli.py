@@ -20,14 +20,23 @@ from . import oracles
 from .analysis import analyze, report_to_json
 from .errors import (
     AxiomViolation,
+    Error,
     InternalInconsistency,
     InvalidParameter,
     NotPrime,
+    PrimeTooLarge,
     SchemeParseError,
 )
 from .ffmat import Subspace, field_ctx
 from .fixtures import cyclic_group_table
-from .primary import build_primary, verify_Ml_iso
+from .primary import (
+    build_primary,
+    closure_digraph,
+    composition_factors,
+    filtration,
+    uniserial_check,
+    verify_Ml_iso,
+)
 from .scheme import (
     gen_cyclic,
     gen_hamming,
@@ -88,6 +97,9 @@ def cmd_analyze(args) -> int:
         points = [args.base_point]
     try:
         report = analyze(s, f, points, scheme_id=Path(args.scheme).stem)
+    except PrimeTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
@@ -132,6 +144,9 @@ def _batch_entry(task):
     except InternalInconsistency as exc:
         return {"scheme_id": name, "prime": prime, "status": "inconsistent",
                 "message": str(exc)}
+    except Error as exc:
+        return {"scheme_id": name, "prime": prime, "status": "error",
+                "message": str(exc)}
 
 
 def cmd_batch(args) -> int:
@@ -140,9 +155,9 @@ def cmd_batch(args) -> int:
         print(f"error: {args.dir} is not a directory", file=sys.stderr)
         return EXIT_USAGE
     try:
-        primes = [int(tok) for tok in args.primes.split(",") if tok]
-    except ValueError:
-        print(f"error: bad prime list {args.primes!r}", file=sys.stderr)
+        primes = [field_ctx(int(tok)).p for tok in args.primes.split(",") if tok]
+    except (ValueError, NotPrime) as exc:
+        print(f"error: bad prime list {args.primes!r}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not primes:
         print("error: empty prime list", file=sys.stderr)
@@ -168,6 +183,8 @@ def cmd_batch(args) -> int:
         return EXIT_INCONSISTENT
     if "invalid" in statuses:
         return EXIT_INVALID
+    if "error" in statuses:
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -242,7 +259,11 @@ def cmd_verify(args) -> int:
                 if brute != s.p(i, j, l):
                     return _verify_fail(f"p_{i}{j}^{l}", s.p(i, j, l), brute)
 
-    ctx = build_context(s, f, 0)
+    try:
+        ctx = build_context(s, f, 0)
+    except PrimeTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     talgebra = generate_algebra(ctx)
     words = oracles.word_closure_dim(ctx)
     if words != talgebra.dim:
@@ -287,18 +308,13 @@ def cmd_verify(args) -> int:
                         return _verify_fail(f"triple product ({i},{j},{l})", lhs.tolist(), rhs.tolist())
         subcount = sum(1 for _ in oracles.enumerate_subspaces(f.p, s.d + 1))
         if subcount <= 5000:
-            from .analysis import compute_artifacts
-
-            art = compute_artifacts(s, f, 0)
-            mats = art.module.action.all_mats()
-            length, dims, uni = oracles.module_lattice_analysis(mats, f.p)
-            fast_dims = sorted(fac.dim for fac in art.comp.factors)
-            if (length, dims, uni) != (art.comp.composition_length, fast_dims, art.uniserial):
-                return _verify_fail(
-                    "module lattice",
-                    (art.comp.composition_length, fast_dims, art.uniserial),
-                    (length, dims, uni),
-                )
+            filt = filtration(ctx, st, module)
+            comp = composition_factors(ctx, st, closure_digraph(s, f), module)
+            uni = uniserial_check(ctx, comp, rad, filt)
+            fast = (comp.composition_length, sorted(fac.dim for fac in comp.factors), uni)
+            brute = oracles.module_lattice_analysis(module.action.all_mats(), f.p)
+            if brute != fast:
+                return _verify_fail("module lattice", fast, brute)
         else:
             print("deep: module lattice oracle skipped (too many subspaces)", file=sys.stderr)
 

@@ -17,6 +17,11 @@ class IndexOutOfRange(Error):
     """A relation index is outside [0, d]."""
 
 
+class PrimeTooLarge(Error):
+    """n^2 (p-1)^2 >= 2^63: a sum of n^2 products of residues mod p, the
+    longest contraction the analysis performs, could overflow int64."""
+
+
 class BasePointOutOfRange(Error):
     """The requested base point is not a point of the scheme."""
 

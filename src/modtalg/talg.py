@@ -16,6 +16,7 @@ from .errors import (
     InternalInconsistency,
     InvalidParameter,
     NotPPrimeValenced,
+    PrimeTooLarge,
 )
 from .ffmat import FieldCtx, GfpMatrix, Subspace, charpoly_coeffs, kernel_array, rref_array
 from .scheme import SchemeData
@@ -27,6 +28,8 @@ __all__ = [
     "AlgebraBasis",
     "algebra_closure",
     "generate_algebra",
+    "is_two_sided_ideal",
+    "is_central",
     "b0_b1",
     "b0_identity",
     "radical",
@@ -41,6 +44,8 @@ class TalgContext:
     The defining identities (transposes, partitions of I and J, idempotent
     orthogonality, nonvanishing of E_i* J E_j*, and J E_i* 1 = k_i 1) are
     asserted eagerly at construction; a bad table fails here, not later.
+    A prime with n^2 (p-1)^2 >= 2^63 is rejected before any arithmetic:
+    every contraction downstream runs over at most n^2 terms in int64.
     """
 
     __slots__ = ("scheme", "field", "x", "A", "Estar", "ones", "J", "n", "d")
@@ -48,6 +53,11 @@ class TalgContext:
     def __init__(self, scheme: SchemeData, field: FieldCtx, x: int):
         if not 0 <= x < scheme.n:
             raise BasePointOutOfRange(f"base point {x} outside [0, {scheme.n})")
+        if scheme.n ** 2 * (field.p - 1) ** 2 >= 2 ** 63:
+            raise PrimeTooLarge(
+                f"p={field.p} is too large for n={scheme.n}: "
+                f"n^2 (p-1)^2 >= 2^63 would overflow int64"
+            )
         self.scheme = scheme
         self.field = field
         self.x = int(x)
@@ -121,18 +131,19 @@ def triple_product(ctx: TalgContext, i: int, j: int, l: int) -> GfpMatrix:
 
 
 class AlgebraBasis:
-    """Echelonized basis of a subspace of n x n matrices over GF(p)."""
+    """Echelonized basis of a product-closed span of n x n matrices over
+    GF(p), with the stack of matrices it was closed from (`generators`)."""
 
-    __slots__ = ("field", "n", "space", "closed_under_product", "contains_identity")
+    __slots__ = ("field", "n", "space", "generators", "contains_identity")
 
-    def __init__(self, field: FieldCtx, n: int, space: Subspace,
-                 closed_under_product: bool, contains_identity: bool):
+    def __init__(self, field: FieldCtx, n: int, space: Subspace, generators: np.ndarray,
+                 contains_identity: bool):
         if space.ambient_dim != n * n:
             raise InvalidParameter("ambient dimension must be n^2")
         self.field = field
         self.n = n
         self.space = space
-        self.closed_under_product = closed_under_product
+        self.generators = generators
         self.contains_identity = contains_identity
 
     @property
@@ -142,12 +153,40 @@ class AlgebraBasis:
     def mats(self) -> np.ndarray:
         return self.space.basis.reshape(-1, self.n, self.n)
 
-    def contains_matrix(self, m) -> bool:
-        flat = m.vec() if isinstance(m, GfpMatrix) else np.asarray(m).reshape(-1)
-        return self.space.member(flat)
-
     def __repr__(self):
         return f"AlgebraBasis(p={self.field.p}, n={self.n}, dim={self.dim})"
+
+
+def _generator_products(gens: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
+    """g M and M g for every generator g and every M, stacked with shape
+    (2, len(gens) * len(mats), n * n), left products first.
+
+    Ideal and centrality tests need no more.  Let T be the algebra the g
+    generate (with or without I).  If gI and Ig lie in a subspace I for
+    every g, then {t : tI in I and It in I} is a unital subalgebra that
+    contains every g, hence all of T: I is a two-sided ideal.  Likewise
+    {t : tm = mt} is a unital subalgebra, so m is central in T iff it
+    commutes with every g.  The converses hold because the g lie in T.
+    """
+    n = mats.shape[-1]
+    out = np.empty((2, len(gens), len(mats), n, n), dtype=np.int64)
+    np.einsum("gij,bjk->gbik", gens, mats, out=out[0])
+    np.einsum("bij,gjk->gbik", mats, gens, out=out[1])
+    out %= p
+    return out.reshape(2, -1, n * n)
+
+
+def is_two_sided_ideal(alg: AlgebraBasis, ideal: Subspace) -> bool:
+    """g I and I g lie in I for every generator g of the algebra."""
+    n = alg.n
+    prods = _generator_products(alg.generators, ideal.basis.reshape(-1, n, n), alg.field.p)
+    return ideal.coords(prods.reshape(-1, n * n)) is not None
+
+
+def is_central(alg: AlgebraBasis, m: np.ndarray) -> bool:
+    """m commutes with every generator of the algebra."""
+    left, right = _generator_products(alg.generators, m[None], alg.field.p)
+    return np.array_equal(left, right)
 
 
 def algebra_closure(field: FieldCtx, generators: np.ndarray, include_identity: bool = True) -> AlgebraBasis:
@@ -166,18 +205,13 @@ def algebra_closure(field: FieldCtx, generators: np.ndarray, include_identity: b
         seed.append(np.eye(n, dtype=np.int64).reshape(1, -1))
     space = Subspace.span(field, np.concatenate(seed, axis=0), ambient_dim=n * n)
     while True:
-        basis = space.basis.reshape(-1, n, n)
-        left = np.einsum("gij,bjk->gbik", gens, basis) % field.p
-        right = np.einsum("bij,gjk->gbik", basis, gens) % field.p
-        stacked = np.concatenate(
-            [space.basis, left.reshape(-1, n * n), right.reshape(-1, n * n)], axis=0
-        )
+        prods = _generator_products(gens, space.basis.reshape(-1, n, n), field.p)
+        stacked = np.concatenate([space.basis, prods.reshape(-1, n * n)], axis=0)
         new = Subspace.span(field, stacked, ambient_dim=n * n)
         if new.dim == space.dim:
             break
         space = new
-    return AlgebraBasis(field, n, space, closed_under_product=True,
-                        contains_identity=include_identity)
+    return AlgebraBasis(field, n, space, gens, contains_identity=include_identity)
 
 
 def generate_algebra(ctx: TalgContext) -> AlgebraBasis:
@@ -185,27 +219,9 @@ def generate_algebra(ctx: TalgContext) -> AlgebraBasis:
     return algebra_closure(ctx.field, ctx.generator_mats(), include_identity=True)
 
 
-def _member_all(space: Subspace, flats: np.ndarray) -> bool:
-    if flats.shape[0] == 0:
-        return True
-    return space.coords(flats) is not None
-
-
 def assert_two_sided_ideal(alg: AlgebraBasis, ideal: Subspace, what: str) -> None:
-    """Every product of an algebra basis element with an ideal basis element
-    must stay inside the ideal."""
-    if ideal.dim == 0:
-        return
-    n = alg.n
-    amats = alg.mats()
-    imats = ideal.basis.reshape(-1, n, n)
-    p = alg.field.p
-    left = np.einsum("aij,bjk->abik", amats, imats) % p
-    right = np.einsum("bij,ajk->abik", imats, amats) % p
-    ok = _member_all(ideal, left.reshape(-1, n * n)) and _member_all(
-        ideal, right.reshape(-1, n * n)
-    )
-    if not ok:
+    """Raise InternalInconsistency unless the ideal is two-sided in alg."""
+    if not is_two_sided_ideal(alg, ideal):
         raise InternalInconsistency(f"{what} is not a two-sided ideal")
 
 
@@ -240,8 +256,10 @@ def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis) -> tuple[AlgebraBasis, Algeb
         raise InternalInconsistency("B0 not contained in T")
     assert_two_sided_ideal(talgebra, b0_space, "B0")
     assert_two_sided_ideal(talgebra, b1_space, "B1")
-    b0 = AlgebraBasis(ctx.field, n, b0_space, closed_under_product=True, contains_identity=False)
-    b1 = AlgebraBasis(ctx.field, n, b1_space, closed_under_product=True, contains_identity=False)
+    b0 = AlgebraBasis(ctx.field, n, b0_space, b0_space.basis.reshape(-1, n, n),
+                      contains_identity=False)
+    b1 = AlgebraBasis(ctx.field, n, b1_space, b1_space.basis.reshape(-1, n, n),
+                      contains_identity=False)
     return b0, b1
 
 
@@ -264,9 +282,8 @@ def b0_identity(ctx: TalgContext, talgebra: AlgebraBasis, b0: AlgebraBasis) -> G
     for b in b0.mats():
         if not (np.array_equal((em @ b) % p, b) and np.array_equal((b @ em) % p, b)):
             raise InternalInconsistency("e is not a unit of B0")
-    for t in talgebra.mats():
-        if not np.array_equal((em @ t) % p, (t @ em) % p):
-            raise InternalInconsistency("e is not central in T")
+    if not is_central(talgebra, em):
+        raise InternalInconsistency("e is not central in T")
     return e
 
 
@@ -276,12 +293,20 @@ def _stage_gram(basis_flat: np.ndarray, n: int, p: int, power: int) -> np.ndarra
 
     power = 1 is the ordinary trace form (computed directly); larger powers
     go through the Berkowitz recurrence on the batch of pairwise products.
+    The trace form sums n^2 terms, and for the quotient certificate n is
+    dim T/Rad, up to the square of the scheme's n; it is reduced every
+    `step` terms so that no partial sum leaves int64.
     """
     kdim = basis_flat.shape[0]
     mats = basis_flat.reshape(kdim, n, n)
     if power == 1:
         tflat = mats.transpose(0, 2, 1).reshape(kdim, n * n)
-        return (basis_flat @ tflat.T) % p
+        step = (2**63 - p) // (p - 1) ** 2
+        gram = np.zeros((kdim, kdim), dtype=np.int64)
+        for start in range(0, n * n, step):
+            part = basis_flat[:, start : start + step] @ tflat[:, start : start + step].T
+            gram = (gram + part) % p
+        return gram
     gram = np.zeros((kdim, kdim), dtype=np.int64)
     # chunk the pair batch so memory stays near chunk * k * n^2 entries
     chunk = max(1, int(4_000_000 // max(1, kdim * n * n)))
@@ -308,8 +333,6 @@ def radical(algebra: AlgebraBasis, f: FieldCtx | None = None, *, _verify: bool =
     """
     field = f if f is not None else algebra.field
     p, n = field.p, algebra.n
-    if not algebra.closed_under_product:
-        raise InvalidParameter("radical needs an algebra closed under products")
     if algebra.dim == 0:
         return Subspace.zero(field, n * n)
     basis = algebra.space.basis
@@ -403,7 +426,7 @@ def _quotient_regular_rep(algebra: AlgebraBasis, ideal: Subspace) -> AlgebraBasi
     space = Subspace.span(field, reg.reshape(q, q * q), ambient_dim=q * q)
     if space.dim != q:
         raise InternalInconsistency("regular representation of the quotient is not faithful")
-    return AlgebraBasis(field, q, space, closed_under_product=True, contains_identity=True)
+    return AlgebraBasis(field, q, space, space.basis.reshape(q, q, q), contains_identity=True)
 
 
 def annihilator_W0(ctx: TalgContext, talgebra: AlgebraBasis) -> Subspace:

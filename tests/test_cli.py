@@ -92,6 +92,20 @@ def test_analyze_composite_prime_exits_1(z5_file):
     assert main(["analyze", "--scheme", str(z5_file), "--prime", "4"]) == 1
 
 
+def test_analyze_prime_bound(z5_file, capsys):
+    # 607400093 is the largest prime with 5^2 (p-1)^2 < 2^63
+    def report(p):
+        assert main(["analyze", "--scheme", str(z5_file), "--prime", str(p), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        del doc["field"], doc["prime"]
+        return doc
+
+    assert report(607400093) == report(7)
+    rc = main(["analyze", "--scheme", str(z5_file), "--prime", "4294967311"])
+    assert rc == 1
+    assert "2^63" in capsys.readouterr().err
+
+
 def test_analyze_all_base_points(z5_file, capsys):
     rc = main(["analyze", "--scheme", str(z5_file), "--prime", "2",
                "--all-base-points", "--json"])
@@ -138,6 +152,22 @@ def test_batch_partial_failure_exits_2(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     status = {e["scheme_id"]: e["status"] for e in doc["entries"]}
     assert status == {"broken": "invalid", "z5": "ok"}
+
+
+def test_batch_rejects_composite_prime_before_the_sweep(z5_file, capsys):
+    rc = main(["batch", "--dir", str(z5_file.parent), "--primes", "2,4"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "4 is not a prime" in captured.err
+
+
+def test_batch_maps_library_errors_to_entry_status(z5_file, capsys):
+    rc = main(["batch", "--dir", str(z5_file.parent), "--primes", "2,4294967311"])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [e["status"] for e in doc["entries"]] == ["ok", "error"]
+    assert "2^63" in doc["entries"][1]["message"]
 
 
 def test_batch_parallel_matches_serial(tmp_path):

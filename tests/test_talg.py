@@ -6,11 +6,13 @@ from modtalg.errors import (
     IndexOutOfRange,
     InternalInconsistency,
     NotPPrimeValenced,
+    PrimeTooLarge,
 )
 from modtalg.ffmat import GfpMatrix, Subspace, field_ctx
 from modtalg.oracles import word_closure_dim
 from modtalg.scheme import gen_cyclic, gen_hamming, gen_thin, validate_axioms
 from modtalg.talg import (
+    _stage_gram,
     algebra_closure,
     annihilator_W0,
     b0_b1,
@@ -18,6 +20,8 @@ from modtalg.talg import (
     build_context,
     check_radical_postconditions,
     generate_algebra,
+    is_central,
+    is_two_sided_ideal,
     radical,
     triple_product,
 )
@@ -40,6 +44,15 @@ def test_context_base_point_bounds():
     s = validate_axioms(gen_cyclic(5))
     with pytest.raises(BasePointOutOfRange):
         build_context(s, field_ctx(2), 5)
+
+
+def test_prime_bound_is_enforced_before_arithmetic():
+    # 607400093 is the largest prime with 5^2 (p-1)^2 < 2^63, 607400137 the next
+    s = validate_axioms(gen_cyclic(5))
+    assert build_context(s, field_ctx(607400093), 0).n == 5
+    for p in (607400137, 4294967311):
+        with pytest.raises(PrimeTooLarge):
+            build_context(s, field_ctx(p), 0)
 
 
 def test_one_point_context_and_algebra():
@@ -356,3 +369,59 @@ def test_radical_matches_exhaustive_search():
             checked += 1
         total += checked
     assert total >= 12
+
+
+def _ideal_by_full_basis(alg, space):
+    # the definition: every product with every basis element of the algebra
+    n, p = alg.n, alg.field.p
+    if space.dim == 0:
+        return True
+    tm = alg.mats()
+    im = space.basis.reshape(-1, n, n)
+    left = np.einsum("aij,bjk->abik", tm, im) % p
+    right = np.einsum("bij,ajk->abik", im, tm) % p
+    prods = np.concatenate([left.reshape(-1, n * n), right.reshape(-1, n * n)])
+    return space.coords(prods) is not None
+
+
+def _central_by_full_basis(alg, m):
+    tm = alg.mats()
+    p = alg.field.p
+    return np.array_equal((m @ tm) % p, (tm @ m) % p)
+
+
+def test_generator_ideal_test_matches_full_basis(artifacts, schemes):
+    for name, s in schemes.items():
+        for p in (2, 3):
+            art = artifacts(name, p)
+            tal, n = art.talgebra, s.n
+            for what, space in (("B0", art.b0.space), ("B1", art.b1.space),
+                                ("Rad", art.rad), ("Ann", art.ann)):
+                assert is_two_sided_ideal(tal, space), (name, p, what)
+                assert _ideal_by_full_basis(tal, space), (name, p, what)
+            if s.d == 0:
+                continue
+            # T E_0* is a left ideal; E_0* A_1 is outside it, so it is not a right ideal
+            left = (tal.mats() @ art.ctx.Estar[0].a) % p
+            left_ideal = Subspace.span(art.field, left.reshape(-1, n * n), ambient_dim=n * n)
+            assert not is_two_sided_ideal(tal, left_ideal), (name, p)
+            assert not _ideal_by_full_basis(tal, left_ideal), (name, p)
+            # the span of the A_i is closed under the A_i but not under the E_i*
+            bose_mesner = Subspace.span(art.field, [a.vec() for a in art.ctx.A], ambient_dim=n * n)
+            assert not is_two_sided_ideal(tal, bose_mesner), (name, p)
+            assert not _ideal_by_full_basis(tal, bose_mesner), (name, p)
+            # E_1* commutes with the E_i* only, J with the A_i only
+            for m in (art.ctx.Estar[1].a, art.ctx.J.a):
+                assert not is_central(tal, m), (name, p)
+                assert not _central_by_full_basis(tal, m), (name, p)
+            assert is_central(tal, np.eye(n, dtype=np.int64)), (name, p)
+
+
+def test_trace_gram_reduces_before_int64_overflow():
+    # 4^2 (p-1)^2 > 2^63 for p = 2^31 - 1, so one unreduced contraction wraps
+    p, n, k = 2147483647, 4, 5
+    rng = np.random.default_rng(3)
+    basis = rng.integers(p - 1000, p, size=(k, n * n))
+    mats = basis.astype(object).reshape(k, n, n)
+    want = np.array([[int(np.trace(a @ b)) % p for b in mats] for a in mats])
+    assert np.array_equal(_stage_gram(basis, n, p, 1), want)
