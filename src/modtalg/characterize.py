@@ -74,13 +74,17 @@ def b0_unit_element(artifacts) -> GfpMatrix | None:
     n = b0.n
     bm = b0.mats()
     basis = b0.space.basis
-    # equations e b_m = b_m and b_m e = b_m, unknowns = coefficients over B0
-    left = np.einsum("aij,bjk->baik", bm, bm) % p
-    right = np.einsum("bij,ajk->baik", bm, bm) % p
-    lmat = left.reshape(k, k, n * n).transpose(0, 2, 1).reshape(k * n * n, k)
-    rmat = right.reshape(k, k, n * n).transpose(0, 2, 1).reshape(k * n * n, k)
+    # Equations e b_m = b_m and b_m e = b_m, unknowns = coefficients of e
+    # over B0.  B0 is an ideal of T (asserted by b0_b1), so both sides lie in
+    # B0, and a vector of B0 is fixed by its entries at the echelon pivots,
+    # where the basis reads as the identity.  Those k entries of each
+    # product are all the system needs: P[q, a, m] = (b_a b_m)[pivot q].
+    rows, cols = np.divmod(np.asarray(b0.space.pivots), n)
+    prods = (bm[:, rows, :].transpose(1, 0, 2) @ bm[:, :, cols].transpose(2, 1, 0)) % p
+    lmat = prods.transpose(2, 0, 1).reshape(k * k, k)
+    rmat = prods.transpose(1, 0, 2).reshape(k * k, k)
     system = np.concatenate([lmat, rmat], axis=0)
-    target = np.concatenate([basis.reshape(-1), basis.reshape(-1)])
+    target = np.tile(np.eye(k, dtype=np.int64).reshape(-1), 2)
     sol = solve_array(system, target, p)
     if sol is None:
         return None

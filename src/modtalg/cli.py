@@ -85,7 +85,7 @@ def cmd_analyze(args) -> int:
         return EXIT_INVALID
     try:
         f = field_ctx(args.prime)
-    except NotPrime as exc:
+    except (NotPrime, PrimeTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.all_base_points:
@@ -156,7 +156,7 @@ def cmd_batch(args) -> int:
         return EXIT_USAGE
     try:
         primes = [field_ctx(int(tok)).p for tok in args.primes.split(",") if tok]
-    except (ValueError, NotPrime) as exc:
+    except (ValueError, NotPrime, PrimeTooLarge) as exc:
         print(f"error: bad prime list {args.primes!r}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not primes:
@@ -241,7 +241,7 @@ def cmd_verify(args) -> int:
         return EXIT_INVALID
     try:
         f = field_ctx(args.prime)
-    except NotPrime as exc:
+    except (NotPrime, PrimeTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -269,7 +269,7 @@ def cmd_verify(args) -> int:
     if words != talgebra.dim:
         return _verify_fail("dim T", talgebra.dim, words)
 
-    rad = radical(talgebra)
+    rad = radical(talgebra, _verify=False)
     if args.inject_radical_fault:
         extra = next(
             row for row in talgebra.space.basis if not rad.member(row)
@@ -306,7 +306,7 @@ def cmd_verify(args) -> int:
                     rhs = (coef * ctx.Estar[i].apply(ctx.ones)) % p
                     if not np.array_equal(lhs, rhs):
                         return _verify_fail(f"triple product ({i},{j},{l})", lhs.tolist(), rhs.tolist())
-        subcount = sum(1 for _ in oracles.enumerate_subspaces(f.p, s.d + 1))
+        subcount = oracles.count_subspaces(f.p, s.d + 1)
         if subcount <= 5000:
             filt = filtration(ctx, st, module)
             comp = composition_factors(ctx, st, closure_digraph(s, f), module)

@@ -18,8 +18,9 @@ class IndexOutOfRange(Error):
 
 
 class PrimeTooLarge(Error):
-    """n^2 (p-1)^2 >= 2^63: a sum of n^2 products of residues mod p, the
-    longest contraction the analysis performs, could overflow int64."""
+    """p >= 2^64, or n^2 (p-1)^2 >= 2^63: a sum of n^2 products of residues
+    mod p, the longest contraction the analysis performs, could overflow
+    int64."""
 
 
 class BasePointOutOfRange(Error):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPrime
+from .errors import DimensionMismatch, NotPrime, PrimeTooLarge
 
 __all__ = [
     "FieldCtx",
@@ -26,28 +26,44 @@ __all__ = [
 ]
 
 
+# Strong-probable-prime tests to these bases decide primality exactly for
+# every p < 3.18 * 10^23 (Sorenson & Webster 2017), beyond 2^64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for every p < 2^64."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
 class FieldCtx:
-    """Arithmetic context for the prime field GF(p)."""
+    """Arithmetic context for the prime field GF(p), p < 2^64."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
         p = int(p)
+        if p >= 2**64:
+            raise PrimeTooLarge(f"p={p} >= 2^64 is outside the supported range")
         if not _is_prime(p):
             raise NotPrime(f"{p} is not a prime number")
         self.p = p
@@ -69,7 +85,8 @@ class FieldCtx:
 
 
 def field_ctx(p: int) -> FieldCtx:
-    """Build a GF(p) context; raises NotPrime on composite p."""
+    """Build a GF(p) context; raises NotPrime on composite p and
+    PrimeTooLarge on p >= 2^64."""
     return FieldCtx(p)
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "charpoly_leibniz",
     "word_closure_dim",
     "enumerate_subspaces",
+    "count_subspaces",
     "invariant_subspaces",
     "module_lattice_analysis",
     "radical_brute",
@@ -205,6 +206,17 @@ def enumerate_subspaces(p: int, m: int):
                 for (row, c), v in zip(free_slots, fill):
                     basis[row, c] = v
                 yield basis
+
+
+def count_subspaces(p: int, m: int) -> int:
+    """Number of subspaces of GF(p)^m, the length of enumerate_subspaces:
+    the sum over r of the Gaussian binomials [m choose r]_p, each built by
+    [m choose r] = [m choose r-1] (p^(m-r+1) - 1) / (p^r - 1)."""
+    total, term = 1, 1
+    for r in range(1, m + 1):
+        term = term * (p ** (m - r + 1) - 1) // (p**r - 1)
+        total += term
+    return total
 
 
 def _is_invariant(basis: np.ndarray, mats: np.ndarray, p: int, pivots: list[int]) -> bool:

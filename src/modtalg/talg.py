@@ -354,10 +354,28 @@ def radical(algebra: AlgebraBasis, f: FieldCtx | None = None, *, _verify: bool =
 def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
     """The three runtime certificates for a claimed radical: two-sided
     ideal, nilpotent (so the claim is contained in the true radical), and
-    zero radical on the quotient algebra."""
+    semisimple quotient.
+
+    The quotient certificate first tries the stage-1 trace form
+    G[a, b] = Tr(B_a B_b) over the algebra's basis.  rad is a nilpotent
+    two-sided ideal lying in T (all checked before G is built), so rad
+    lies in J(T).
+    Every x in J(T) makes each product xy nilpotent, so Tr(xy) = 0 and
+    J(T) lies in ker G.  If dim ker G = dim rad, then rad = J(T) and T/rad
+    is semisimple.  Otherwise, as when the trace form is degenerate in
+    characteristic p and a later stage p^k > 1 of the radical shrank its
+    candidate, the radical is recomputed on the regular representation of
+    T/rad and must be zero.  The claim is never trusted, so this certifies
+    any subspace, not only the output of `radical`.
+    """
     assert_two_sided_ideal(algebra, rad, "radical")
     _assert_nilpotent(algebra, rad)
     if algebra.contains_identity:
+        if not algebra.space.contains(rad):
+            raise InternalInconsistency("claimed radical is not contained in the algebra")
+        gram = _stage_gram(algebra.space.basis, algebra.n, algebra.field.p, power=1)
+        if kernel_array(gram, algebra.field.p).shape[0] == rad.dim:
+            return
         quotient = _quotient_regular_rep(algebra, rad)
         if quotient is not None and quotient.dim > 0:
             again = radical(quotient, _verify=False)
@@ -388,7 +406,8 @@ def _assert_nilpotent(algebra: AlgebraBasis, ideal: Subspace) -> None:
 
 
 def _quotient_regular_rep(algebra: AlgebraBasis, ideal: Subspace) -> AlgebraBasis | None:
-    """Left regular representation of algebra/ideal (ideal must be two-sided).
+    """Left regular representation of algebra/ideal (ideal must be a
+    two-sided ideal inside the algebra).
 
     Returns None for the zero quotient.  Faithful because the algebra is
     unital, so a zero radical here certifies semisimplicity of the quotient.
@@ -403,10 +422,7 @@ def _quotient_regular_rep(algebra: AlgebraBasis, ideal: Subspace) -> AlgebraBasi
         icoords = np.zeros((0, k), dtype=np.int64)
         ipivots: list[int] = []
     else:
-        raw = algebra.space.coords(ideal.basis)
-        if raw is None:
-            raise InternalInconsistency("ideal not contained in the algebra")
-        reduced, rank, piv = rref_array(raw, p)
+        reduced, rank, piv = rref_array(algebra.space.coords(ideal.basis), p)
         icoords = reduced[:rank]
         ipivots = piv
     pivot_set = set(ipivots)

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
 from modtalg.analysis import analyze
 from modtalg.characterize import b0_unit_element, check_corollary, check_equivalences
 from modtalg.errors import NotPPrimeValenced
-from modtalg.ffmat import field_ctx
+from modtalg.ffmat import field_ctx, solve_array
 from modtalg.talg import b0_identity
 
 PRIMES = (2, 3, 5, 7)
@@ -73,6 +74,27 @@ def test_unit_element_matches_formula_when_pprime(artifacts, schemes):
                 with pytest.raises(NotPPrimeValenced):
                     b0_identity(art.ctx, art.talgebra, art.b0)
                 assert solved is None
+
+
+def _unit_by_dense_solve(art):
+    # e b = b and b e = b on every entry of every product, as a reference
+    p, n, k = art.field.p, art.b0.n, art.b0.dim
+    bm, basis = art.b0.mats(), art.b0.space.basis
+    left = np.einsum("aij,bjk->baik", bm, bm).reshape(k, k, n * n).transpose(0, 2, 1)
+    right = np.einsum("bij,ajk->baik", bm, bm).reshape(k, k, n * n).transpose(0, 2, 1)
+    system = np.concatenate([left.reshape(-1, k), right.reshape(-1, k)]) % p
+    sol = solve_array(system, np.concatenate([basis.reshape(-1)] * 2), p)
+    return None if sol is None else ((sol @ basis) % p).reshape(n, n)
+
+
+def test_unit_element_matches_dense_solve(artifacts, schemes):
+    for name in schemes:
+        for p in PRIMES:
+            art = artifacts(name, p)
+            solved, want = b0_unit_element(art), _unit_by_dense_solve(art)
+            assert (solved is None) == (want is None), (name, p)
+            if want is not None:
+                assert np.array_equal(solved.a, want), (name, p)
 
 
 def test_consistency_across_base_points(schemes):

@@ -106,6 +106,20 @@ def test_analyze_prime_bound(z5_file, capsys):
     assert "2^63" in capsys.readouterr().err
 
 
+def test_cli_rejects_huge_primes_at_once(z5_file, capsys):
+    # 2^61 - 1 is prime: rejected by the int64 bound, not by a primality search
+    rc = main(["analyze", "--scheme", str(z5_file), "--prime", "2305843009213693951"])
+    assert rc == 1
+    assert "2^63" in capsys.readouterr().err
+    huge = str(2**64 + 13)
+    for argv in (["analyze", "--scheme", str(z5_file), "--prime", huge],
+                 ["verify", "--scheme", str(z5_file), "--prime", huge],
+                 ["batch", "--dir", str(z5_file.parent), "--primes", "2," + huge]):
+        assert main(argv) == 1, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == "" and "2^64" in captured.err, argv[0]
+
+
 def test_analyze_all_base_points(z5_file, capsys):
     rc = main(["analyze", "--scheme", str(z5_file), "--prime", "2",
                "--all-base-points", "--json"])
@@ -188,6 +202,11 @@ def test_batch_parallel_matches_serial(tmp_path):
 def test_verify_z5(z5_file, capsys):
     assert main(["verify", "--scheme", str(z5_file), "--prime", "2", "--deep"]) == 0
     assert main(["verify", "--scheme", str(z5_file), "--prime", "3"]) == 0
+
+
+def test_verify_deep_skips_lattice_oracle_at_large_prime(z5_file, capsys):
+    assert main(["verify", "--scheme", str(z5_file), "--prime", "10007", "--deep"]) == 0
+    assert "skipped" in capsys.readouterr().err
 
 
 def test_verify_fault_injection_exits_3(z5_file, capsys):

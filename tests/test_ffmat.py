@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modtalg.errors import DimensionMismatch, NotPrime
+from modtalg.errors import DimensionMismatch, NotPrime, PrimeTooLarge
 from modtalg.ffmat import (
+    _is_prime,
     GfpMatrix,
     Subspace,
     charpoly_coeffs,
@@ -27,6 +28,31 @@ def test_field_ctx_rejects_composites():
         field_ctx(4)
     with pytest.raises(NotPrime):
         field_ctx(1)
+
+
+def _prime_by_trial_division(p):
+    return p >= 2 and all(p % f for f in range(2, int(p**0.5) + 1))
+
+
+def test_primality_matches_trial_division_below_1e5():
+    assert [p for p in range(10**5) if _is_prime(p)] == [
+        p for p in range(10**5) if _prime_by_trial_division(p)
+    ]
+
+
+def test_primality_is_exact_on_large_inputs():
+    # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to bases 2, 3, 5, 7
+    assert not _is_prime(3215031751)
+    assert _is_prime(2**61 - 1)
+    assert _is_prime(2**64 - 59)  # the largest prime below 2^64
+    assert not _is_prime((2**32 - 5) * (2**32 - 17))
+
+
+def test_field_ctx_rejects_primes_from_2_64():
+    assert field_ctx(2**64 - 59).p == 2**64 - 59
+    for p in (2**64, 2**64 + 13, 2**89 - 1):
+        with pytest.raises(PrimeTooLarge):
+            field_ctx(p)
 
 
 def test_field_inverse():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from modtalg.errors import IndexOutOfRange, InternalInconsistency
 from modtalg.ffmat import Subspace, field_ctx
-from modtalg.oracles import module_lattice_analysis
+from modtalg.oracles import count_subspaces, enumerate_subspaces, module_lattice_analysis
 from modtalg.primary import (
     GeneratorAction,
     build_primary,
@@ -152,6 +152,12 @@ def test_composition_against_lattice_oracle(artifacts, schemes):
             assert length == art.comp.composition_length, (name, p)
             assert dims == sorted(f.dim for f in art.comp.factors), (name, p)
             assert uniserial == art.uniserial, (name, p)
+
+
+def test_subspace_count_matches_enumeration():
+    for p in (2, 3, 5):
+        for m in range(5):
+            assert count_subspaces(p, m) == sum(1 for _ in enumerate_subspaces(p, m)), (p, m)
 
 
 def test_factor_labels_distinct(artifacts, schemes):

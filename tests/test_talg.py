@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modtalg.errors import (
     BasePointOutOfRange,
@@ -11,10 +12,14 @@ from modtalg.errors import (
 from modtalg.ffmat import GfpMatrix, Subspace, field_ctx
 from modtalg.oracles import word_closure_dim
 from modtalg.scheme import gen_cyclic, gen_hamming, gen_thin, validate_axioms
+from modtalg import talg
 from modtalg.talg import (
+    _assert_nilpotent,
+    _quotient_regular_rep,
     _stage_gram,
     algebra_closure,
     annihilator_W0,
+    assert_two_sided_ideal,
     b0_b1,
     b0_identity,
     build_context,
@@ -248,6 +253,81 @@ def test_radical_postconditions_reject_corruption(artifacts):
     )
     with pytest.raises(InternalInconsistency):
         check_radical_postconditions(art.talgebra, corrupted)
+
+
+@pytest.mark.parametrize("name,p", [("cyclic-5", 2), ("hamming-3-2", 3)])
+def test_radical_postconditions_reject_deficient_candidates(artifacts, name, p):
+    # subspaces strictly inside the radical leave the trace kernel larger
+    # than themselves, so the short-cut cannot pass them
+    art = artifacts(name, p)
+    without_last = Subspace.span(art.field, art.rad.basis[:-1], ambient_dim=art.ctx.n**2)
+    for candidate in (Subspace.zero(art.field, art.ctx.n**2), without_last):
+        with pytest.raises(InternalInconsistency):
+            check_radical_postconditions(art.talgebra, candidate)
+
+
+def test_radical_postconditions_reject_candidates_outside_the_algebra():
+    # T = GF(2) I in 2 x 2 matrices: Tr(xy) = 2xy = 0, so ker G = T has
+    # dimension 1, like span{E_12}, a nilpotent subspace that I preserves
+    scalars = algebra_closure(field_ctx(2), np.eye(2, dtype=np.int64)[None])
+    outside = Subspace.span(scalars.field, [[0, 1, 0, 0]], ambient_dim=4)
+    with pytest.raises(InternalInconsistency):
+        check_radical_postconditions(scalars, outside)
+
+
+def test_quotient_rerun_only_when_trace_kernel_exceeds_the_radical(artifacts, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("quotient re-run reached")
+
+    monkeypatch.setattr(talg, "_quotient_regular_rep", unreachable)
+    art = artifacts("cyclic-5", 3)
+    check_radical_postconditions(art.talgebra, art.rad)
+    full = _closure_of(field_ctx(2), [[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
+    check_radical_postconditions(full, radical(full))
+
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return _quotient_regular_rep(*args)
+
+    monkeypatch.setattr(talg, "_quotient_regular_rep", recorded)
+    art = artifacts("cyclic-5", 2)
+    check_radical_postconditions(art.talgebra, art.rad)
+    assert len(calls) == 1
+
+
+def _passes(check, alg, candidate):
+    try:
+        check(alg, candidate)
+    except InternalInconsistency:
+        return False
+    return True
+
+
+def _check_by_quotient_rerun(alg, candidate):
+    # the three certificates with the quotient always re-run
+    assert_two_sided_ideal(alg, candidate, "radical")
+    _assert_nilpotent(alg, candidate)
+    quotient = _quotient_regular_rep(alg, candidate)
+    if quotient is not None and radical(quotient, _verify=False).dim != 0:
+        raise InternalInconsistency("quotient has a nonzero radical")
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3]), n=st.sampled_from([3, 4]), data=st.data())
+def test_trace_kernel_shortcut_agrees_with_quotient_rerun(p, n, data):
+    count = data.draw(st.integers(2, 4))
+    entries = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
+    gens = np.array(data.draw(st.lists(entries, min_size=count, max_size=count)))
+    gens = gens.reshape(count, n, n)
+    if data.draw(st.booleans()):
+        gens = np.triu(gens)  # closures with a radical, most of the time
+    alg = algebra_closure(field_ctx(p), gens)
+    for candidate in (radical(alg, _verify=False), Subspace.zero(alg.field, n * n)):
+        assert _passes(check_radical_postconditions, alg, candidate) == _passes(
+            _check_by_quotient_rerun, alg, candidate
+        )
 
 
 def test_b1_cubed_vanishes(artifacts, schemes):
