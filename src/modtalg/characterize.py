@@ -81,10 +81,18 @@ def b0_unit_element(artifacts) -> GfpMatrix | None:
     # product are all the system needs: P[q, a, m] = (b_a b_m)[pivot q].
     rows, cols = np.divmod(np.asarray(b0.space.pivots), n)
     prods = (bm[:, rows, :].transpose(1, 0, 2) @ bm[:, :, cols].transpose(2, 1, 0)) % p
-    lmat = prods.transpose(2, 0, 1).reshape(k * k, k)
-    rmat = prods.transpose(1, 0, 2).reshape(k * k, k)
-    system = np.concatenate([lmat, rmat], axis=0)
-    target = np.tile(np.eye(k, dtype=np.int64).reshape(-1), 2)
+    # The equation (e b_m)[pivot q] = [q = m] has row P[q, :, m], and
+    # (b_a e)[pivot q] = [q = a] has row P[q, a, :].  Only the rows that are
+    # not all zero enter the solve (under the E*-grading most are zero); a
+    # zero row whose target is 1 makes the system inconsistent.
+    live_left = prods.any(axis=1)
+    live_right = prods.any(axis=2)
+    if not (np.diagonal(live_left).all() and np.diagonal(live_right).all()):
+        return None
+    lq, lm = np.nonzero(live_left)
+    rq, ra = np.nonzero(live_right)
+    system = np.concatenate([prods[lq, :, lm], prods[rq, ra, :]], axis=0)
+    target = np.concatenate([lq == lm, rq == ra]).astype(np.int64)
     sol = solve_array(system, target, p)
     if sol is None:
         return None

@@ -72,6 +72,12 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _with_witness(exc: Exception) -> str:
+    """The error message, followed by its witness when it carries one."""
+    witness = getattr(exc, "witness", None)
+    return f"{exc}" + (f" witness={witness}" if witness else "")
+
+
 def cmd_analyze(args) -> int:
     try:
         s = _load_scheme(args.scheme)
@@ -79,9 +85,7 @@ def cmd_analyze(args) -> int:
         print(f"error: cannot read {args.scheme}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SchemeParseError, AxiomViolation) as exc:
-        witness = getattr(exc, "witness", None)
-        print(f"validation failure: {exc}" + (f" witness={witness}" if witness else ""),
-              file=sys.stderr)
+        print(f"validation failure: {_with_witness(exc)}", file=sys.stderr)
         return EXIT_INVALID
     try:
         f = field_ctx(args.prime)
@@ -101,7 +105,7 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalInconsistency as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        print(f"internal inconsistency: {_with_witness(exc)}", file=sys.stderr)
         return EXIT_INCONSISTENT
     if args.json:
         _emit(report_to_json(report), args.out)
@@ -143,7 +147,7 @@ def _batch_entry(task):
                 "message": str(exc)}
     except InternalInconsistency as exc:
         return {"scheme_id": name, "prime": prime, "status": "inconsistent",
-                "message": str(exc)}
+                "message": _with_witness(exc)}
     except Error as exc:
         return {"scheme_id": name, "prime": prime, "status": "error",
                 "message": str(exc)}
@@ -178,6 +182,10 @@ def cmd_batch(args) -> int:
     ]
     doc = {"schema": 1, "entries": entries, "summary": summary}
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+    for e in entries:
+        if e["status"] == "inconsistent":
+            print(f"internal inconsistency in {e['scheme_id']} at p={e['prime']}: "
+                  f"{e['message']}", file=sys.stderr)
     statuses = {e["status"] for e in entries}
     if "inconsistent" in statuses:
         return EXIT_INCONSISTENT
@@ -282,7 +290,7 @@ def cmd_verify(args) -> int:
         except InternalInconsistency as exc:
             print(
                 f"oracle disagreement on radical: corrupted dim={corrupted.dim} "
-                f"recomputed dim={rad.dim} ({exc})",
+                f"recomputed dim={rad.dim} ({_with_witness(exc)})",
                 file=sys.stderr,
             )
             return EXIT_INCONSISTENT
@@ -290,7 +298,7 @@ def cmd_verify(args) -> int:
     try:
         check_radical_postconditions(talgebra, rad)
     except InternalInconsistency as exc:
-        return _verify_fail("radical postconditions", rad.dim, str(exc))
+        return _verify_fail("radical postconditions", rad.dim, _with_witness(exc))
 
     if args.deep:
         module = build_primary(ctx)

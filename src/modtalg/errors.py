@@ -76,4 +76,11 @@ class FixtureInvalid(Error):
 
 
 class InternalInconsistency(Error):
-    """A proven identity failed numerically; this flags an implementation bug."""
+    """A proven identity failed numerically; this flags an implementation bug.
+
+    `witness` names what failed: a certificate's name, or for an element
+    outside the grading (stage, basis index, block pairs it touches)."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness

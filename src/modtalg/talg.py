@@ -132,12 +132,20 @@ def triple_product(ctx: TalgContext, i: int, j: int, l: int) -> GfpMatrix:
 
 class AlgebraBasis:
     """Echelonized basis of a product-closed span of n x n matrices over
-    GF(p), with the stack of matrices it was closed from (`generators`)."""
+    GF(p), with the stack of matrices it was closed from (`generators`)
+    and a block label per point (`blocks`).
 
-    __slots__ = ("field", "n", "space", "generators", "contains_identity")
+    The span is graded by the blocks: it is the direct sum of its pieces
+    supported on the rows of one block and the columns of another, so its
+    echelon basis consists of homogeneous elements (see `_grades`).
+    `algebra_closure` derives the labels from the generators; a single
+    block, the default, is the grading every algebra has.
+    """
+
+    __slots__ = ("field", "n", "space", "generators", "contains_identity", "blocks")
 
     def __init__(self, field: FieldCtx, n: int, space: Subspace, generators: np.ndarray,
-                 contains_identity: bool):
+                 contains_identity: bool, blocks: np.ndarray | None = None):
         if space.ambient_dim != n * n:
             raise InvalidParameter("ambient dimension must be n^2")
         self.field = field
@@ -145,6 +153,7 @@ class AlgebraBasis:
         self.space = space
         self.generators = generators
         self.contains_identity = contains_identity
+        self.blocks = np.zeros(n, dtype=np.int64) if blocks is None else blocks
 
     @property
     def dim(self) -> int:
@@ -155,6 +164,78 @@ class AlgebraBasis:
 
     def __repr__(self):
         return f"AlgebraBasis(p={self.field.p}, n={self.n}, dim={self.dim})"
+
+
+def _idempotent_blocks(gens: np.ndarray) -> np.ndarray:
+    """Block label per point: the common refinement of the supports of the
+    generators that are diagonal 0/1 matrices, one block if there are none.
+    For T(x) these are the E_i*(x), and the blocks are the Gamma_i(x).
+
+    The algebra T the generators close to is graded by these blocks.  A
+    diagonal 0/1 matrix e is idempotent, and for t in T the products et and
+    te lie in T, hence so do t - et and t - te: multiplying by e or by I - e
+    on either side keeps T.  The indicator f_a of a block is a product of
+    such factors, so f_a t f_b lies in T for all blocks a, b, and
+    t = sum_ab f_a t f_b because the f_a are orthogonal and sum to I.
+    """
+    n = gens.shape[-1]
+    diag = np.diagonal(gens, axis1=1, axis2=2)
+    off_diagonal = (gens * ~np.eye(n, dtype=bool)).any(axis=(1, 2))
+    idempotent = ~off_diagonal & (diag <= 1).all(axis=1)
+    _, labels = np.unique(diag[idempotent].T, axis=0, return_inverse=True)
+    return labels.reshape(n).astype(np.int64)
+
+
+def _grades(basis_flat: np.ndarray, blocks: np.ndarray, stage) -> tuple[np.ndarray, np.ndarray]:
+    """(row block, column block) of every element of an echelon basis.
+
+    The echelon basis of a graded subspace is the union of the echelon
+    bases of its pieces, whose supports are disjoint, so each element is
+    homogeneous: all its nonzero entries lie in one block pair.  An element
+    that is not raises InternalInconsistency with the witness (stage,
+    basis index, block pairs it touches).  A claimed radical is rejected
+    soundly this way: J(T) is an ideal, so multiplying by e or by I - e
+    keeps it as in `_idempotent_blocks`, and it is graded too.
+    """
+    nb = int(blocks.max()) + 1
+    pair = (blocks[:, None] * nb + blocks[None, :]).reshape(-1)
+    nonzero = basis_flat != 0
+    low = np.where(nonzero, pair, nb * nb).min(axis=1, initial=nb * nb)
+    high = np.where(nonzero, pair, -1).max(axis=1, initial=-1)
+    bad = np.flatnonzero(low != high)
+    if bad.size:
+        idx = int(bad[0])
+        touched = sorted({divmod(int(c), nb) for c in pair[nonzero[idx]]})
+        raise InternalInconsistency(
+            f"basis element {idx} at stage {stage} is not homogeneous: blocks {touched}",
+            witness=(stage, idx, touched),
+        )
+    return np.divmod(low, nb)
+
+
+def _graded_products(left: np.ndarray, left_cols: np.ndarray, right: np.ndarray,
+                     right_rows: np.ndarray, blocks: np.ndarray,
+                     p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The products left[a] @ right[b] whose inner grades match, as
+    (a, b, products); left[a] is nonzero only in the columns of block
+    left_cols[a], right[b] only in the rows of block right_rows[b].
+
+    Every product left out is zero: when left_cols[a] != right_rows[b], no
+    point is both a nonzero column of left[a] and a nonzero row of
+    right[b].  The kept ones contract over the points of the shared block.
+    """
+    a_parts = [np.zeros(0, dtype=np.int64)]
+    b_parts = [np.zeros(0, dtype=np.int64)]
+    prods = [np.zeros((0, left.shape[1], right.shape[2]), dtype=np.int64)]
+    for j in np.intersect1d(left_cols, right_rows):
+        a = np.flatnonzero(left_cols == j)
+        b = np.flatnonzero(right_rows == j)
+        pts = np.flatnonzero(blocks == j)
+        part = np.einsum("aik,bkl->abil", left[a][:, :, pts], right[b][:, pts, :]) % p
+        a_parts.append(np.repeat(a, len(b)))
+        b_parts.append(np.tile(b, len(a)))
+        prods.append(part.reshape(-1, *part.shape[2:]))
+    return np.concatenate(a_parts), np.concatenate(b_parts), np.concatenate(prods)
 
 
 def _generator_products(gens: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
@@ -194,7 +275,7 @@ def algebra_closure(field: FieldCtx, generators: np.ndarray, include_identity: b
 
     Fixpoint iteration: multiply the current echelon basis by every
     generator on the left and on the right, re-echelonize, repeat until the
-    dimension is stable.
+    dimension is stable.  The result is graded by `_idempotent_blocks`.
     """
     gens = np.asarray(generators, dtype=np.int64) % field.p
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
@@ -211,7 +292,8 @@ def algebra_closure(field: FieldCtx, generators: np.ndarray, include_identity: b
         if new.dim == space.dim:
             break
         space = new
-    return AlgebraBasis(field, n, space, gens, contains_identity=include_identity)
+    return AlgebraBasis(field, n, space, gens, contains_identity=include_identity,
+                        blocks=_idempotent_blocks(gens))
 
 
 def generate_algebra(ctx: TalgContext) -> AlgebraBasis:
@@ -222,7 +304,7 @@ def generate_algebra(ctx: TalgContext) -> AlgebraBasis:
 def assert_two_sided_ideal(alg: AlgebraBasis, ideal: Subspace, what: str) -> None:
     """Raise InternalInconsistency unless the ideal is two-sided in alg."""
     if not is_two_sided_ideal(alg, ideal):
-        raise InternalInconsistency(f"{what} is not a two-sided ideal")
+        raise InternalInconsistency(f"{what} is not a two-sided ideal", witness="ideal")
 
 
 def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis) -> tuple[AlgebraBasis, AlgebraBasis]:
@@ -287,15 +369,24 @@ def b0_identity(ctx: TalgContext, talgebra: AlgebraBasis, b0: AlgebraBasis) -> G
     return e
 
 
-def _stage_gram(basis_flat: np.ndarray, n: int, p: int, power: int) -> np.ndarray:
+def _stage_gram(basis_flat: np.ndarray, n: int, p: int, power: int,
+                blocks: np.ndarray | None = None) -> np.ndarray:
     """Gram matrix G[a, b] of the stage function applied to products:
     G[a, b] = coefficient index `power` of det(tI - B_a B_b) mod p.
 
-    power = 1 is the ordinary trace form (computed directly); larger powers
-    go through the Berkowitz recurrence on the batch of pairwise products.
-    The trace form sums n^2 terms, and for the quotient certificate n is
-    dim T/Rad, up to the square of the scheme's n; it is reduced every
-    `step` terms so that no partial sum leaves int64.
+    power = 1 is the ordinary trace form (computed directly).  It sums n^2
+    terms, and for the quotient certificate n is dim T/Rad, up to the
+    square of the scheme's n; it is reduced every `step` terms so that no
+    partial sum leaves int64.
+
+    Larger powers run the Berkowitz recurrence on the products the grading
+    by `blocks` (one block when None) leaves nonzero.  Let B_a have grade
+    (i, j) and B_b grade (l, m).  B_a B_b is zero unless j = l, and then
+    lies in the piece (i, m); for i != m its square is zero, so it is
+    nilpotent and c_power(B_a B_b) = 0.  For i = m it is zero outside the
+    k_i x k_i diagonal block (B_a B_b)_ii of the k_i points of block i, so
+    det(tI - B_a B_b) = t^(n - k_i) det(tI - (B_a B_b)_ii): G[a, b] is
+    coefficient `power` of the block's polynomial, zero when power > k_i.
     """
     kdim = basis_flat.shape[0]
     mats = basis_flat.reshape(kdim, n, n)
@@ -307,15 +398,24 @@ def _stage_gram(basis_flat: np.ndarray, n: int, p: int, power: int) -> np.ndarra
             part = basis_flat[:, start : start + step] @ tflat[:, start : start + step].T
             gram = (gram + part) % p
         return gram
+    if blocks is None:
+        blocks = np.zeros(n, dtype=np.int64)
+    rows, cols = _grades(basis_flat, blocks, power)
     gram = np.zeros((kdim, kdim), dtype=np.int64)
-    # chunk the pair batch so memory stays near chunk * k * n^2 entries
-    chunk = max(1, int(4_000_000 // max(1, kdim * n * n)))
-    for start in range(0, kdim, chunk):
-        part = mats[start : start + chunk]
-        prods = np.einsum("aij,bjk->abik", part, mats) % p
-        prods = prods.reshape(-1, n, n)
-        coeffs = charpoly_coeffs(prods, p, upto=power)
-        gram[start : start + chunk] = coeffs[:, power].reshape(part.shape[0], kdim)
+    for i in np.flatnonzero(np.bincount(blocks) >= power):
+        pts = np.flatnonzero(blocks == i)
+        left_idx = np.flatnonzero(rows == i)
+        right_idx = np.flatnonzero(cols == i)
+        left = mats[left_idx][:, pts, :]
+        right = mats[right_idx][:, :, pts]
+        # chunk the pair batch so memory stays near 4M product entries
+        chunk = max(1, int(4_000_000 // max(1, len(right_idx) * len(pts) ** 2)))
+        for start in range(0, len(left_idx), chunk):
+            part = left_idx[start : start + chunk]
+            a, b, prods = _graded_products(left[start : start + chunk], cols[part], right,
+                                           rows[right_idx], blocks, p)
+            coeffs = charpoly_coeffs(prods, p, upto=power)
+            gram[part[a], right_idx[b]] = coeffs[:, power]
     return gram
 
 
@@ -329,16 +429,20 @@ def radical(algebra: AlgebraBasis, f: FieldCtx | None = None, *, _verify: bool =
     radical survives every stage (nilpotent products have vanishing
     coefficients), and the verified postconditions (two-sided ideal,
     nilpotency, semisimple quotient) certify the reverse containment on
-    every call.
+    every call.  Stages p^k beyond the largest block of the grading are
+    skipped: their Gram is zero (see `_stage_gram`).  Every candidate stays
+    graded, because G[a, b] != 0 only for grades (i, j) and (j, i), so the
+    kernel of G splits by grade.
     """
     field = f if f is not None else algebra.field
     p, n = field.p, algebra.n
     if algebra.dim == 0:
         return Subspace.zero(field, n * n)
     basis = algebra.space.basis
+    largest = int(np.bincount(algebra.blocks).max())
     power = 1
-    while power <= n and basis.shape[0] > 0:
-        gram = _stage_gram(basis, n, p, power)
+    while power <= largest and basis.shape[0] > 0:
+        gram = _stage_gram(basis, n, p, power, algebra.blocks)
         ker = kernel_array(gram.T, p)
         if ker.shape[0] < basis.shape[0]:
             basis = (ker @ basis) % p
@@ -352,9 +456,9 @@ def radical(algebra: AlgebraBasis, f: FieldCtx | None = None, *, _verify: bool =
 
 
 def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
-    """The three runtime certificates for a claimed radical: two-sided
-    ideal, nilpotent (so the claim is contained in the true radical), and
-    semisimple quotient.
+    """The runtime certificates for a claimed radical: graded (see
+    `_grades`), two-sided ideal, nilpotent (so the claim is contained in
+    the true radical), and semisimple quotient.
 
     The quotient certificate first tries the stage-1 trace form
     G[a, b] = Tr(B_a B_b) over the algebra's basis.  rad is a nilpotent
@@ -368,11 +472,13 @@ def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
     T/rad and must be zero.  The claim is never trusted, so this certifies
     any subspace, not only the output of `radical`.
     """
+    _grades(rad.basis, algebra.blocks, "claimed radical")
     assert_two_sided_ideal(algebra, rad, "radical")
     _assert_nilpotent(algebra, rad)
     if algebra.contains_identity:
         if not algebra.space.contains(rad):
-            raise InternalInconsistency("claimed radical is not contained in the algebra")
+            raise InternalInconsistency("claimed radical is not contained in the algebra",
+                                        witness="containment")
         gram = _stage_gram(algebra.space.basis, algebra.n, algebra.field.p, power=1)
         if kernel_array(gram, algebra.field.p).shape[0] == rad.dim:
             return
@@ -381,28 +487,32 @@ def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
             again = radical(quotient, _verify=False)
             if again.dim != 0:
                 raise InternalInconsistency(
-                    f"quotient by the radical still has a radical of dim {again.dim}"
+                    f"quotient by the radical still has a radical of dim {again.dim}",
+                    witness="quotient",
                 )
 
 
 def _assert_nilpotent(algebra: AlgebraBasis, ideal: Subspace) -> None:
+    """The powers ideal^m, spanned by graded products, reach zero."""
     if ideal.dim == 0:
         return
     n = algebra.n
     p = algebra.field.p
     imats = ideal.basis.reshape(-1, n, n)
+    irows, _ = _grades(ideal.basis, algebra.blocks, "nilpotency")
     current = ideal
     for _ in range(algebra.dim + 1):
         if current.dim == 0:
             return
-        cmats = current.basis.reshape(-1, n, n)
-        prods = np.einsum("aij,bjk->abik", cmats, imats) % p
+        _, ccols = _grades(current.basis, algebra.blocks, "nilpotency")
+        _, _, prods = _graded_products(current.basis.reshape(-1, n, n), ccols, imats, irows,
+                                       algebra.blocks, p)
         nxt = Subspace.span(algebra.field, prods.reshape(-1, n * n), ambient_dim=n * n)
         if nxt.dim >= current.dim:
             break
         current = nxt
     if current.dim != 0:
-        raise InternalInconsistency("claimed radical is not nilpotent")
+        raise InternalInconsistency("claimed radical is not nilpotent", witness="nilpotency")
 
 
 def _quotient_regular_rep(algebra: AlgebraBasis, ideal: Subspace) -> AlgebraBasis | None:
@@ -411,6 +521,10 @@ def _quotient_regular_rep(algebra: AlgebraBasis, ideal: Subspace) -> AlgebraBasi
 
     Returns None for the zero quotient.  Faithful because the algebra is
     unital, so a zero radical here certifies semisimplicity of the quotient.
+    Coordinates modulo the ideal come from one product with its echelon
+    basis: that basis is fully reduced (zero at every other pivot), so
+    subtracting the pivot rows one at a time changes no pivot column still
+    to be used.
     """
     field = algebra.field
     p = field.p
@@ -428,20 +542,22 @@ def _quotient_regular_rep(algebra: AlgebraBasis, ideal: Subspace) -> AlgebraBasi
     pivot_set = set(ipivots)
     comp = [c for c in range(k) if c not in pivot_set]
     q = len(comp)
-    reps = algebra.space.basis[comp].reshape(q, n, n)
-    prods = np.einsum("aij,bjk->abik", reps, reps) % p
-    coords = algebra.space.coords(prods.reshape(q * q, n * n))
-    if coords is None:
-        raise InternalInconsistency("algebra is not closed under products")
-    coords = coords % p
-    for row, pc in zip(icoords, ipivots):
-        coords = (coords - np.outer(coords[:, pc], row)) % p
-    qcoords = coords[:, comp].reshape(q, q, q)
+    reps = algebra.space.basis[comp]
+    rows, cols = _grades(reps, algebra.blocks, "quotient")
+    reps = reps.reshape(q, n, n)
+    a, b, prods = _graded_products(reps, cols, reps, rows, algebra.blocks, p)
+    found = algebra.space.coords(prods.reshape(-1, n * n))
+    if found is None:
+        raise InternalInconsistency("algebra is not closed under products", witness="quotient")
+    coords = np.zeros((q * q, k), dtype=np.int64)
+    coords[a * q + b] = found
+    qcoords = (coords[:, comp] - coords[:, ipivots] @ icoords[:, comp]) % p
     # reg(a)[:, b] = quotient coordinates of rep_a rep_b
-    reg = qcoords.transpose(0, 2, 1)
+    reg = qcoords.reshape(q, q, q).transpose(0, 2, 1)
     space = Subspace.span(field, reg.reshape(q, q * q), ambient_dim=q * q)
     if space.dim != q:
-        raise InternalInconsistency("regular representation of the quotient is not faithful")
+        raise InternalInconsistency("regular representation of the quotient is not faithful",
+                                    witness="quotient")
     return AlgebraBasis(field, q, space, space.basis.reshape(q, q, q), contains_identity=True)
 
 

@@ -217,6 +217,25 @@ def test_verify_fault_injection_exits_3(z5_file, capsys):
     assert "oracle disagreement" in err and "dim" in err
 
 
+def test_inconsistency_witness_is_printed(z5_file, tmp_path, capsys, monkeypatch):
+    from modtalg import cli
+    from modtalg.errors import InternalInconsistency
+
+    assert main(["verify", "--scheme", str(z5_file), "--prime", "2",
+                 "--inject-radical-fault"]) == 3
+    assert "witness=nilpotency" in capsys.readouterr().err
+
+    def inconsistent(*args, **kwargs):
+        raise InternalInconsistency("stage failed", witness=(2, 7, [(0, 1), (1, 1)]))
+
+    monkeypatch.setattr(cli, "analyze", inconsistent)
+    assert main(["analyze", "--scheme", str(z5_file), "--prime", "2"]) == 3
+    assert "witness=(2, 7, [(0, 1), (1, 1)])" in capsys.readouterr().err
+    assert main(["batch", "--dir", str(z5_file.parent), "--primes", "2",
+                 "--out", str(tmp_path / "out.json")]) == 3
+    assert "witness=(2, 7, [(0, 1), (1, 1)])" in capsys.readouterr().err
+
+
 def test_verify_rejects_broken_scheme(tmp_path):
     bad = tmp_path / "broken.scheme"
     bad.write_text("2\n0 1\n")

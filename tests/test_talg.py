@@ -9,11 +9,12 @@ from modtalg.errors import (
     NotPPrimeValenced,
     PrimeTooLarge,
 )
-from modtalg.ffmat import GfpMatrix, Subspace, field_ctx
+from modtalg.ffmat import GfpMatrix, Subspace, field_ctx, kernel_array, rref_array
 from modtalg.oracles import word_closure_dim
 from modtalg.scheme import gen_cyclic, gen_hamming, gen_thin, validate_axioms
 from modtalg import talg
 from modtalg.talg import (
+    AlgebraBasis,
     _assert_nilpotent,
     _quotient_regular_rep,
     _stage_gram,
@@ -505,3 +506,100 @@ def test_trace_gram_reduces_before_int64_overflow():
     mats = basis.astype(object).reshape(k, n, n)
     want = np.array([[int(np.trace(a @ b)) % p for b in mats] for a in mats])
     assert np.array_equal(_stage_gram(basis, n, p, 1), want)
+
+
+def _one_block(alg):
+    # the same algebra with the trivial grading
+    return AlgebraBasis(alg.field, alg.n, alg.space, alg.generators, alg.contains_identity)
+
+
+def test_derived_blocks_are_the_subconstituents(schemes):
+    for name, s in schemes.items():
+        for x in sorted({0, s.n - 1}):
+            ctx = build_context(s, field_ctx(2), x)
+            blocks = generate_algebra(ctx).blocks
+            derived = {frozenset(np.flatnonzero(blocks == b).tolist()) for b in set(blocks.tolist())}
+            row = s.table.entries[x]
+            want = {frozenset(np.flatnonzero(row == i).tolist()) for i in range(s.d + 1)}
+            assert derived == want, (name, x)
+
+
+def test_graded_stage_gram_equals_one_block_gram(artifacts, schemes):
+    # on T and on the candidate of every stage, for every p^k <= n
+    for name, s in schemes.items():
+        for p in PRIMES:
+            tal = artifacts(name, p).talgebra
+            n, basis, power = s.n, tal.space.basis, 1
+            while power <= n and basis.shape[0] > 0:
+                graded = _stage_gram(basis, n, p, power, tal.blocks)
+                assert np.array_equal(graded, _stage_gram(basis, n, p, power)), (name, p, power)
+                ker = kernel_array(graded.T, p)
+                reduced, rank, _ = rref_array((ker @ basis) % p, p)
+                basis, power = reduced[:rank], power * p
+            assert Subspace.span(tal.field, basis, ambient_dim=n * n) == artifacts(name, p).rad
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3]), n=st.sampled_from([3, 4, 5]), data=st.data())
+def test_radical_with_derived_blocks_equals_one_block(p, n, data):
+    count = data.draw(st.integers(1, 3))
+    entries = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
+    gens = np.array(data.draw(st.lists(entries, min_size=count, max_size=count))).reshape(count, n, n)
+    if data.draw(st.booleans()):
+        gens = np.triu(gens)
+    supports = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    idempotents = [np.diag(d) for d in data.draw(st.lists(supports, min_size=1, max_size=3))]
+    alg = algebra_closure(field_ctx(p), np.concatenate([gens, idempotents]),
+                          include_identity=data.draw(st.booleans()))
+    assert radical(alg) == radical(_one_block(alg))
+
+
+def test_non_homogeneous_claim_is_rejected_with_its_witness(artifacts):
+    art = artifacts("cyclic-5", 2)
+    ctx, blocks, n = art.ctx, art.talgebra.blocks, art.ctx.n
+    mixed = (ctx.Estar[0] + ctx.Estar[1]).vec()
+    want_pairs = sorted({(int(blocks[y]), int(blocks[y])) for y in np.flatnonzero(np.diagonal(mixed.reshape(n, n)))})
+    claim = Subspace.span(art.field, mixed, ambient_dim=n * n)
+    with pytest.raises(InternalInconsistency) as err:
+        check_radical_postconditions(art.talgebra, claim)
+    assert err.value.witness == ("claimed radical", 0, want_pairs)
+    # a stage candidate with a mixed element is rejected the same way
+    basis = np.concatenate([art.rad.basis, mixed[None]])
+    with pytest.raises(InternalInconsistency) as err:
+        _stage_gram(basis, n, 2, 2, blocks)
+    assert err.value.witness == (2, len(art.rad.basis), want_pairs)
+
+
+def _quotient_by_pivot_loop(algebra, ideal):
+    # reference: every product of complement representatives, reduced
+    # modulo the ideal one pivot at a time
+    p, n, k = algebra.field.p, algebra.n, algebra.dim
+    if ideal.dim == k:
+        return None
+    if ideal.dim == 0:
+        icoords, ipivots = np.zeros((0, k), dtype=np.int64), []
+    else:
+        reduced, rank, ipivots = rref_array(algebra.space.coords(ideal.basis), p)
+        icoords = reduced[:rank]
+    comp = [c for c in range(k) if c not in set(ipivots)]
+    q = len(comp)
+    reps = algebra.space.basis[comp].reshape(q, n, n)
+    prods = np.einsum("aij,bjk->abik", reps, reps) % p
+    coords = algebra.space.coords(prods.reshape(q * q, n * n)) % p
+    for row, pc in zip(icoords, ipivots):
+        coords = (coords - np.outer(coords[:, pc], row)) % p
+    reg = coords[:, comp].reshape(q, q, q).transpose(0, 2, 1)
+    return Subspace.span(algebra.field, reg.reshape(q, q * q), ambient_dim=q * q)
+
+
+def test_quotient_elimination_equals_the_pivot_loop(artifacts, schemes):
+    for name in schemes:
+        for p in (2, 3):
+            art = artifacts(name, p)
+            zero = Subspace.zero(art.field, art.ctx.n ** 2)
+            for ideal in (art.rad, art.b1.space, art.ann, zero):
+                fast = _quotient_regular_rep(art.talgebra, ideal)
+                want = _quotient_by_pivot_loop(art.talgebra, ideal)
+                assert (fast is None) == (want is None), (name, p)
+                if want is not None:
+                    assert fast.space == want, (name, p)
