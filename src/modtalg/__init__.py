@@ -14,7 +14,6 @@ from .ffmat import FieldCtx, GfpMatrix, Subspace, field_ctx, kernel, rref
 from .primary import (
     ClosureDigraph,
     CompositionReport,
-    IsoVerdict,
     PrimaryModule,
     build_primary,
     closure_digraph,

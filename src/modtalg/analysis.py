@@ -9,7 +9,7 @@ byte-identical across runs on identical input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .ffmat import FieldCtx, Subspace
 from .primary import (
     ClosureDigraph,
     CompositionReport,
-    IsoVerdict,
     PrimaryModule,
     build_primary,
     closure_digraph,
@@ -61,8 +60,7 @@ class Artifacts:
     digraph: ClosureDigraph
     comp: CompositionReport
     uniserial: bool
-    w0_selfcontra: IsoVerdict
-    warnings: list[str] = dc_field(default_factory=list)
+    w0_selfcontra: bool
 
 
 def compute_artifacts(s: SchemeData, f: FieldCtx, x: int = 0) -> Artifacts:
@@ -78,9 +76,6 @@ def compute_artifacts(s: SchemeData, f: FieldCtx, x: int = 0) -> Artifacts:
     comp = composition_factors(ctx, strata_, digraph, module)
     uniserial = uniserial_check(ctx, comp, rad, filt)
     w0sc = selfcontra_W0(module, strata_)
-    warnings: list[str] = []
-    if not w0sc.certified:
-        warnings.append("self-contragredient verdict for W_0 decided by random sampling")
     art = Artifacts(
         scheme=s,
         field=f,
@@ -98,7 +93,6 @@ def compute_artifacts(s: SchemeData, f: FieldCtx, x: int = 0) -> Artifacts:
         comp=comp,
         uniserial=uniserial,
         w0_selfcontra=w0sc,
-        warnings=warnings,
     )
     _cross_checks(art)
     return art
@@ -142,7 +136,6 @@ class AnalysisReport:
     self_contragredient_W0: bool
     characterization: CharReport
     corollary: CorollaryReport
-    warnings: tuple[str, ...]
 
     def to_dict(self) -> dict:
         comp = [
@@ -176,7 +169,8 @@ class AnalysisReport:
             "characterization": {
                 **self.characterization.computed(),
                 "implied": self.characterization.implied,
-                "ix_certified": self.characterization.ix_certified,
+                # always true (self-duality is decided exactly); kept for the perfbench goldens
+                "ix_certified": True,
                 "consistent": self.characterization.consistent,
             },
             "corollary": {
@@ -185,7 +179,8 @@ class AnalysisReport:
                 "implied_summands": self.corollary.implied_summands,
                 "consistent": self.corollary.consistent,
             },
-            "warnings": list(self.warnings),
+            # always empty (no verdict is uncertified); kept for the perfbench goldens
+            "warnings": [],
         }
 
 
@@ -204,7 +199,6 @@ def analyze(
     dim_T: list[int] = []
     dim_rad: list[int] = []
     dim_ann: list[int] = []
-    warnings: list[str] = []
     first: Artifacts | None = None
     char: CharReport | None = None
     coro: CorollaryReport | None = None
@@ -215,10 +209,6 @@ def analyze(
         dim_T.append(art.talgebra.dim)
         dim_rad.append(art.rad.dim)
         dim_ann.append(art.ann.dim)
-        for w in art.warnings:
-            tagged = f"x={x}: {w}"
-            if tagged not in warnings:
-                warnings.append(tagged)
         if first is None:
             first, char, coro = art, c, cc
         elif c.computed() != char.computed():
@@ -242,10 +232,9 @@ def analyze(
         strata=first.strata,
         composition=first.comp,
         uniserial=first.uniserial,
-        self_contragredient_W0=first.w0_selfcontra.isomorphic,
+        self_contragredient_W0=first.w0_selfcontra,
         characterization=char,
         corollary=coro,
-        warnings=tuple(warnings),
     )
 
 

@@ -32,7 +32,6 @@ class CharReport:
     vi_rad_thin_kills: bool
     viii_W0_irreducible: bool
     ix_W0_selfcontra: bool
-    ix_certified: bool
     consistent: bool
 
     @property
@@ -147,7 +146,7 @@ def check_equivalences(artifacts) -> CharReport:
     v_flag = _thin_kills(artifacts, artifacts.ann)
     vi_flag = _thin_kills(artifacts, artifacts.rad)
     viii_flag = artifacts.filt[1].dim == 0
-    ix_flag = artifacts.w0_selfcontra.isomorphic
+    ix_flag = artifacts.w0_selfcontra
 
     booleans = [i_flag, ii_flag, iii_flag, iv_flag, v_flag, vi_flag, viii_flag, ix_flag]
     if len(set(booleans)) != 1:
@@ -165,7 +164,6 @@ def check_equivalences(artifacts) -> CharReport:
         vi_rad_thin_kills=vi_flag,
         viii_W0_irreducible=viii_flag,
         ix_W0_selfcontra=ix_flag,
-        ix_certified=artifacts.w0_selfcontra.certified,
         consistent=True,
     )
 

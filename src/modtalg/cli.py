@@ -34,6 +34,8 @@ from .primary import (
     closure_digraph,
     composition_factors,
     filtration,
+    hom_space,
+    is_selfcontragredient,
     uniserial_check,
     verify_Ml_iso,
 )
@@ -61,8 +63,7 @@ EXIT_INCONSISTENT = 3
 
 
 def _load_scheme(path: str):
-    text = Path(path).read_text()
-    return validate_axioms(parse_scheme(text))
+    return validate_axioms(parse_scheme(Path(path).read_bytes()))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -129,8 +130,6 @@ def _human_summary(report) -> str:
         f"  p'-valenced: {report.characterization.i_pprime} "
         f"(all characterization items consistent: {report.characterization.consistent})",
     ]
-    for w in report.warnings:
-        lines.append(f"  warning: {w}")
     return "\n".join(lines) + "\n"
 
 
@@ -226,7 +225,7 @@ def _verify_fail(what: str, fast, oracle) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        text = Path(args.scheme).read_text()
+        text = Path(args.scheme).read_bytes()
     except OSError as exc:
         print(f"error: cannot read {args.scheme}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -314,6 +313,18 @@ def cmd_verify(args) -> int:
                     rhs = (coef * ctx.Estar[i].apply(ctx.ones)) % p
                     if not np.array_equal(lhs, rhs):
                         return _verify_fail(f"triple product ({i},{j},{l})", lhs.tolist(), rhs.tolist())
+        # every intertwiner W_0 -> W_0* is diagonal, and W_0 ~ W_0* iff p'-valenced
+        homs = hom_space(module.action, module.action.contragredient())
+        off = np.nonzero(homs * (1 - np.eye(module.dim, dtype=np.int64)))
+        if off[0].size:
+            return _verify_fail("diagonal intertwiners of W_0", "diagonal",
+                                f"entry {(int(off[1][0]), int(off[2][0]))} nonzero")
+        try:
+            selfdual = is_selfcontragredient(module.action)
+        except InternalInconsistency as exc:
+            return _verify_fail("self-duality of W_0", _with_witness(exc), st.p_prime_valenced)
+        if selfdual != st.p_prime_valenced:
+            return _verify_fail("self-duality of W_0", selfdual, st.p_prime_valenced)
         subcount = oracles.count_subspaces(f.p, s.d + 1)
         if subcount <= 5000:
             filt = filtration(ctx, st, module)

@@ -9,11 +9,11 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InternalInconsistency
+from .errors import IndexOutOfRange, InternalInconsistency, InvalidParameter
 from .ffmat import FieldCtx, Subspace, kernel_array, rref_array
 from .scheme import SchemeData, Strata
 from .talg import TalgContext
@@ -33,7 +33,6 @@ __all__ = [
     "verify_Ml_iso",
     "contragredient_action",
     "hom_space",
-    "IsoVerdict",
     "is_selfcontragredient",
     "selfcontra_W0",
     "factor_selfcontra",
@@ -263,7 +262,6 @@ class CompositionReport:
     qn: list[list[tuple[int, ...]]]
     factors: list[CompositionFactor]
     composition_length: int
-    uniserial: bool | None = dc_field(default=None)
 
 
 def factor_action(module: PrimaryModule, cls: tuple[int, ...]) -> GeneratorAction:
@@ -378,7 +376,6 @@ def uniserial_check(
         if pushed != filt[level + 1]:
             result = False
             break
-    report.uniserial = result
     return result
 
 
@@ -416,69 +413,71 @@ def hom_space(src: GeneratorAction, dst: GeneratorAction) -> np.ndarray:
     return ker.reshape(-1, m2, m1)
 
 
-@dataclass(frozen=True)
-class IsoVerdict:
-    """certified=False marks a verdict from random sampling only (the
-    explicit probably-not flag); certified verdicts are exhaustive."""
+def _diagonal_intertwining_system(action: GeneratorAction) -> np.ndarray:
+    """The equations phi_i rho(g)_ih - rho*(g)_ih phi_h = 0 saying that
+    diag(phi) intertwines the module with its contragredient: one row per
+    generator g and entry (i, h), a (2(d+1) m^2) x m array mod p.
 
-    isomorphic: bool
-    certified: bool
+    Raises InvalidParameter unless the E_j* act as diagonal 0/1 matrices
+    that sum to I and have rank at most 1, i.e. every weight space has
+    dimension 1 (W_0 and every factor_action meet this)."""
+    p = action.field.p
+    m = action.dim
+    eye = np.eye(m, dtype=np.int64)
+    act_e = action.actE % p
+    weights = np.diagonal(act_e, axis1=1, axis2=2)
+    if not (
+        np.array_equal(act_e, weights[:, :, None] * eye)
+        and np.isin(weights, (0, 1)).all()
+        and (weights.sum(axis=0) == 1).all()
+        and (weights.sum(axis=1) <= 1).all()
+    ):
+        raise InvalidParameter("the E_j* do not act as coordinate projectors")
+    rho = action.all_mats()
+    dual = action.contragredient().all_mats()
+    system = rho[..., None] * eye[None, :, None, :] - dual[..., None] * eye[None, None, :, :]
+    return system.reshape(-1, m) % p
 
 
-PROJECTIVE_ENUM_LIMIT = 100_000
-SAMPLE_COUNT = 256
+def is_selfcontragredient(action: GeneratorAction) -> bool:
+    """Decide whether a module with one-dimensional weight spaces is
+    isomorphic to its contragredient dual.
 
-
-def _projective_reps(p: int, h: int):
-    import itertools
-
-    for lead in range(h):
-        for tail in itertools.product(range(p), repeat=h - lead - 1):
-            coeffs = np.zeros(h, dtype=np.int64)
-            coeffs[lead] = 1
-            coeffs[lead + 1 :] = tail
-            yield coeffs
-
-
-def is_selfcontragredient(action: GeneratorAction) -> IsoVerdict:
-    """Decide whether a module is isomorphic to its contragredient dual.
-
-    Looks for an invertible element of the intertwiner space: exhaustively
-    over projective representatives when that is cheap, otherwise by
-    deterministic-seed sampling (flagged uncertified on total failure).
+    Proof.  An intertwiner Phi: M -> M* satisfies Phi rho(E_j*) =
+    rho(E_j*)^T Phi = rho(E_j*) Phi, and the rho(E_j*) are the coordinate
+    projectors, so Phi = diag(phi) is diagonal: M ~ M* iff the kernel K of
+    the diagonal intertwining equations holds a phi with no zero entry.
+    Each equation a phi_i = b phi_h has at most two terms.  Join i and h
+    when a and b are both nonzero; every equation then involves a single
+    class of joined coordinates, and on a class one coordinate fixes all
+    the others, none of them zero unless all are.  So K is the direct sum
+    of at most one line per class; the lines have disjoint supports and,
+    normalized at their first entry, they are K's echelon rows.  The sum
+    phi of those rows is therefore nonzero exactly on the union of the
+    supports: either every phi_i != 0 and diag(phi) is an invertible
+    intertwiner, or some coordinate is zero throughout K and no
+    intertwiner is invertible.  A third outcome is an implementation bug.
     """
     p = action.field.p
-    dual = action.contragredient()
-    homs = hom_space(action, dual)
-    h = homs.shape[0]
-    m = action.dim
-    if h == 0:
-        return IsoVerdict(isomorphic=False, certified=True)
-    count = (p**h - 1) // (p - 1)
-    if count <= PROJECTIVE_ENUM_LIMIT:
-        for coeffs in _projective_reps(p, h):
-            phi = np.tensordot(coeffs, homs, axes=(0, 0)) % p
-            if rref_array(phi, p)[1] == m:
-                return IsoVerdict(isomorphic=True, certified=True)
-        return IsoVerdict(isomorphic=False, certified=True)
-    rng = np.random.default_rng(0)
-    for _ in range(SAMPLE_COUNT):
-        coeffs = rng.integers(0, p, size=h)
-        if not coeffs.any():
-            continue
-        phi = np.tensordot(coeffs, homs, axes=(0, 0)) % p
-        if rref_array(phi, p)[1] == m:
-            return IsoVerdict(isomorphic=True, certified=True)
-    return IsoVerdict(isomorphic=False, certified=False)
+    ker = kernel_array(_diagonal_intertwining_system(action), p)
+    phi = ker.sum(axis=0) % p
+    if phi.all():
+        return True
+    if (ker == 0).all(axis=0).any():
+        return False
+    raise InternalInconsistency(
+        "diagonal intertwiner space is not a sum of disjoint lines",
+        witness=("self-duality", int(np.nonzero(phi == 0)[0][0])),
+    )
 
 
-def selfcontra_W0(module: PrimaryModule, strata_: Strata) -> IsoVerdict:
+def selfcontra_W0(module: PrimaryModule, strata_: Strata) -> bool:
     """Self-contragredience of W_0, cross-checked against the p'-valenced
     flag (the two are provably equivalent, so a mismatch is a bug)."""
     verdict = is_selfcontragredient(module.action)
-    if verdict.isomorphic != strata_.p_prime_valenced:
+    if verdict != strata_.p_prime_valenced:
         raise InternalInconsistency(
-            f"W_0 self-contragredient verdict {verdict.isomorphic} contradicts "
+            f"W_0 self-contragredient verdict {verdict} contradicts "
             f"p'-valenced flag {strata_.p_prime_valenced}"
         )
     return verdict
@@ -499,10 +498,5 @@ def factor_selfcontra(
         if ki % p == 0:
             raise InternalInconsistency("stratum member with wrong valuation")
         q.append(ki % p)
-    phi = np.diag(np.array(q, dtype=np.int64))
-    act = factor_action(module, factor.cls)
-    dual = act.contragredient()
-    for g1, g2 in zip(act.all_mats(), dual.all_mats()):
-        if not np.array_equal((phi @ g1) % p, (g2 @ phi) % p):
-            return False
-    return True
+    system = _diagonal_intertwining_system(factor_action(module, factor.cls))
+    return not ((system @ np.array(q, dtype=np.int64)) % p).any()

@@ -52,12 +52,18 @@ class RelationTable:
 
 
 def relation_table(entries) -> RelationTable:
-    a = np.asarray(entries, dtype=np.int64)
+    try:
+        a = np.asarray(entries, dtype=np.int64)
+    except OverflowError:
+        raise OutOfRange("relation index outside the int64 range") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise Malformed("relation table must be square and nonempty")
     if (a < 0).any():
         raise Malformed("negative relation index")
     d = int(a.max())
+    if d >= a.size:
+        # n^2 entries hold at most n^2 distinct indices
+        raise OutOfRange(f"relation indices have a gap: {d} occurs in a table of {a.size} entries")
     present = np.zeros(d + 1, dtype=bool)
     present[a.reshape(-1)] = True
     if not present.all():
@@ -70,7 +76,12 @@ def relation_table(entries) -> RelationTable:
     return RelationTable(n=int(a.shape[0]), d=d, entries=a)
 
 
-def parse_scheme(text: str) -> RelationTable:
+def parse_scheme(text: str | bytes) -> RelationTable:
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise Malformed(f"scheme input is not UTF-8: {exc}") from None
     lines = [ln.strip() for ln in text.splitlines()]
     data = [ln for ln in lines if ln and not ln.startswith("#")]
     if not data:

@@ -197,7 +197,7 @@ def test_criterion_8_selfcontragredient_suite():
     for name, s in corpus():
         for p in PRIMES:
             art = compute_artifacts(s, field_ctx(p), 0)
-            if art.w0_selfcontra.isomorphic != art.strata.p_prime_valenced:
+            if art.w0_selfcontra != art.strata.p_prime_valenced:
                 failures.append((name, p, "W0 flag"))
             for fac in art.comp.factors:
                 if not factor_selfcontra(art.module, art.strata, fac):

@@ -84,6 +84,29 @@ def test_analyze_broken_scheme_exits_2(tmp_path, capsys):
     assert "witness" in err
 
 
+BAD_INPUTS = {
+    "not-utf8": b"2\n0 \xff\n1 0\n",
+    "beyond-int64": b"2\n0 99999999999999999999\n1 0\n",
+    "past-n-squared": b"2\n0 100000000000000\n100000000000000 0\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_INPUTS))
+def test_bad_scheme_input_is_a_validation_failure(kind, z5_file, tmp_path, capsys):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    bad = d / f"{kind}.scheme"
+    bad.write_bytes(BAD_INPUTS[kind])
+    (d / "z5.scheme").write_bytes(z5_file.read_bytes())
+    assert main(["analyze", "--scheme", str(bad), "--prime", "2"]) == 2
+    assert main(["verify", "--scheme", str(bad), "--prime", "2"]) == 2
+    assert "validation failure" in capsys.readouterr().err
+    assert main(["batch", "--dir", str(d), "--primes", "2"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    status = {e["scheme_id"]: e["status"] for e in doc["entries"]}
+    assert status == {kind: "invalid", "z5": "ok"}
+
+
 def test_analyze_missing_file_exits_1():
     assert main(["analyze", "--scheme", "/nonexistent.scheme", "--prime", "2"]) == 1
 
@@ -207,6 +230,32 @@ def test_verify_z5(z5_file, capsys):
 def test_verify_deep_skips_lattice_oracle_at_large_prime(z5_file, capsys):
     assert main(["verify", "--scheme", str(z5_file), "--prime", "10007", "--deep"]) == 0
     assert "skipped" in capsys.readouterr().err
+
+
+def test_verify_deep_selfduality_oracle_on_corpus(tmp_path, capsys):
+    from modtalg.fixtures import corpus
+    from modtalg.scheme import serialize_scheme
+
+    for name, s in corpus():
+        path = tmp_path / f"{name}.scheme"
+        path.write_text(serialize_scheme(s.table))
+        for p in (2, 3, 5, 7):
+            assert main(["verify", "--scheme", str(path), "--prime", str(p), "--deep"]) == 0, (name, p)
+
+
+def test_verify_deep_non_diagonal_intertwiner_exits_3(z5_file, capsys, monkeypatch):
+    import numpy as np
+
+    from modtalg import cli
+
+    def non_diagonal(src, dst):
+        phi = np.eye(src.dim, dtype=np.int64)
+        phi[0, 1] = 1
+        return phi[None]
+
+    monkeypatch.setattr(cli, "hom_space", non_diagonal)
+    assert main(["verify", "--scheme", str(z5_file), "--prime", "2", "--deep"]) == 3
+    assert "diagonal intertwiners" in capsys.readouterr().err
 
 
 def test_verify_fault_injection_exits_3(z5_file, capsys):

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modtalg.errors import IndexOutOfRange, InternalInconsistency
-from modtalg.ffmat import Subspace, field_ctx
+from modtalg.errors import IndexOutOfRange, InternalInconsistency, InvalidParameter
+from modtalg.ffmat import Subspace, field_ctx, rref_array
 from modtalg.oracles import count_subspaces, enumerate_subspaces, module_lattice_analysis
 from modtalg.primary import (
     GeneratorAction,
     build_primary,
     closure_digraph,
     contragredient_action,
+    factor_action,
     factor_selfcontra,
     hom_space,
     is_selfcontragredient,
@@ -246,13 +247,11 @@ def test_selfcontra_W0_equals_flag(artifacts, schemes):
     for name in schemes:
         for p in PRIMES:
             art = artifacts(name, p)
-            v = art.w0_selfcontra
-            assert v.isomorphic == art.strata.p_prime_valenced, (name, p)
-            assert v.certified
+            assert art.w0_selfcontra == art.strata.p_prime_valenced, (name, p)
 
 
 def test_selfcontra_hamming22_p2_false(artifacts):
-    assert artifacts("hamming-2-2", 2).w0_selfcontra.isomorphic is False
+    assert artifacts("hamming-2-2", 2).w0_selfcontra is False
 
 
 def test_selfcontra_crosscheck_raises_on_bug(artifacts):
@@ -271,8 +270,22 @@ def test_trivial_one_dim_module_selfcontra():
         actA=np.ones((1, 1, 1), dtype=np.int64),
         actE=np.ones((1, 1, 1), dtype=np.int64),
     )
-    v = is_selfcontragredient(act)
-    assert v.isomorphic and v.certified
+    assert is_selfcontragredient(act) is True
+
+
+def test_selfcontra_rejects_non_coordinate_projectors(artifacts):
+    act = artifacts("cyclic-5", 3).module.action
+    off_diagonal = act.actE.copy()
+    off_diagonal[1, 0, 1] = 1
+    merged = act.actE.copy()
+    merged[1] = act.actE[1] + act.actE[2]
+    merged[2] = 0
+    scaled = (2 * act.actE) % 3
+    short = act.actE.copy()
+    short[0] = 0
+    for actE in (off_diagonal, merged, scaled, short):
+        with pytest.raises(InvalidParameter):
+            is_selfcontragredient(GeneratorAction(act.field, act.converse, act.actA, actE))
 
 
 def test_factor_selfcontra_explicit_map(artifacts, schemes):
@@ -287,9 +300,9 @@ def test_hom_space_of_identical_actions(artifacts):
     art = artifacts("cyclic-5", 3)
     act = art.module.action
     homs = hom_space(act, act)
-    assert homs.shape[0] >= 1
-    eye_found = any(np.array_equal(h, np.eye(act.dim, dtype=np.int64)) for h in homs)
-    assert eye_found or homs.shape[0] > 0
+    m = act.dim
+    span = Subspace.span(act.field, homs.reshape(-1, m * m), ambient_dim=m * m)
+    assert span.member(np.eye(m, dtype=np.int64).reshape(-1))
 
 
 def test_dim_E0_of_top_quotient_is_one(artifacts, schemes):
@@ -299,8 +312,6 @@ def test_dim_E0_of_top_quotient_is_one(artifacts, schemes):
             art = artifacts(name, p)
             s0 = list(art.strata.sets[0])
             sub = art.module.action.actE[0][np.ix_(s0, s0)]
-            from modtalg.ffmat import rref_array
-
             assert rref_array(sub, p)[1] == 1, (name, p)
 
 
@@ -376,21 +387,32 @@ def test_empty_middle_stratum_pipeline(artifacts):
     assert art.comp.composition_length == 1 + len(art.comp.qn[2])
 
 
-def test_selfcontra_sampling_fallback(monkeypatch, artifacts):
-    # force the deterministic-sampling branch by disabling enumeration
-    import modtalg.primary as primary_mod
+def _has_invertible_intertwiner(action):
+    # reference: every projective point of Hom(M, M*), checked for full rank
+    import itertools
 
-    monkeypatch.setattr(primary_mod, "PROJECTIVE_ENUM_LIMIT", 0)
-    pos = is_selfcontragredient(artifacts("cyclic-5", 3).module.action)
-    assert pos.isomorphic and pos.certified  # a found witness is always certified
-    neg = is_selfcontragredient(artifacts("hamming-2-2", 2).module.action)
-    assert not neg.isomorphic
-    assert not neg.certified  # exhausted samples only: flagged, never silent
+    p = action.field.p
+    homs = hom_space(action, action.contragredient())
+    assert not (homs * (1 - np.eye(action.dim, dtype=np.int64))).any()  # all diagonal
+    h = homs.shape[0]
+    for lead in range(h):
+        for tail in itertools.product(range(p), repeat=h - lead - 1):
+            coeffs = np.zeros(h, dtype=np.int64)
+            coeffs[lead] = 1
+            coeffs[lead + 1 :] = tail
+            phi = np.tensordot(coeffs, homs, axes=(0, 0)) % p
+            if rref_array(phi, p)[1] == action.dim:
+                return True
+    return False
 
-    # the pipeline surfaces the uncertified verdict as a warning
-    from modtalg.analysis import compute_artifacts
-    from modtalg.fixtures import corpus
 
-    s = dict(corpus())["hamming-2-2"]
-    art = compute_artifacts(s, field_ctx(2), 0)
-    assert any("sampling" in w for w in art.warnings)
+def test_selfcontra_equals_exhaustive_hom_search(artifacts, schemes):
+    for name in schemes:
+        for p in PRIMES:
+            art = artifacts(name, p)
+            modules = [art.module.action] + [
+                factor_action(art.module, fac.cls) for fac in art.comp.factors
+            ]
+            for act in modules:
+                expected = _has_invertible_intertwiner(act)
+                assert is_selfcontragredient(act) is expected, (name, p, act.dim)

@@ -60,6 +60,33 @@ def test_parse_gap_in_indices_is_out_of_range():
         parse_scheme("2\n0 2\n2 0\n")
 
 
+def test_parse_non_utf8_is_malformed():
+    with pytest.raises(Malformed, match="UTF-8"):
+        parse_scheme(b"2\n0 \xff\n1 0\n")
+    assert parse_scheme(b"2\n0 1\n1 0\n").d == 1
+
+
+def test_parse_index_beyond_int64_is_out_of_range():
+    with pytest.raises(OutOfRange):
+        parse_scheme("2\n0 99999999999999999999\n1 0\n")
+
+
+def test_index_past_table_size_is_a_gap_without_allocation(monkeypatch):
+    # an index >= n^2 cannot come with all smaller indices; the bound is
+    # checked before the presence array of length d + 1 is allocated
+    zeros = np.zeros
+
+    def bounded_zeros(shape, *args, **kwargs):
+        assert np.prod(shape) < 10**6
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", bounded_zeros)
+    with pytest.raises(OutOfRange, match="gap"):
+        parse_scheme("2\n0 100000000000000\n100000000000000 0\n")
+    with pytest.raises(OutOfRange, match="gap"):
+        relation_table([[0, 4], [4, 0]])
+
+
 def test_parse_empty_input():
     with pytest.raises(EmptyInput):
         parse_scheme("# nothing here\n\n")
