@@ -67,11 +67,12 @@ def compute_artifacts(s: SchemeData, f: FieldCtx, x: int = 0) -> Artifacts:
     strata_ = strata(s, f)
     ctx = build_context(s, f, x)
     talgebra = generate_algebra(ctx)
-    b0, b1 = b0_b1(ctx, talgebra)
-    rad = radical(talgebra)
-    ann = annihilator_W0(ctx, talgebra)
     module = build_primary(ctx)
+    # the invariance of W_0 and W_1 checked here makes B0, B1 and Ann ideals
     filt = filtration(ctx, strata_, module)
+    b0, b1 = b0_b1(ctx, talgebra, filt)
+    rad = radical(talgebra)
+    ann = annihilator_W0(ctx, talgebra, filt)
     digraph = closure_digraph(s, f)
     comp = composition_factors(ctx, strata_, digraph, module)
     uniserial = uniserial_check(ctx, comp, rad, filt)

@@ -64,38 +64,25 @@ class CorollaryReport:
 
 def b0_unit_element(artifacts) -> GfpMatrix | None:
     """Identity element of B0 found by linear solve (no valency formula),
-    so the unital test stays independent of the p'-valenced flag."""
-    b0 = artifacts.b0
+    so the unital test stays independent of the p'-valenced flag.
+
+    With u_i = E_i* 1, B0 has the basis u_i u_j^T (`b0_b1` pins its
+    dimension to (d+1)^2), and u_i u_j^T u_l u_m^T = K_jl u_i u_m^T with
+    K = (u_j . u_l).  So e = sum_ij X_ij u_i u_j^T multiplies as
+    X o Y = X K Y: B0 is M_{d+1}(GF(p)) with the sandwich product, and e
+    is its unit iff X K = I = K X.  K is computed from the vectors, never
+    from the valencies."""
     p = artifacts.field.p
-    k = b0.dim
-    if k == 0:
-        return None
-    n = b0.n
-    bm = b0.mats()
-    basis = b0.space.basis
-    # Equations e b_m = b_m and b_m e = b_m, unknowns = coefficients of e
-    # over B0.  B0 is an ideal of T (asserted by b0_b1), so both sides lie in
-    # B0, and a vector of B0 is fixed by its entries at the echelon pivots,
-    # where the basis reads as the identity.  Those k entries of each
-    # product are all the system needs: P[q, a, m] = (b_a b_m)[pivot q].
-    rows, cols = np.divmod(np.asarray(b0.space.pivots), n)
-    prods = (bm[:, rows, :].transpose(1, 0, 2) @ bm[:, :, cols].transpose(2, 1, 0)) % p
-    # The equation (e b_m)[pivot q] = [q = m] has row P[q, :, m], and
-    # (b_a e)[pivot q] = [q = a] has row P[q, a, :].  Only the rows that are
-    # not all zero enter the solve (under the E*-grading most are zero); a
-    # zero row whose target is 1 makes the system inconsistent.
-    live_left = prods.any(axis=1)
-    live_right = prods.any(axis=2)
-    if not (np.diagonal(live_left).all() and np.diagonal(live_right).all()):
-        return None
-    lq, lm = np.nonzero(live_left)
-    rq, ra = np.nonzero(live_right)
-    system = np.concatenate([prods[lq, :, lm], prods[rq, ra, :]], axis=0)
-    target = np.concatenate([lq == lm, rq == ra]).astype(np.int64)
-    sol = solve_array(system, target, p)
+    u = artifacts.module.vectors
+    m = u.shape[0]
+    gram = (u @ u.T) % p
+    eye = np.eye(m, dtype=np.int64)
+    # row (a, b) of X K = I is sum_j X_aj K_jb = [a = b]; of K X = I, sum_j K_aj X_jb
+    system = np.concatenate([np.kron(eye, gram.T), np.kron(gram, eye)])
+    sol = solve_array(system, np.concatenate([eye.reshape(-1)] * 2), p)
     if sol is None:
         return None
-    return GfpMatrix(artifacts.field, ((sol @ basis) % p).reshape(n, n))
+    return GfpMatrix(artifacts.field, (u.T @ sol.reshape(m, m) @ u) % p)
 
 
 def _thin_kills(artifacts, space: Subspace) -> bool:

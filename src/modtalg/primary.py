@@ -137,29 +137,28 @@ def build_primary(ctx: TalgContext) -> PrimaryModule:
     return PrimaryModule(ctx)
 
 
-def filtration(ctx: TalgContext, strata_: Strata, module: PrimaryModule | None = None) -> list[Subspace]:
+def filtration(ctx: TalgContext, strata_: Strata, module: PrimaryModule) -> list[Subspace]:
     """Chain of subspaces W_0 > W_1 >= ... with W_m spanned by the E_i* 1
     whose valency is divisible by p^m; index eps+1 is the zero space.
-    Every W_m is verified invariant under every generator."""
-    if module is None:
-        module = build_primary(ctx)
+    Every W_m is verified invariant under every generator (the ideal proofs
+    of `b0_b1` and `annihilator_W0` rest on this); a failure's witness
+    (m, g, i) says generator g (A_0..A_d, E_0*..E_d*) moves E_i* 1 out."""
     f = ctx.field
     p = f.p
     n = ctx.n
     chain: list[Subspace] = []
-    gens = np.concatenate([np.stack([a.a for a in ctx.A]), np.stack([e.a for e in ctx.Estar])])
+    gens = ctx.generator_mats()
     for m in range(strata_.epsilon + 2):
         keep = np.nonzero(strata_.valuations >= m)[0]
-        if keep.size == 0:
-            sub = Subspace.zero(f, n)
-        else:
-            sub = Subspace.span(f, module.vectors[keep], ambient_dim=n)
+        sub = Subspace.span(f, module.vectors[keep], ambient_dim=n)
         if sub.dim != keep.size:
             raise InternalInconsistency("filtration dimensions collapsed")
         if sub.dim:
-            images = np.einsum("gij,bj->gbi", gens, sub.basis) % p
-            if sub.coords(images.reshape(-1, n)) is None:
-                raise InternalInconsistency(f"W_{m} is not invariant")
+            images = (np.einsum("gij,bj->gbi", gens, module.vectors[keep]) % p).reshape(-1, n)
+            if sub.coords(images) is None:
+                g, b = divmod(next(r for r, v in enumerate(images) if not sub.member(v)), keep.size)
+                raise InternalInconsistency(f"W_{m} is not invariant under generator {g}",
+                                            witness=(m, g, int(keep[b])))
         chain.append(sub)
     return chain
 
@@ -416,11 +415,12 @@ def hom_space(src: GeneratorAction, dst: GeneratorAction) -> np.ndarray:
 def _diagonal_intertwining_system(action: GeneratorAction) -> np.ndarray:
     """The equations phi_i rho(g)_ih - rho*(g)_ih phi_h = 0 saying that
     diag(phi) intertwines the module with its contragredient: one row per
-    generator g and entry (i, h), a (2(d+1) m^2) x m array mod p.
+    generator g = A_j and entry (i, h), a ((d+1) m^2) x m array mod p.
 
     Raises InvalidParameter unless the E_j* act as diagonal 0/1 matrices
     that sum to I and have rank at most 1, i.e. every weight space has
-    dimension 1 (W_0 and every factor_action meet this)."""
+    dimension 1 (W_0 and every factor_action meet this).  The E_j* rows
+    are left out: past this check they are identically zero."""
     p = action.field.p
     m = action.dim
     eye = np.eye(m, dtype=np.int64)
@@ -433,8 +433,8 @@ def _diagonal_intertwining_system(action: GeneratorAction) -> np.ndarray:
         and (weights.sum(axis=1) <= 1).all()
     ):
         raise InvalidParameter("the E_j* do not act as coordinate projectors")
-    rho = action.all_mats()
-    dual = action.contragredient().all_mats()
+    rho = action.actA
+    dual = action.contragredient().actA
     system = rho[..., None] * eye[None, :, None, :] - dual[..., None] * eye[None, None, :, :]
     return system.reshape(-1, m) % p
 

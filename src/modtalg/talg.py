@@ -307,37 +307,37 @@ def assert_two_sided_ideal(alg: AlgebraBasis, ideal: Subspace, what: str) -> Non
         raise InternalInconsistency(f"{what} is not a two-sided ideal", witness="ideal")
 
 
-def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis) -> tuple[AlgebraBasis, AlgebraBasis]:
+def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis,
+          filt: list[Subspace]) -> tuple[AlgebraBasis, AlgebraBasis]:
     """The ideal B0 = span{E_i* J E_j*} and its sub-ideal B1 from pairs with
-    p | k_i k_j; dimensions are pinned to (d+1)^2 and the pair count."""
-    d, p = ctx.d, ctx.field.p
-    n = ctx.n
-    all_flat = []
-    sub_flat = []
-    k = ctx.scheme.valencies
-    for i in range(d + 1):
-        for j in range(d + 1):
-            flat = ctx.eje(i, j).vec()
-            all_flat.append(flat)
-            if (int(k[i]) * int(k[j])) % p == 0:
-                sub_flat.append(flat)
-    b0_space = Subspace.span(ctx.field, np.array(all_flat), ambient_dim=n * n)
+    p | k_i k_j; dimensions are pinned to (d+1)^2 and the pair count.
+
+    Both are ideals of T because `filtration` checked W_0 = filt[0] and
+    W_1 = filt[1] invariant; these must be spanned by the u_i = E_i* 1 used
+    here (W_1 by those with p | k_i).  E_i* J E_j* = u_i u_j^T, so
+    B0 = W_0 (x) W_0.  For a generator g, g u_i u_j^T = (g u_i) u_j^T and
+    u_i u_j^T g = u_i (g^T u_j)^T, where g^T is again a generator
+    (A_k^T = A_k' and E_k* is symmetric, asserted by TalgContext), so B0 is
+    closed under the generators, hence under T (see `_generator_products`).
+    As p is prime, p | k_i k_j iff p | k_i or p | k_j, so
+    B1 = W_1 (x) W_0 + W_0 (x) W_1, closed the same way.  B0 lies in T
+    (checked), hence so does B1.
+    """
+    d, n, p = ctx.d, ctx.n, ctx.field.p
+    u = np.stack([np.diagonal(e.a) for e in ctx.Estar])
+    divisible = np.array([int(k) % p == 0 for k in ctx.scheme.valencies])
+    if filt[:2] != [Subspace.span(ctx.field, w, ambient_dim=n) for w in (u, u[divisible])]:
+        raise InternalInconsistency("W_0, W_1 are not spanned by their E_i* 1", witness="filtration")
+    outer = np.einsum("ia,jb->ijab", u, u).reshape(d + 1, d + 1, n * n)
+    pairs = divisible[:, None] | divisible[None, :]
+    b0_space = Subspace.span(ctx.field, outer.reshape(-1, n * n), ambient_dim=n * n)
     if b0_space.dim != (d + 1) ** 2:
-        raise InternalInconsistency(
-            f"dim B0 = {b0_space.dim}, expected {(d + 1) ** 2}"
-        )
-    if sub_flat:
-        b1_space = Subspace.span(ctx.field, np.array(sub_flat), ambient_dim=n * n)
-    else:
-        b1_space = Subspace.zero(ctx.field, n * n)
-    if b1_space.dim != len(sub_flat):
-        raise InternalInconsistency(
-            f"dim B1 = {b1_space.dim}, expected {len(sub_flat)}"
-        )
+        raise InternalInconsistency(f"dim B0 = {b0_space.dim}, expected {(d + 1) ** 2}")
+    b1_space = Subspace.span(ctx.field, outer[pairs], ambient_dim=n * n)
+    if b1_space.dim != pairs.sum():
+        raise InternalInconsistency(f"dim B1 = {b1_space.dim}, expected {pairs.sum()}")
     if not talgebra.space.contains(b0_space):
         raise InternalInconsistency("B0 not contained in T")
-    assert_two_sided_ideal(talgebra, b0_space, "B0")
-    assert_two_sided_ideal(talgebra, b1_space, "B1")
     b0 = AlgebraBasis(ctx.field, n, b0_space, b0_space.basis.reshape(-1, n, n),
                       contains_identity=False)
     b1 = AlgebraBasis(ctx.field, n, b1_space, b1_space.basis.reshape(-1, n, n),
@@ -561,20 +561,29 @@ def _quotient_regular_rep(algebra: AlgebraBasis, ideal: Subspace) -> AlgebraBasi
     return AlgebraBasis(field, q, space, space.basis.reshape(q, q, q), contains_identity=True)
 
 
-def annihilator_W0(ctx: TalgContext, talgebra: AlgebraBasis) -> Subspace:
-    """Ann_T(W_0): kernel of Z -> (Z E_0* 1, ..., Z E_d* 1), as a subspace
-    of n x n matrices; verified to be a two-sided ideal of T."""
+def annihilator_W0(ctx: TalgContext, talgebra: AlgebraBasis, filt: list[Subspace]) -> Subspace:
+    """Ann_T(W_0): kernel of Z -> (Z w)_w over the basis of W_0 = filt[0],
+    as a subspace of n x n matrices.
+
+    It is an ideal of T because `filtration` checked W_0 invariant: for s
+    in Ann and t in T, ts W_0 = 0 and st W_0 lies in s W_0 = 0.  The
+    computed kernel is certified: its basis kills W_0's (so it lies in Ann,
+    being made from T's basis), and dim Ann + rank of the images = dim T
+    (so it is all of Ann).
+    """
     n, p = ctx.n, ctx.field.p
-    base = np.stack([e.apply(ctx.ones) for e in ctx.Estar])
-    bmats = talgebra.mats()
-    images = np.einsum("bij,vj->bvi", bmats, base) % p
-    images = images.reshape(talgebra.dim, -1)
+    w0 = filt[0].basis
+    images = (np.einsum("bij,vj->bvi", talgebra.mats(), w0) % p).reshape(talgebra.dim, -1)
     ker = kernel_array(images.T, p)
-    if ker.shape[0] == 0:
-        ann = Subspace.zero(ctx.field, n * n)
-    else:
-        ann = Subspace.span(
-            ctx.field, (ker @ talgebra.space.basis) % p, ambient_dim=n * n
-        )
-    assert_two_sided_ideal(talgebra, ann, "Ann_T(W0)")
+    ann = Subspace.span(ctx.field, (ker @ talgebra.space.basis) % p, ambient_dim=n * n)
+    kills = np.einsum("aij,vj->avi", ann.basis.reshape(-1, n, n), w0) % p
+    bad = np.argwhere(kills.any(axis=2))
+    if bad.size:
+        a, v = (int(i) for i in bad[0])
+        raise InternalInconsistency(f"Ann_T(W0) element {a} does not kill basis vector {v} of W_0",
+                                    witness=("Ann_T(W0)", a, v))
+    rank = rref_array(images.T, p)[1]
+    if ann.dim + rank != talgebra.dim:
+        raise InternalInconsistency(f"dim Ann_T(W0) = {ann.dim}, but dim T - rank = "
+                                    f"{talgebra.dim - rank}", witness="Ann_T(W0) dimension")
     return ann

@@ -274,6 +274,22 @@ def test_inconsistency_witness_is_printed(z5_file, tmp_path, capsys, monkeypatch
                  "--inject-radical-fault"]) == 3
     assert "witness=nilpotency" in capsys.readouterr().err
 
+    from modtalg import analysis
+    real_primary = analysis.build_primary
+
+    def stray_vector(ctx):
+        # E_1* 1 shrunk to one point, so A_1 E_0* 1 = E_1* 1 leaves W_0
+        module = real_primary(ctx)
+        module.vectors = module.vectors.copy()
+        module.vectors[1, module.vectors[1].nonzero()[0][1:]] = 0
+        return module
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "build_primary", stray_vector)
+        assert main(["analyze", "--scheme", str(z5_file), "--prime", "2"]) == 3
+    assert "W_0 is not invariant" in (err := capsys.readouterr().err)
+    assert "witness=(0, 1, 0)" in err
+
     def inconsistent(*args, **kwargs):
         raise InternalInconsistency("stage failed", witness=(2, 7, [(0, 1), (1, 1)]))
 

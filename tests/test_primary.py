@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from modtalg.errors import IndexOutOfRange, InternalInconsistency, InvalidParameter
-from modtalg.ffmat import Subspace, field_ctx, rref_array
+from modtalg import analysis
+from modtalg.ffmat import Subspace, field_ctx, kernel_array, rref_array
 from modtalg.oracles import count_subspaces, enumerate_subspaces, module_lattice_analysis
 from modtalg.primary import (
     GeneratorAction,
+    _diagonal_intertwining_system,
     build_primary,
     closure_digraph,
     contragredient_action,
@@ -416,3 +420,65 @@ def test_selfcontra_equals_exhaustive_hom_search(artifacts, schemes):
             for act in modules:
                 expected = _has_invertible_intertwiner(act)
                 assert is_selfcontragredient(act) is expected, (name, p, act.dim)
+
+
+def _full_diagonal_system(action):
+    # reference: the rows of every generator, E_j* included
+    p, m = action.field.p, action.dim
+    eye = np.eye(m, dtype=np.int64)
+    rho, dual = action.all_mats(), action.contragredient().all_mats()
+    system = rho[..., None] * eye[None, :, None, :] - dual[..., None] * eye[None, None, :, :]
+    return system.reshape(-1, m) % p
+
+
+def test_intertwining_system_without_E_rows_has_the_full_kernel(artifacts, schemes):
+    for name in schemes:
+        for p in PRIMES:
+            art = artifacts(name, p)
+            modules = [art.module.action] + [
+                factor_action(art.module, fac.cls) for fac in art.comp.factors
+            ]
+            for act in modules:
+                kept = kernel_array(_diagonal_intertwining_system(act), p)
+                full = kernel_array(_full_diagonal_system(act), p)
+                assert np.array_equal(kept, full), (name, p, act.dim)
+
+
+def _b0_b1_unreachable(*args):
+    raise AssertionError("b0_b1 ran on a filtration that is not invariant")
+
+
+def test_non_invariant_W1_raises_before_b0_b1(schemes, monkeypatch):
+    # claiming p | k_0 puts E_0* 1 into W_1, and A_2 E_0* 1 = E_2* 1 (k_2 = 1) leaves it
+    real_strata = analysis.strata
+
+    def valuation_of_k0_is_one(s, f):
+        st_ = real_strata(s, f)
+        vals = st_.valuations.copy()
+        vals[0] = 1
+        return dataclasses.replace(st_, valuations=vals)
+
+    monkeypatch.setattr(analysis, "strata", valuation_of_k0_is_one)
+    monkeypatch.setattr(analysis, "b0_b1", _b0_b1_unreachable)
+    with pytest.raises(InternalInconsistency) as err:
+        analysis.compute_artifacts(schemes["hamming-2-2"], field_ctx(2))
+    assert err.value.witness == (1, 2, 0)
+
+
+def test_non_invariant_W0_raises_before_b0_b1(schemes, monkeypatch):
+    # E_1* 1 replaced by one point of Gamma_1(x): A_1 E_0* 1 = E_1* 1 leaves the span
+    real_primary = analysis.build_primary
+
+    def stray_vector(ctx):
+        module = real_primary(ctx)
+        vectors = module.vectors.copy()
+        vectors[1, np.flatnonzero(vectors[1])[1:]] = 0
+        module.vectors = vectors
+        return module
+
+    monkeypatch.setattr(analysis, "build_primary", stray_vector)
+    monkeypatch.setattr(analysis, "b0_b1", _b0_b1_unreachable)
+    for p in (2, 3):
+        with pytest.raises(InternalInconsistency) as err:
+            analysis.compute_artifacts(schemes["cyclic-5"], field_ctx(p))
+        assert err.value.witness == (0, 1, 0), p

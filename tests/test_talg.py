@@ -11,7 +11,8 @@ from modtalg.errors import (
 )
 from modtalg.ffmat import GfpMatrix, Subspace, field_ctx, kernel_array, rref_array
 from modtalg.oracles import word_closure_dim
-from modtalg.scheme import gen_cyclic, gen_hamming, gen_thin, validate_axioms
+from modtalg.primary import build_primary, filtration
+from modtalg.scheme import gen_cyclic, gen_hamming, gen_thin, strata, validate_axioms
 from modtalg import talg
 from modtalg.talg import (
     AlgebraBasis,
@@ -33,6 +34,10 @@ from modtalg.talg import (
 )
 
 PRIMES = (2, 3, 5, 7)
+
+
+def _filtration(ctx):
+    return filtration(ctx, strata(ctx.scheme, ctx.field), build_primary(ctx))
 
 
 def test_context_identities_hold(schemes):
@@ -173,11 +178,19 @@ def test_hamming22_b1_dim_is_pair_count(artifacts):
     assert art.b1.dim == 5
 
 
+def test_b0_b1_rejects_a_filtration_it_was_not_built_from(artifacts):
+    art = artifacts("hamming-2-2", 2)
+    for filt in ([art.filt[1], art.filt[0]], [art.filt[0], art.filt[0]]):
+        with pytest.raises(InternalInconsistency) as err:
+            b0_b1(art.ctx, art.talgebra, filt)
+        assert err.value.witness == "filtration"
+
+
 def test_b0_identity_thin_scheme():
     s = validate_axioms(gen_thin([[0, 1], [1, 0]]))
     ctx = build_context(s, field_ctx(3), 0)
     t = generate_algebra(ctx)
-    b0, b1 = b0_b1(ctx, t)
+    b0, b1 = b0_b1(ctx, t, _filtration(ctx))
     e = b0_identity(ctx, t, b0)
     want = ctx.eje(0, 0) + ctx.eje(1, 1)
     assert e == want
@@ -187,7 +200,7 @@ def test_b0_identity_cyclic5_p3_central():
     s = validate_axioms(gen_cyclic(5))
     ctx = build_context(s, field_ctx(3), 0)
     t = generate_algebra(ctx)
-    b0, _ = b0_b1(ctx, t)
+    b0, _ = b0_b1(ctx, t, _filtration(ctx))
     e = b0_identity(ctx, t, b0)  # verification happens inside
     tm = t.mats()
     assert np.array_equal((e.a @ tm) % 3, (tm @ e.a) % 3)
@@ -197,7 +210,7 @@ def test_b0_identity_not_pprime():
     s = validate_axioms(gen_hamming(2, 2))
     ctx = build_context(s, field_ctx(2), 0)
     t = generate_algebra(ctx)
-    b0, _ = b0_b1(ctx, t)
+    b0, _ = b0_b1(ctx, t, _filtration(ctx))
     with pytest.raises(NotPPrimeValenced):
         b0_identity(ctx, t, b0)
 
@@ -396,7 +409,32 @@ def test_annihilator_one_point():
     s = validate_axioms(gen_cyclic(1))
     ctx = build_context(s, field_ctx(5), 0)
     t = generate_algebra(ctx)
-    assert annihilator_W0(ctx, t).dim == 0
+    assert annihilator_W0(ctx, t, _filtration(ctx)).dim == 0
+
+
+def _drop_a_row(kernel):
+    return lambda a, p: kernel(a, p)[:-1]
+
+
+def _add_a_non_kernel_row(kernel):
+    def corrupted(a, p):
+        extra = np.zeros((1, a.shape[1]), dtype=np.int64)
+        extra[0, np.flatnonzero(a.any(axis=0))[0]] = 1
+        return np.concatenate([kernel(a, p), extra])
+    return corrupted
+
+
+@pytest.mark.parametrize("corrupt, witness", [
+    (_drop_a_row, lambda w: w == "Ann_T(W0) dimension"),
+    (_add_a_non_kernel_row, lambda w: w[0] == "Ann_T(W0)" and len(w) == 3),
+])
+def test_corrupted_annihilator_kernel_is_rejected(artifacts, monkeypatch, corrupt, witness):
+    art = artifacts("cyclic-5", 3)
+    assert art.ann.dim > 0
+    monkeypatch.setattr(talg, "kernel_array", corrupt(kernel_array))
+    with pytest.raises(InternalInconsistency) as err:
+        annihilator_W0(art.ctx, art.talgebra, art.filt)
+    assert witness(err.value.witness), err.value.witness
 
 
 def test_annihilator_cyclic5_p3_contains_difference(artifacts):
