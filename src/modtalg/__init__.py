@@ -18,7 +18,6 @@ from .primary import (
     build_primary,
     closure_digraph,
     composition_factors,
-    contragredient_action,
     filtration,
     is_selfcontragredient,
     uniserial_check,

@@ -31,7 +31,6 @@ __all__ = [
     "factor_action",
     "uniserial_check",
     "verify_Ml_iso",
-    "contragredient_action",
     "hom_space",
     "is_selfcontragredient",
     "selfcontra_W0",
@@ -65,11 +64,6 @@ class GeneratorAction:
         dualA = self.actA[conv].transpose(0, 2, 1).copy()
         dualE = self.actE.transpose(0, 2, 1).copy()
         return GeneratorAction(self.field, conv, dualA % self.field.p, dualE % self.field.p)
-
-
-def contragredient_action(action: GeneratorAction) -> GeneratorAction:
-    """Dual-module action: rho(g) goes to transpose(rho(g^t))."""
-    return action.contragredient()
 
 
 class PrimaryModule:
@@ -182,66 +176,27 @@ class ClosureDigraph:
         return bool(self.scc_ids[i] == self.scc_ids[j])
 
 
-def _tarjan(adj: np.ndarray) -> list[list[int]]:
-    """Iterative Tarjan strongly-connected components."""
-    n = adj.shape[0]
-    succ = [list(np.nonzero(adj[v])[0]) for v in range(n)]
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    comps: list[list[int]] = []
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for next_pi in range(pi, len(succ[v])):
-                w = succ[v][next_pi]
-                if index[w] == -1:
-                    work.append((v, next_pi + 1))
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comps
+def _reachability(adj: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure of a boolean digraph: reach[i, j] iff
+    j is reachable from i along edges adj[u, v].  Squares I | adj until it
+    stops changing (about log2 of the longest shortest path rounds)."""
+    reach = adj.astype(bool) | np.eye(adj.shape[0], dtype=bool)
+    while True:
+        step = (reach.astype(np.int64) @ reach) > 0
+        if np.array_equal(step, reach):
+            return reach
+        reach = step
 
 
 def closure_digraph(s: SchemeData, f: FieldCtx) -> ClosureDigraph:
-    p = f.p
-    d = s.d
-    adj = (s.tensor % p != 0).any(axis=1).T
+    adj = (s.tensor % f.p != 0).any(axis=1).T
     if not adj.diagonal().all():
         raise InternalInconsistency("missing self-loop: some p_{i 0}^i != 1")
-    comps = sorted((tuple(c) for c in _tarjan(adj)), key=min)
-    ids = np.zeros(d + 1, dtype=np.int64)
-    for cid, comp in enumerate(comps):
-        for v in comp:
-            ids[v] = cid
-    return ClosureDigraph(d=d, adj=adj, scc_ids=ids, components=tuple(comps))
+    # row i of R & R^T is i's component; its first True is the minimum
+    reach = _reachability(adj)
+    ids = np.unique((reach & reach.T).argmax(axis=1), return_inverse=True)[1]
+    comps = tuple(tuple(np.flatnonzero(ids == c).tolist()) for c in range(ids.max() + 1))
+    return ClosureDigraph(d=s.d, adj=adj, scc_ids=ids, components=comps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,70 +226,71 @@ def factor_action(module: PrimaryModule, cls: tuple[int, ...]) -> GeneratorActio
     return GeneratorAction(module.ctx.field, module.action.converse, actA, actE)
 
 
-def _cyclic_span(field: FieldCtx, mats: np.ndarray, seed: np.ndarray) -> Subspace:
-    m = mats.shape[1]
-    space = Subspace.span(field, seed, ambient_dim=m)
-    while True:
-        images = np.einsum("gij,bj->gbi", mats, space.basis) % field.p
-        grown = space.sum(Subspace.span(field, images.reshape(-1, m), ambient_dim=m))
-        if grown.dim == space.dim:
-            return space
-        space = grown
+def _first_edge(gens: np.ndarray, rows: np.ndarray, cols: np.ndarray, p: int):
+    """The first (i, h) in rows x cols where some generator is nonzero mod p, or None."""
+    hits = np.argwhere((gens[:, rows[:, None], cols[None, :]] % p).any(axis=0))
+    return (int(rows[hits[0, 0]]), int(cols[hits[0, 1]])) if hits.size else None
 
 
 def composition_factors(
     ctx: TalgContext,
     strata_: Strata,
     digraph: ClosureDigraph,
-    module: PrimaryModule | None = None,
+    module: PrimaryModule,
 ) -> CompositionReport:
     """Classes of each stratum under mutual reachability, one irreducible
     factor per class of dimension |class|.
 
-    Classes come from the strongly connected components of the full
-    digraph restricted to S_n (connecting paths may leave S_n).  Each
-    factor is verified invariant in the W_n/W_{n+1} quotient, and
-    irreducibility is witnessed by regenerating the whole factor from
-    every single basis coordinate.
+    Classes are the strongly connected components of the full digraph
+    restricted to S_n (connecting paths may leave S_n).  Independently of
+    the tensor, the action matrices of `module` must show that W_n does
+    not leak below its level and that each factor is invariant in
+    W_n/W_{n+1} and irreducible.
+
+    Lemma.  Let the E_j* act on M as coordinate projectors of rank at
+    most 1 (checked here; W_0 and so every factor meet this).  For u in a
+    submodule U, E_j* u = u_j e_j lies in U, so U is spanned by
+    coordinates.  A_k e_h = sum_i rho(A_k)_ih e_i, and the E_i* split this
+    sum into its coordinates, so <e_h> = span{e_i : i reachable from h},
+    with an edge h -> i when some rho(A_k)_ih != 0.  Every nonzero U holds
+    some e_h, so M is irreducible iff its support digraph is strongly
+    connected.
+
+    Witnesses: ("composition", level, (i, h)) for a nonzero entry (i, h)
+    with h in the stratum and i below it, ("composition", level, cls,
+    (i, h)) for h in cls and i in another class of the stratum, and
+    ("composition", level, cls, h) when e_h does not generate the factor.
     """
-    if module is None:
-        module = build_primary(ctx)
+    _check_weight_spaces(module.action)
     p = ctx.field.p
     val = strata_.valuations
     qn: list[list[tuple[int, ...]]] = []
     factors: list[CompositionFactor] = []
-    allA = module.action.actA
-    allE = module.action.actE
-    gens = np.concatenate([allA, allE], axis=0)
+    gens = module.action.all_mats()
+    support = (module.action.actA % p).any(axis=0)
     for n_level in range(strata_.epsilon + 1):
-        sn = list(strata_.sets[n_level])
-        classes: list[tuple[int, ...]] = []
-        if sn:
-            lower = np.nonzero(val < n_level)[0]
-            cols = np.array(sn)
-            if lower.size and (gens[:, lower[:, None], cols[None, :]] % p).any():
-                raise InternalInconsistency(f"W_{n_level} leaks below its level")
-            by_scc: dict[int, list[int]] = {}
-            for i in sn:
-                by_scc.setdefault(int(digraph.scc_ids[i]), []).append(i)
-            classes = sorted((tuple(sorted(v)) for v in by_scc.values()), key=min)
+        sn = strata_.sets[n_level]
+        edge = _first_edge(gens, np.nonzero(val < n_level)[0], np.array(sn, dtype=np.int64), p)
+        if edge:
+            raise InternalInconsistency(f"W_{n_level} leaks below its level",
+                                        witness=("composition", n_level, edge))
+        classes = sorted({tuple(i for i in sn if digraph.same_class(i, j)) for j in sn})
         qn.append(classes)
         if n_level == 0 and len(classes) != 1:
             raise InternalInconsistency("the bottom stratum must form a single class")
         for cls in classes:
-            others = [i for i in sn if i not in cls]
-            if others and (gens[:, np.array(others)[:, None], np.array(cls)[None, :]] % p).any():
-                raise InternalInconsistency(f"factor class {cls} is not invariant")
-            fact = factor_action(module, cls)
-            fmats = fact.all_mats()
-            m = len(cls)
-            for h in range(m):
-                seed = np.zeros(m, dtype=np.int64)
-                seed[h] = 1
-                if _cyclic_span(ctx.field, fmats, seed).dim != m:
-                    raise InternalInconsistency(
-                        f"factor {cls} not regenerated from coordinate {cls[h]}"
-                    )
+            others = np.array([i for i in sn if i not in cls], dtype=np.int64)
+            edge = _first_edge(gens, others, np.array(cls), p)
+            if edge:
+                raise InternalInconsistency(f"factor class {cls} is not invariant",
+                                            witness=("composition", n_level, cls, edge))
+            # column h of the closure holds the coordinates of the factor generated by e_h
+            reach = _reachability(support[np.ix_(cls, cls)])
+            missing = np.flatnonzero(~reach.all(axis=0))
+            if missing.size:
+                h = cls[missing[0]]
+                raise InternalInconsistency(f"factor {cls} not regenerated from coordinate {h}",
+                                            witness=("composition", n_level, cls, h))
             factors.append(CompositionFactor(level=n_level, cls=cls))
     labels = [(f.level, f.cls) for f in factors]
     if len(set(labels)) != len(labels):
@@ -378,13 +334,11 @@ def uniserial_check(
     return result
 
 
-def verify_Ml_iso(ctx: TalgContext, l: int, module: PrimaryModule | None = None) -> bool:
+def verify_Ml_iso(ctx: TalgContext, l: int, module: PrimaryModule) -> bool:
     """Check that E_i* 1 -> E_i* J E_l* intertwines every generator, i.e.
     the column module at l is a copy of W_0."""
     if not 0 <= l <= ctx.d:
         raise IndexOutOfRange(f"relation index {l} outside [0, {ctx.d}]")
-    if module is None:
-        module = build_primary(ctx)
     p = ctx.field.p
     targets = np.stack([ctx.eje(i, l).a for i in range(ctx.d + 1)])
     gens = [a.a for a in ctx.A] + [e.a for e in ctx.Estar]
@@ -412,27 +366,33 @@ def hom_space(src: GeneratorAction, dst: GeneratorAction) -> np.ndarray:
     return ker.reshape(-1, m2, m1)
 
 
-def _diagonal_intertwining_system(action: GeneratorAction) -> np.ndarray:
-    """The equations phi_i rho(g)_ih - rho*(g)_ih phi_h = 0 saying that
-    diag(phi) intertwines the module with its contragredient: one row per
-    generator g = A_j and entry (i, h), a ((d+1) m^2) x m array mod p.
-
-    Raises InvalidParameter unless the E_j* act as diagonal 0/1 matrices
+def _check_weight_spaces(action: GeneratorAction) -> None:
+    """Raise InvalidParameter unless the E_j* act as diagonal 0/1 matrices
     that sum to I and have rank at most 1, i.e. every weight space has
-    dimension 1 (W_0 and every factor_action meet this).  The E_j* rows
-    are left out: past this check they are identically zero."""
-    p = action.field.p
-    m = action.dim
-    eye = np.eye(m, dtype=np.int64)
-    act_e = action.actE % p
+    dimension 1 (W_0 and every factor_action meet this).  The composition
+    and self-duality lemmas hold on this domain only."""
+    act_e = action.actE % action.field.p
     weights = np.diagonal(act_e, axis1=1, axis2=2)
     if not (
-        np.array_equal(act_e, weights[:, :, None] * eye)
+        np.array_equal(act_e, weights[:, :, None] * np.eye(action.dim, dtype=np.int64))
         and np.isin(weights, (0, 1)).all()
         and (weights.sum(axis=0) == 1).all()
         and (weights.sum(axis=1) <= 1).all()
     ):
         raise InvalidParameter("the E_j* do not act as coordinate projectors")
+
+
+def _diagonal_intertwining_system(action: GeneratorAction) -> np.ndarray:
+    """The equations phi_i rho(g)_ih - rho*(g)_ih phi_h = 0 saying that
+    diag(phi) intertwines the module with its contragredient: one row per
+    generator g = A_j and entry (i, h), a ((d+1) m^2) x m array mod p.
+
+    Checks the domain with `_check_weight_spaces`.  The E_j* rows are left
+    out: past that check they are identically zero."""
+    _check_weight_spaces(action)
+    p = action.field.p
+    m = action.dim
+    eye = np.eye(m, dtype=np.int64)
     rho = action.actA
     dual = action.contragredient().actA
     system = rho[..., None] * eye[None, :, None, :] - dual[..., None] * eye[None, None, :, :]

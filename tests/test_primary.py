@@ -11,9 +11,10 @@ from modtalg.oracles import count_subspaces, enumerate_subspaces, module_lattice
 from modtalg.primary import (
     GeneratorAction,
     _diagonal_intertwining_system,
+    _reachability,
     build_primary,
     closure_digraph,
-    contragredient_action,
+    composition_factors,
     factor_action,
     factor_selfcontra,
     hom_space,
@@ -239,10 +240,10 @@ def test_b0_decomposes_into_columns(artifacts, schemes):
 def test_contragredient_identity_and_double_dual(artifacts):
     art = artifacts("cyclic-5", 3)
     act = art.module.action
-    dual = contragredient_action(act)
+    dual = act.contragredient()
     # A_0 = I acts as the identity on both sides
     assert np.array_equal(dual.actA[0], np.eye(act.dim, dtype=np.int64))
-    double = contragredient_action(dual)
+    double = dual.contragredient()
     assert np.array_equal(double.actA, act.actA)
     assert np.array_equal(double.actE, act.actE)
 
@@ -358,7 +359,7 @@ def test_composition_report_has_strata(artifacts):
     assert art.comp.strata_sets == ((0, 1), (2,), (3, 4))
 
 
-def test_tarjan_matches_networkx(schemes):
+def test_strong_classes_match_networkx(schemes):
     import networkx as nx
 
     rng = np.random.default_rng(23)
@@ -368,17 +369,95 @@ def test_tarjan_matches_networkx(schemes):
             nxg = nx.from_numpy_array(g.adj.astype(int), create_using=nx.DiGraph)
             expected = sorted(tuple(sorted(c)) for c in nx.strongly_connected_components(nxg))
             assert sorted(g.components) == expected, (name, p)
-    # random digraphs with forced self-loops, via the same component helper
-    from modtalg.primary import _tarjan
+    # random digraphs, with and without self-loops, through the closure helper
+    for loops in (True, False):
+        for _ in range(20):
+            m = int(rng.integers(1, 13))
+            adj = rng.random((m, m)) < rng.uniform(0.05, 0.5)
+            if loops:
+                np.fill_diagonal(adj, True)
+            reach = _reachability(adj)
+            nxg = nx.from_numpy_array(adj.astype(int), create_using=nx.DiGraph)
+            closure = nx.transitive_closure(nxg, reflexive=True)
+            assert np.array_equal(reach, nx.to_numpy_array(closure, nodelist=range(m)) > 0)
+            mine = sorted({tuple(np.flatnonzero(row).tolist()) for row in reach & reach.T})
+            expected = sorted(tuple(sorted(c)) for c in nx.strongly_connected_components(nxg))
+            assert mine == expected
 
-    for _ in range(20):
-        m = int(rng.integers(2, 9))
-        adj = rng.integers(0, 2, size=(m, m)).astype(bool)
-        np.fill_diagonal(adj, True)
-        mine = sorted(tuple(c) for c in _tarjan(adj))
-        nxg = nx.from_numpy_array(adj.astype(int), create_using=nx.DiGraph)
-        expected = sorted(tuple(sorted(c)) for c in nx.strongly_connected_components(nxg))
-        assert mine == expected
+
+def _cyclic_span(field, mats, seed):
+    # reference: the submodule generated by seed, grown by rref until it stops
+    m = mats.shape[1]
+    space = Subspace.span(field, seed, ambient_dim=m)
+    while True:
+        images = np.einsum("gij,bj->gbi", mats, space.basis) % field.p
+        grown = space.sum(Subspace.span(field, images.reshape(-1, m), ambient_dim=m))
+        if grown.dim == space.dim:
+            return space
+        space = grown
+
+
+def test_reachable_coordinates_span_the_cyclic_submodule(artifacts, schemes):
+    for name in schemes:
+        for p in PRIMES:
+            art = artifacts(name, p)
+            modules = [art.module.action] + [
+                factor_action(art.module, fac.cls) for fac in art.comp.factors
+            ]
+            for act in modules:
+                eye = np.eye(act.dim, dtype=np.int64)
+                reach = _reachability((act.actA % p).any(axis=0))
+                for h in range(act.dim):
+                    cyclic = _cyclic_span(art.field, act.all_mats(), eye[h])
+                    reachable = Subspace.span(art.field, eye[reach[:, h]], ambient_dim=act.dim)
+                    assert cyclic == reachable, (name, p, act.dim, h)
+
+
+def _with_edge(art, g, i, h):
+    # a copy of W_0 whose A_g also sends e_h to e_i
+    module = build_primary(art.ctx)
+    act_a = module.action.actA.copy()
+    act_a[g, i, h] = 1
+    module.action = dataclasses.replace(module.action, actA=act_a)
+    return module
+
+
+def test_merged_classes_fail_the_irreducibility_check(artifacts):
+    # at p=2 the classes (3,) and (4,) of as12-no21 share S_2 and no A_k joins them
+    art = artifacts("as12-no21", 2)
+    ids = art.digraph.scc_ids.copy()
+    ids[4] = ids[3]
+    merged = dataclasses.replace(art.digraph, scc_ids=ids)
+    with pytest.raises(InternalInconsistency, match="not regenerated") as err:
+        composition_factors(art.ctx, art.strata, merged, art.module)
+    assert err.value.witness == ("composition", 2, (3, 4), 3)
+
+
+def test_edge_out_of_a_class_fails_the_invariance_check(artifacts):
+    art = artifacts("as12-no21", 2)
+    module = _with_edge(art, 1, 4, 3)
+    with pytest.raises(InternalInconsistency, match="not invariant") as err:
+        composition_factors(art.ctx, art.strata, art.digraph, module)
+    assert err.value.witness == ("composition", 2, (3,), (4, 3))
+
+
+def test_edge_below_the_level_fails_the_leak_check(artifacts):
+    art = artifacts("as12-no21", 2)
+    module = _with_edge(art, 1, 0, 2)
+    with pytest.raises(InternalInconsistency, match="leaks below") as err:
+        composition_factors(art.ctx, art.strata, art.digraph, module)
+    assert err.value.witness == ("composition", 1, (0, 2))
+
+
+def test_composition_rejects_non_coordinate_projectors(artifacts):
+    art = artifacts("as12-no21", 2)
+    module = build_primary(art.ctx)
+    act_e = module.action.actE.copy()
+    act_e[1] += act_e[2]
+    act_e[2] = 0
+    module.action = dataclasses.replace(module.action, actE=act_e)
+    with pytest.raises(InvalidParameter):
+        composition_factors(art.ctx, art.strata, art.digraph, module)
 
 
 def test_empty_middle_stratum_pipeline(artifacts):
