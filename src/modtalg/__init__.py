@@ -10,7 +10,7 @@ suite of equivalent p'-valenced characterizations.
 from . import analysis, characterize, errors, ffmat, fixtures, oracles, primary, scheme, talg
 from .analysis import AnalysisReport, Artifacts, analyze, compute_artifacts, report_to_json
 from .characterize import CharReport, CorollaryReport, check_corollary, check_equivalences
-from .ffmat import FieldCtx, GfpMatrix, Subspace, field_ctx, kernel, rref
+from .ffmat import FieldCtx, Subspace, field_ctx
 from .primary import (
     ClosureDigraph,
     CompositionReport,

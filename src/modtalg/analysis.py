@@ -51,8 +51,8 @@ class Artifacts:
     strata: Strata
     ctx: TalgContext
     talgebra: AlgebraBasis
-    b0: AlgebraBasis
-    b1: AlgebraBasis
+    b0: Subspace
+    b1: Subspace
     rad: Subspace
     ann: Subspace
     module: PrimaryModule
@@ -112,7 +112,7 @@ def _cross_checks(art: Artifacts) -> None:
         pushed = Subspace.span(art.field, images.reshape(-1, n), ambient_dim=n)
     if pushed != art.filt[1]:
         raise InternalInconsistency("Rad(T) W_0 != W_1")
-    if not art.rad.contains(art.b1.space):
+    if not art.rad.contains(art.b1):
         raise InternalInconsistency("B1 escapes the radical")
     if art.strata.p_prime_valenced and not art.ann.contains(art.rad):
         raise InternalInconsistency("irreducible W_0 but Rad(T) not inside Ann(W_0)")

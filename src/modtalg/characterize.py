@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistency
-from .ffmat import GfpMatrix, Subspace, solve_array
+from .ffmat import Subspace, solve_array
 from .talg import is_central, is_two_sided_ideal
 
 __all__ = ["CharReport", "CorollaryReport", "b0_unit_element", "check_equivalences", "check_corollary"]
@@ -62,7 +62,7 @@ class CorollaryReport:
     consistent: bool
 
 
-def b0_unit_element(artifacts) -> GfpMatrix | None:
+def b0_unit_element(artifacts) -> np.ndarray | None:
     """Identity element of B0 found by linear solve (no valency formula),
     so the unital test stays independent of the p'-valenced flag.
 
@@ -82,7 +82,7 @@ def b0_unit_element(artifacts) -> GfpMatrix | None:
     sol = solve_array(system, np.concatenate([eye.reshape(-1)] * 2), p)
     if sol is None:
         return None
-    return GfpMatrix(artifacts.field, (u.T @ sol.reshape(m, m) @ u) % p)
+    return (u.T @ sol.reshape(m, m) @ u) % p
 
 
 def _thin_kills(artifacts, space: Subspace) -> bool:
@@ -93,7 +93,7 @@ def _thin_kills(artifacts, space: Subspace) -> bool:
     p = ctx.field.p
     mats = space.basis.reshape(-1, ctx.n, ctx.n)
     for i in artifacts.strata.thin:
-        e = ctx.Estar[i].a
+        e = ctx.Estar[i]
         if ((e @ mats) % p).any() or ((mats @ e) % p).any():
             return False
     return True
@@ -112,7 +112,7 @@ def _complement_ideal(artifacts, unit: np.ndarray | None) -> bool:
     dspace = Subspace.span(ctx.field, dvecs, ambient_dim=n * n)
     if dspace.dim + artifacts.b0.dim != tal.dim:
         return False
-    if dspace.intersect(artifacts.b0.space).dim != 0:
+    if dspace.intersect(artifacts.b0).dim != 0:
         return False
     return is_two_sided_ideal(tal, dspace)
 
@@ -125,10 +125,9 @@ def check_equivalences(artifacts) -> CharReport:
     i_flag = artifacts.strata.p_prime_valenced
 
     unit = b0_unit_element(artifacts)
-    ii_flag = unit is not None and is_central(artifacts.talgebra, unit.a)
-    unit_arr = unit.a if (unit is not None and ii_flag) else None
+    ii_flag = unit is not None and is_central(artifacts.talgebra, unit)
 
-    iii_flag = _complement_ideal(artifacts, unit_arr)
+    iii_flag = _complement_ideal(artifacts, unit if ii_flag else None)
     iv_flag = artifacts.b1.dim == 0 and unit is not None
     v_flag = _thin_kills(artifacts, artifacts.ann)
     vi_flag = _thin_kills(artifacts, artifacts.rad)

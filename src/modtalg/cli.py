@@ -308,9 +308,10 @@ def cmd_verify(args) -> int:
         for i in range(s.d + 1):
             for j in range(s.d + 1):
                 for l in range(s.d + 1):
-                    lhs = triple_product(ctx, i, j, l).apply(ctx.ones)
+                    # the row sums are the action on 1, and E_i* 1 = u_i
+                    lhs = triple_product(ctx, i, j, l).sum(axis=1) % p
                     coef = s.p(l, int(s.converse[j]), i) % p
-                    rhs = (coef * ctx.Estar[i].apply(ctx.ones)) % p
+                    rhs = coef * ctx.u[i] % p
                     if not np.array_equal(lhs, rhs):
                         return _verify_fail(f"triple product ({i},{j},{l})", lhs.tolist(), rhs.tolist())
         # every intertwiner W_0 -> W_0* is diagonal, and W_0 ~ W_0* iff p'-valenced

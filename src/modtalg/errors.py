@@ -18,9 +18,12 @@ class IndexOutOfRange(Error):
 
 
 class PrimeTooLarge(Error):
-    """p >= 2^64, or n^2 (p-1)^2 >= 2^63: a sum of n^2 products of residues
-    mod p, the longest contraction the analysis performs, could overflow
-    int64."""
+    """p >= 2^64, or k (p-1)^2 >= 2^63 where k is the number of products of
+    residues mod p that one contraction sums: the sum could overflow int64.
+    The analysis checks k = n^2, its longest contraction, with one exception:
+    the trace Gram of the quotient certificate sums up to n^4 terms and stays
+    exact only because `talg._stage_gram` reduces mod p every `step` terms.
+    The `ffmat` array functions check their own k."""
 
 
 class BasePointOutOfRange(Error):

@@ -15,11 +15,8 @@ from .errors import DimensionMismatch, NotPrime, PrimeTooLarge
 __all__ = [
     "FieldCtx",
     "field_ctx",
-    "GfpMatrix",
     "Subspace",
-    "rref",
     "rref_array",
-    "kernel",
     "kernel_array",
     "solve_array",
     "charpoly_coeffs",
@@ -90,107 +87,23 @@ def field_ctx(p: int) -> FieldCtx:
     return FieldCtx(p)
 
 
-class GfpMatrix:
-    """Dense matrix over GF(p).  Entries always reduced to [0, p)."""
-
-    __slots__ = ("field", "a")
-
-    def __init__(self, field: FieldCtx, entries):
-        a = np.asarray(entries, dtype=np.int64)
-        if a.ndim != 2:
-            raise DimensionMismatch("matrix entries must be two-dimensional")
-        self.field = field
-        self.a = a % field.p
-
-    @classmethod
-    def zeros(cls, field: FieldCtx, rows: int, cols: int) -> "GfpMatrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, field: FieldCtx, n: int) -> "GfpMatrix":
-        return cls(field, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def ones(cls, field: FieldCtx, rows: int, cols: int) -> "GfpMatrix":
-        return cls(field, np.ones((rows, cols), dtype=np.int64))
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def entries(self) -> list:
-        return self.a.reshape(-1).tolist()
-
-    def _coerce(self, other) -> "GfpMatrix":
-        if not isinstance(other, GfpMatrix):
-            raise TypeError("expected a GfpMatrix")
-        if other.field != self.field:
-            raise DimensionMismatch("matrices over different fields")
-        return other
-
-    def __matmul__(self, other) -> "GfpMatrix":
-        other = self._coerce(other)
-        if self.cols != other.rows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        return GfpMatrix(self.field, (self.a @ other.a) % self.field.p)
-
-    def __add__(self, other) -> "GfpMatrix":
-        other = self._coerce(other)
-        if self.a.shape != other.a.shape:
-            raise DimensionMismatch("shape mismatch in addition")
-        return GfpMatrix(self.field, (self.a + other.a) % self.field.p)
-
-    def __sub__(self, other) -> "GfpMatrix":
-        other = self._coerce(other)
-        if self.a.shape != other.a.shape:
-            raise DimensionMismatch("shape mismatch in subtraction")
-        return GfpMatrix(self.field, (self.a - other.a) % self.field.p)
-
-    def scale(self, c: int) -> "GfpMatrix":
-        return GfpMatrix(self.field, (self.a * (int(c) % self.field.p)) % self.field.p)
-
-    @property
-    def T(self) -> "GfpMatrix":
-        return GfpMatrix(self.field, self.a.T)
-
-    def apply(self, vec) -> np.ndarray:
-        v = np.asarray(vec, dtype=np.int64) % self.field.p
-        return (self.a @ v) % self.field.p
-
-    def is_zero(self) -> bool:
-        return not self.a.any()
-
-    def vec(self) -> np.ndarray:
-        """Row-major flattening, used to embed matrices in GF(p)^(r*c)."""
-        return self.a.reshape(-1).copy()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GfpMatrix)
-            and other.field == self.field
-            and self.a.shape == other.a.shape
-            and np.array_equal(self.a, other.a)
+def _require_int64(terms: int, p: int) -> None:
+    """Raise PrimeTooLarge unless a sum of `terms` products of two residues
+    mod p, the caller's longest contraction, stays below 2^63."""
+    if terms * (p - 1) ** 2 >= 2**63:
+        raise PrimeTooLarge(
+            f"p={p} is too large: a sum of {terms} products of residues would overflow int64"
         )
-
-    def __hash__(self):
-        return hash((self.field.p, self.a.shape, self.a.tobytes()))
-
-    def __repr__(self):
-        return f"GfpMatrix(p={self.field.p}, {self.rows}x{self.cols})"
 
 
 def rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
     """Reduced row-echelon form of an integer matrix mod p.
 
-    Returns (R, rank, pivot_columns).  The input is not modified.
+    Returns (R, rank, pivot_columns).  The input is not modified.  Raises
+    PrimeTooLarge when (p-1)^2 >= 2^63; `kernel_array`, `solve_array` and
+    `Subspace.span` inherit that bound.
     """
+    _require_int64(1, p)
     a = np.asarray(a, dtype=np.int64) % p
     if a.ndim != 2:
         raise DimensionMismatch("rref expects a two-dimensional array")
@@ -218,13 +131,6 @@ def rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
     return a, r, pivots
 
 
-def rref(m: GfpMatrix, f: FieldCtx | None = None) -> tuple[GfpMatrix, int, list[int]]:
-    """RREF of a GfpMatrix; idempotent, rank = number of pivots."""
-    field = f if f is not None else m.field
-    reduced, rank, pivots = rref_array(m.a, field.p)
-    return GfpMatrix(field, reduced), rank, pivots
-
-
 def kernel_array(a: np.ndarray, p: int) -> np.ndarray:
     """Echelonized basis (rows) of the right null space {v : a v = 0} mod p."""
     a = np.asarray(a, dtype=np.int64) % p
@@ -241,13 +147,6 @@ def kernel_array(a: np.ndarray, p: int) -> np.ndarray:
             vecs[row, pc] = (-reduced[i, fc]) % p
     out, _, _ = rref_array(vecs, p)
     return out[: len(free)]
-
-
-def kernel(m: GfpMatrix, f: FieldCtx | None = None) -> "Subspace":
-    """Null space of m as a canonical subspace of GF(p)^cols."""
-    field = f if f is not None else m.field
-    basis = kernel_array(m.a, field.p)
-    return Subspace.span(field, basis, ambient_dim=m.cols)
 
 
 def solve_array(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
@@ -316,7 +215,9 @@ class Subspace:
 
     def coords(self, vectors) -> np.ndarray | None:
         """Coordinates of row vectors in the echelon basis, or None if any
-        vector falls outside the subspace."""
+        vector falls outside the subspace.  Raises PrimeTooLarge when
+        dim (p-1)^2 >= 2^63."""
+        _require_int64(self.dim, self.field.p)
         v = np.asarray(vectors, dtype=np.int64) % self.field.p
         single = v.ndim == 1
         if single:
@@ -347,7 +248,9 @@ class Subspace:
         return self.sum(other)
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """Raises PrimeTooLarge when self.dim (p-1)^2 >= 2^63."""
         self._check(other)
+        _require_int64(self.dim, self.field.p)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.field, self.ambient_dim)
         # kernel of the stacked-basis map (a, b) -> a.basis_self - b.basis_other
@@ -380,14 +283,17 @@ def charpoly_coeffs(mats: np.ndarray, p: int, upto: int | None = None) -> np.nda
     Returns v of shape (batch, t+1) with det(tI - M) = sum_m v[:, m] t^(n-m)
     truncated to the first t+1 coefficients, t = upto (default n).  Uses the
     division-free Berkowitz recurrence, valid in any characteristic; all the
-    Toeplitz factors are lower triangular, so truncation is exact.
+    Toeplitz factors are lower triangular, so truncation is exact.  Raises
+    PrimeTooLarge when (n+1) (p-1)^2 >= 2^63.
     """
-    mats = np.asarray(mats, dtype=np.int64) % p
+    mats = np.asarray(mats, dtype=np.int64)
     if mats.ndim == 2:
         mats = mats[None]
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise DimensionMismatch("charpoly_coeffs expects square matrices")
     b, n, _ = mats.shape
+    _require_int64(n + 1, p)
+    mats = mats % p
     t = n if upto is None else max(0, min(int(upto), n))
     v = np.zeros((b, t + 1), dtype=np.int64)
     v[:, 0] = 1

@@ -11,6 +11,7 @@ import numpy as np
 from .errors import FixtureInvalid
 from .scheme import (
     SchemeData,
+    check_point_count,
     gen_cyclic,
     gen_hamming,
     gen_thin,
@@ -60,6 +61,8 @@ def load_order12_no21() -> SchemeData:
 
 
 def cyclic_group_table(n: int) -> np.ndarray:
+    """Addition table of Z_n; refuses n beyond desk scale before allocating it."""
+    check_point_count(n)
     idx = np.arange(n)
     return (idx[:, None] + idx[None, :]) % n
 

@@ -164,14 +164,13 @@ def word_closure_dim(ctx: TalgContext, max_rounds: int = 64) -> int:
     """
     f = ctx.field
     n = ctx.n
-    gens = [g.a for g in ctx.A] + [e.a for e in ctx.Estar]
     words: list[np.ndarray] = [np.eye(n, dtype=np.int64)]
     span = Subspace.span(f, np.eye(n, dtype=np.int64).reshape(1, -1), ambient_dim=n * n)
     frontier = list(words)
     for _ in range(max_rounds):
         new_frontier = []
         for w in frontier:
-            for g in gens:
+            for g in ctx.gens:
                 cand = (w @ g) % f.p
                 flat = cand.reshape(1, -1)
                 grown = span.sum(Subspace.span(f, flat, ambient_dim=n * n))

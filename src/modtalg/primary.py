@@ -78,16 +78,15 @@ class PrimaryModule:
 
     def __init__(self, ctx: TalgContext):
         self.ctx = ctx
-        n, d, p = ctx.n, ctx.d, ctx.field.p
-        vectors = np.stack([e.apply(ctx.ones) for e in ctx.Estar])
-        if rref_array(vectors, p)[1] != d + 1:
+        d, p = ctx.d, ctx.field.p
+        if rref_array(ctx.u, p)[1] != d + 1:
             raise InternalInconsistency("the vectors E_i* 1 are not independent")
-        self.vectors = vectors
+        self.vectors = ctx.u
         row = ctx.scheme.table.entries[ctx.x]
         self.reps = np.array([int(np.nonzero(row == i)[0][0]) for i in range(d + 1)])
-        actA = np.stack([self._matrix_of(a.a) for a in ctx.A])
-        actE = np.stack([self._matrix_of(e.a) for e in ctx.Estar])
-        self.action = GeneratorAction(ctx.field, ctx.scheme.converse.copy(), actA, actE)
+        # the image of basis vector h under generator g, read at the representatives
+        act = (ctx.gens @ self.vectors.T % p)[:, self.reps]
+        self.action = GeneratorAction(ctx.field, ctx.scheme.converse.copy(), act[: d + 1], act[d + 1 :])
         self._verify_action()
 
     @property
@@ -103,11 +102,6 @@ class PrimaryModule:
         if not np.array_equal((c @ self.vectors) % p, w):
             raise InternalInconsistency("vector outside the span of {E_i* 1}")
         return c
-
-    def _matrix_of(self, g: np.ndarray) -> np.ndarray:
-        p = self.ctx.field.p
-        images = (g @ self.vectors.T) % p
-        return images[self.reps]
 
     def _verify_action(self) -> None:
         ctx = self.ctx
@@ -141,14 +135,13 @@ def filtration(ctx: TalgContext, strata_: Strata, module: PrimaryModule) -> list
     p = f.p
     n = ctx.n
     chain: list[Subspace] = []
-    gens = ctx.generator_mats()
     for m in range(strata_.epsilon + 2):
         keep = np.nonzero(strata_.valuations >= m)[0]
         sub = Subspace.span(f, module.vectors[keep], ambient_dim=n)
         if sub.dim != keep.size:
             raise InternalInconsistency("filtration dimensions collapsed")
         if sub.dim:
-            images = (np.einsum("gij,bj->gbi", gens, module.vectors[keep]) % p).reshape(-1, n)
+            images = (np.einsum("gij,bj->gbi", ctx.gens, module.vectors[keep]) % p).reshape(-1, n)
             if sub.coords(images) is None:
                 g, b = divmod(next(r for r, v in enumerate(images) if not sub.member(v)), keep.size)
                 raise InternalInconsistency(f"W_{m} is not invariant under generator {g}",
@@ -340,10 +333,8 @@ def verify_Ml_iso(ctx: TalgContext, l: int, module: PrimaryModule) -> bool:
     if not 0 <= l <= ctx.d:
         raise IndexOutOfRange(f"relation index {l} outside [0, {ctx.d}]")
     p = ctx.field.p
-    targets = np.stack([ctx.eje(i, l).a for i in range(ctx.d + 1)])
-    gens = [a.a for a in ctx.A] + [e.a for e in ctx.Estar]
-    acts = np.concatenate([module.action.actA, module.action.actE], axis=0)
-    for g, act in zip(gens, acts):
+    targets = np.stack([ctx.eje(i, l) for i in range(ctx.d + 1)])
+    for g, act in zip(ctx.gens, module.action.all_mats()):
         for h in range(ctx.d + 1):
             lhs = np.tensordot(act[:, h], targets, axes=(0, 0)) % p
             rhs = (g @ targets[h]) % p

@@ -36,6 +36,7 @@ __all__ = [
     "intersection_numbers",
     "Strata",
     "strata",
+    "check_point_count",
     "gen_cyclic",
     "gen_hamming",
     "gen_thin",
@@ -268,10 +269,23 @@ def strata(s: SchemeData, f: FieldCtx) -> Strata:
     )
 
 
+# Desk scale: the generators refuse larger schemes before allocating any
+# n x n table.  At n = 60000 one int64 table alone is 29 GB, and the
+# analysis works with matrices of dimension n^2.
+MAX_POINTS = 1024
+
+
+def check_point_count(n: int) -> None:
+    """Raise InvalidParameter when n points is beyond desk scale."""
+    if n > MAX_POINTS:
+        raise InvalidParameter(f"{n} points is beyond desk scale (at most {MAX_POINTS})")
+
+
 def gen_cyclic(n: int) -> RelationTable:
     """Cyclic scheme on Z_n with classes {c, n-c} of differences."""
     if not isinstance(n, int) or n < 1:
         raise InvalidParameter(f"gen_cyclic needs an integer n >= 1, got {n!r}")
+    check_point_count(n)
     idx = np.arange(n)
     delta = (idx[None, :] - idx[:, None]) % n
     cls = np.minimum(delta, n - delta)
@@ -282,8 +296,11 @@ def gen_hamming(length: int, q: int) -> RelationTable:
     """Hamming scheme H(length, q): distance classes on q-ary strings."""
     if not isinstance(length, int) or not isinstance(q, int) or length < 1 or q < 2:
         raise InvalidParameter(f"gen_hamming needs length >= 1 and q >= 2, got ({length!r}, {q!r})")
-    if q**length > 1024:
-        raise InvalidParameter(f"q^length = {q ** length} points is beyond desk scale")
+    # q >= 2, so from length MAX_POINTS.bit_length() on there are too many
+    # points without forming q^length, which can have thousands of digits
+    if length >= MAX_POINTS.bit_length() or q**length > MAX_POINTS:
+        raise InvalidParameter(f"q^length = {q}^{length} points is beyond desk scale "
+                               f"(at most {MAX_POINTS})")
     pts = np.array(list(itertools.product(range(q), repeat=length)), dtype=np.int64)
     dist = (pts[:, None, :] != pts[None, :, :]).sum(axis=2)
     return relation_table(dist)
@@ -300,6 +317,7 @@ def gen_thin(mult_table) -> RelationTable:
     if tbl.ndim != 2 or tbl.shape[0] != tbl.shape[1] or tbl.shape[0] == 0:
         raise InvalidParameter("multiplication table must be square and nonempty")
     n = tbl.shape[0]
+    check_point_count(n)
     if (tbl < 0).any() or (tbl >= n).any():
         raise InvalidParameter("multiplication table entries must be in [0, n)")
     ident = np.arange(n)
@@ -315,7 +333,8 @@ def gen_thin(mult_table) -> RelationTable:
     if len(e_candidates) != 1:
         raise InvalidParameter("multiplication table has no two-sided identity")
     e = e_candidates[0]
-    if not np.array_equal(tbl[tbl], tbl[:, tbl]):
+    # (ab)c = a(bc) one a at a time, so memory stays at n^2 entries
+    if not all(np.array_equal(tbl[tbl[a]], tbl[a][tbl]) for a in range(n)):
         raise InvalidParameter("multiplication table is not associative")
     inv = np.zeros(n, dtype=np.int64)
     for x in range(n):

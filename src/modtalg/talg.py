@@ -18,7 +18,7 @@ from .errors import (
     NotPPrimeValenced,
     PrimeTooLarge,
 )
-from .ffmat import FieldCtx, GfpMatrix, Subspace, charpoly_coeffs, kernel_array, rref_array
+from .ffmat import FieldCtx, Subspace, charpoly_coeffs, kernel_array, rref_array
 from .scheme import SchemeData
 
 __all__ = [
@@ -39,16 +39,23 @@ __all__ = [
 
 
 class TalgContext:
-    """Matrices attached to (scheme, GF(p), base point): A_i, E_i*, 1, J.
+    """The generators of T(x) for (scheme, GF(p), base point x).
+
+    `gens` stacks the 2(d+1) generators A_0..A_d, E_0*..E_d* as one
+    read-only int64 array of shape (2(d+1), n, n); `A` and `Estar` are
+    views into it, and row i of `u` is the 0/1 vector u_i = E_i* 1.
 
     The defining identities (transposes, partitions of I and J, idempotent
     orthogonality, nonvanishing of E_i* J E_j*, and J E_i* 1 = k_i 1) are
     asserted eagerly at construction; a bad table fails here, not later.
     A prime with n^2 (p-1)^2 >= 2^63 is rejected before any arithmetic:
-    every contraction downstream runs over at most n^2 terms in int64.
+    every contraction downstream runs over at most n^2 terms in int64,
+    except the trace Gram of the quotient certificate, which sums q^2 <= n^4
+    terms and stays exact only because `_stage_gram` reduces mod p every
+    `step` terms.
     """
 
-    __slots__ = ("scheme", "field", "x", "A", "Estar", "ones", "J", "n", "d")
+    __slots__ = ("scheme", "field", "x", "n", "d", "gens", "A", "Estar", "u")
 
     def __init__(self, scheme: SchemeData, field: FieldCtx, x: int):
         if not 0 <= x < scheme.n:
@@ -63,77 +70,68 @@ class TalgContext:
         self.x = int(x)
         self.n = scheme.n
         self.d = scheme.d
-        p = field.p
         tab = scheme.table.entries
-        self.A = [GfpMatrix(field, (tab == i).astype(np.int64)) for i in range(self.d + 1)]
-        self.Estar = [
-            GfpMatrix(field, np.diag((tab[x] == i).astype(np.int64)))
-            for i in range(self.d + 1)
-        ]
-        self.ones = np.ones(self.n, dtype=np.int64)
-        self.J = GfpMatrix(field, np.ones((self.n, self.n), dtype=np.int64))
+        rel = np.arange(self.d + 1)
+        self.u = (tab[x] == rel[:, None]).astype(np.int64)
+        adjacency = (tab == rel[:, None, None]).astype(np.int64)
+        dual = self.u[:, :, None] * np.eye(self.n, dtype=np.int64)
+        self.gens = np.concatenate([adjacency, dual])
+        self.gens.setflags(write=False)
+        self.u.setflags(write=False)
+        self.A = self.gens[: self.d + 1]
+        self.Estar = self.gens[self.d + 1 :]
         self._assert_identities()
 
     def _assert_identities(self) -> None:
-        f, n, d, p = self.field, self.n, self.d, self.field.p
+        n, d, p = self.n, self.d, self.field.p
+        A, E = self.A, self.Estar
         for i in range(d + 1):
-            if self.A[i].T != self.A[int(self.scheme.converse[i])]:
+            if not np.array_equal(A[i].T, A[int(self.scheme.converse[i])]):
                 raise InternalInconsistency(f"A_{i}^t != A_(i')")
-            if self.Estar[i].T != self.Estar[i]:
+            if not np.array_equal(E[i].T, E[i]):
                 raise InternalInconsistency(f"E_{i}* is not symmetric")
-        ident = GfpMatrix.identity(f, n)
-        if self.A[0] != ident:
+        ident = np.eye(n, dtype=np.int64)
+        if not np.array_equal(A[0], ident):
             raise InternalInconsistency("A_0 != I")
-        esum = GfpMatrix.zeros(f, n, n)
-        asum = GfpMatrix.zeros(f, n, n)
-        for i in range(d + 1):
-            esum = esum + self.Estar[i]
-            asum = asum + self.A[i]
-        if esum != ident:
+        if not np.array_equal(E.sum(axis=0) % p, ident):
             raise InternalInconsistency("sum of dual idempotents != I")
-        if asum != self.J:
+        if not (A.sum(axis=0) % p == 1).all():
             raise InternalInconsistency("sum of adjacency matrices != J")
         for i in range(d + 1):
-            for j in range(d + 1):
-                prod = self.Estar[i] @ self.Estar[j]
-                want = self.Estar[i] if i == j else GfpMatrix.zeros(f, n, n)
-                if prod != want:
-                    raise InternalInconsistency("dual idempotents not orthogonal")
-                if self.eje(i, j).is_zero():
-                    raise InternalInconsistency(f"E_{i}* J E_{j}* vanished")
-        for i in range(d + 1):
-            lhs = (self.J @ self.Estar[i]).apply(self.ones)
-            k = int(self.scheme.valencies[i]) % p
-            if not np.array_equal(lhs, (k * self.ones) % p):
-                raise InternalInconsistency(f"J E_{i}* 1 != k_{i} 1")
+            prods = E[i] @ E % p
+            prods[i] -= E[i]
+            if prods.any():
+                raise InternalInconsistency("dual idempotents not orthogonal")
+            # E_i* J E_j* = u_i u_j^T for every j
+            vanished = np.flatnonzero(~np.einsum("a,jb->jab", self.u[i], self.u).any(axis=(1, 2)))
+            if vanished.size:
+                raise InternalInconsistency(f"E_{i}* J E_{vanished[0]}* vanished")
+        # J E_i* 1 = (sum of the entries of u_i) 1
+        wrong = np.flatnonzero(self.u.sum(axis=1) % p != self.scheme.valencies % p)
+        if wrong.size:
+            raise InternalInconsistency(f"J E_{wrong[0]}* 1 != k_{wrong[0]} 1")
 
-    def eje(self, i: int, j: int) -> GfpMatrix:
-        """E_i* J E_j*, assembled directly as an outer product."""
-        di = np.diagonal(self.Estar[i].a)
-        dj = np.diagonal(self.Estar[j].a)
-        return GfpMatrix(self.field, np.outer(di, dj))
-
-    def generator_mats(self) -> np.ndarray:
-        """All 2(d+1) generators stacked: A_0..A_d then E_0*..E_d*."""
-        return np.stack([g.a for g in self.A] + [g.a for g in self.Estar])
+    def eje(self, i: int, j: int) -> np.ndarray:
+        """E_i* J E_j* = u_i u_j^T."""
+        return np.outer(self.u[i], self.u[j])
 
 
 def build_context(s: SchemeData, f: FieldCtx, x: int) -> TalgContext:
     return TalgContext(s, f, x)
 
 
-def triple_product(ctx: TalgContext, i: int, j: int, l: int) -> GfpMatrix:
+def triple_product(ctx: TalgContext, i: int, j: int, l: int) -> np.ndarray:
     """E_i* A_j E_l*; its action on 1 is (p_{l j'}^i mod p) E_i* 1."""
     for idx in (i, j, l):
         if not 0 <= idx <= ctx.d:
             raise IndexOutOfRange(f"relation index {idx} outside [0, {ctx.d}]")
-    return ctx.Estar[i] @ ctx.A[j] @ ctx.Estar[l]
+    return ctx.Estar[i] @ ctx.A[j] @ ctx.Estar[l] % ctx.field.p
 
 
 class AlgebraBasis:
-    """Echelonized basis of a product-closed span of n x n matrices over
-    GF(p), with the stack of matrices it was closed from (`generators`)
-    and a block label per point (`blocks`).
+    """Echelonized basis of a unital algebra of n x n matrices over GF(p),
+    with the stack of matrices it was closed from (`generators`) and a
+    block label per point (`blocks`).
 
     The span is graded by the blocks: it is the direct sum of its pieces
     supported on the rows of one block and the columns of another, so its
@@ -142,17 +140,16 @@ class AlgebraBasis:
     block, the default, is the grading every algebra has.
     """
 
-    __slots__ = ("field", "n", "space", "generators", "contains_identity", "blocks")
+    __slots__ = ("field", "n", "space", "generators", "blocks")
 
     def __init__(self, field: FieldCtx, n: int, space: Subspace, generators: np.ndarray,
-                 contains_identity: bool, blocks: np.ndarray | None = None):
+                 blocks: np.ndarray | None = None):
         if space.ambient_dim != n * n:
             raise InvalidParameter("ambient dimension must be n^2")
         self.field = field
         self.n = n
         self.space = space
         self.generators = generators
-        self.contains_identity = contains_identity
         self.blocks = np.zeros(n, dtype=np.int64) if blocks is None else blocks
 
     @property
@@ -270,8 +267,8 @@ def is_central(alg: AlgebraBasis, m: np.ndarray) -> bool:
     return np.array_equal(left, right)
 
 
-def algebra_closure(field: FieldCtx, generators: np.ndarray, include_identity: bool = True) -> AlgebraBasis:
-    """Smallest product-closed span containing the generators (and I).
+def algebra_closure(field: FieldCtx, generators: np.ndarray) -> AlgebraBasis:
+    """Smallest product-closed span containing the generators and I.
 
     Fixpoint iteration: multiply the current echelon basis by every
     generator on the left and on the right, re-echelonize, repeat until the
@@ -281,10 +278,8 @@ def algebra_closure(field: FieldCtx, generators: np.ndarray, include_identity: b
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
         raise InvalidParameter("generators must be a stack of square matrices")
     n = gens.shape[1]
-    seed = [gens.reshape(len(gens), -1)]
-    if include_identity:
-        seed.append(np.eye(n, dtype=np.int64).reshape(1, -1))
-    space = Subspace.span(field, np.concatenate(seed, axis=0), ambient_dim=n * n)
+    seed = np.concatenate([gens.reshape(len(gens), -1), np.eye(n, dtype=np.int64).reshape(1, -1)])
+    space = Subspace.span(field, seed, ambient_dim=n * n)
     while True:
         prods = _generator_products(gens, space.basis.reshape(-1, n, n), field.p)
         stacked = np.concatenate([space.basis, prods.reshape(-1, n * n)], axis=0)
@@ -292,13 +287,12 @@ def algebra_closure(field: FieldCtx, generators: np.ndarray, include_identity: b
         if new.dim == space.dim:
             break
         space = new
-    return AlgebraBasis(field, n, space, gens, contains_identity=include_identity,
-                        blocks=_idempotent_blocks(gens))
+    return AlgebraBasis(field, n, space, gens, blocks=_idempotent_blocks(gens))
 
 
 def generate_algebra(ctx: TalgContext) -> AlgebraBasis:
     """The modular Terwilliger algebra T(x) as an echelonized basis."""
-    return algebra_closure(ctx.field, ctx.generator_mats(), include_identity=True)
+    return algebra_closure(ctx.field, ctx.gens)
 
 
 def assert_two_sided_ideal(alg: AlgebraBasis, ideal: Subspace, what: str) -> None:
@@ -308,7 +302,7 @@ def assert_two_sided_ideal(alg: AlgebraBasis, ideal: Subspace, what: str) -> Non
 
 
 def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis,
-          filt: list[Subspace]) -> tuple[AlgebraBasis, AlgebraBasis]:
+          filt: list[Subspace]) -> tuple[Subspace, Subspace]:
     """The ideal B0 = span{E_i* J E_j*} and its sub-ideal B1 from pairs with
     p | k_i k_j; dimensions are pinned to (d+1)^2 and the pair count.
 
@@ -324,28 +318,24 @@ def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis,
     (checked), hence so does B1.
     """
     d, n, p = ctx.d, ctx.n, ctx.field.p
-    u = np.stack([np.diagonal(e.a) for e in ctx.Estar])
+    u = ctx.u
     divisible = np.array([int(k) % p == 0 for k in ctx.scheme.valencies])
     if filt[:2] != [Subspace.span(ctx.field, w, ambient_dim=n) for w in (u, u[divisible])]:
         raise InternalInconsistency("W_0, W_1 are not spanned by their E_i* 1", witness="filtration")
     outer = np.einsum("ia,jb->ijab", u, u).reshape(d + 1, d + 1, n * n)
     pairs = divisible[:, None] | divisible[None, :]
-    b0_space = Subspace.span(ctx.field, outer.reshape(-1, n * n), ambient_dim=n * n)
-    if b0_space.dim != (d + 1) ** 2:
-        raise InternalInconsistency(f"dim B0 = {b0_space.dim}, expected {(d + 1) ** 2}")
-    b1_space = Subspace.span(ctx.field, outer[pairs], ambient_dim=n * n)
-    if b1_space.dim != pairs.sum():
-        raise InternalInconsistency(f"dim B1 = {b1_space.dim}, expected {pairs.sum()}")
-    if not talgebra.space.contains(b0_space):
+    b0 = Subspace.span(ctx.field, outer.reshape(-1, n * n), ambient_dim=n * n)
+    if b0.dim != (d + 1) ** 2:
+        raise InternalInconsistency(f"dim B0 = {b0.dim}, expected {(d + 1) ** 2}")
+    b1 = Subspace.span(ctx.field, outer[pairs], ambient_dim=n * n)
+    if b1.dim != pairs.sum():
+        raise InternalInconsistency(f"dim B1 = {b1.dim}, expected {pairs.sum()}")
+    if not talgebra.space.contains(b0):
         raise InternalInconsistency("B0 not contained in T")
-    b0 = AlgebraBasis(ctx.field, n, b0_space, b0_space.basis.reshape(-1, n, n),
-                      contains_identity=False)
-    b1 = AlgebraBasis(ctx.field, n, b1_space, b1_space.basis.reshape(-1, n, n),
-                      contains_identity=False)
     return b0, b1
 
 
-def b0_identity(ctx: TalgContext, talgebra: AlgebraBasis, b0: AlgebraBasis) -> GfpMatrix:
+def b0_identity(ctx: TalgContext, talgebra: AlgebraBasis, b0: Subspace) -> np.ndarray:
     """e = sum_i (k_i)^-1 E_i* J E_i*: the identity of B0, central in T.
 
     Only exists when no valency vanishes mod p; raises NotPPrimeValenced
@@ -357,14 +347,11 @@ def b0_identity(ctx: TalgContext, talgebra: AlgebraBasis, b0: AlgebraBasis) -> G
     if any(int(v) % p == 0 for v in k):
         bad = [i for i in range(ctx.d + 1) if int(k[i]) % p == 0]
         raise NotPPrimeValenced(f"p={p} divides valencies at relations {bad}")
-    e = GfpMatrix.zeros(ctx.field, ctx.n, ctx.n)
-    for i in range(ctx.d + 1):
-        e = e + ctx.eje(i, i).scale(ctx.field.inv(int(k[i])))
-    em = e.a
-    for b in b0.mats():
-        if not (np.array_equal((em @ b) % p, b) and np.array_equal((b @ em) % p, b)):
-            raise InternalInconsistency("e is not a unit of B0")
-    if not is_central(talgebra, em):
+    e = sum(ctx.field.inv(int(k[i])) * ctx.eje(i, i) for i in range(ctx.d + 1)) % p
+    mats = b0.basis.reshape(-1, ctx.n, ctx.n)
+    if not (np.array_equal(e @ mats % p, mats) and np.array_equal(mats @ e % p, mats)):
+        raise InternalInconsistency("e is not a unit of B0")
+    if not is_central(talgebra, e):
         raise InternalInconsistency("e is not central in T")
     return e
 
@@ -419,8 +406,8 @@ def _stage_gram(basis_flat: np.ndarray, n: int, p: int, power: int,
     return gram
 
 
-def radical(algebra: AlgebraBasis, f: FieldCtx | None = None, *, _verify: bool = True) -> Subspace:
-    """Jacobson radical of a product-closed matrix algebra over GF(p).
+def radical(algebra: AlgebraBasis, *, _verify: bool = True) -> Subspace:
+    """Jacobson radical of a unital matrix algebra over GF(p).
 
     Characteristic-p trace-form iteration: for every p^k <= n the current
     subspace L shrinks to the null space of (x, y) -> c_{p^k}(x y), where
@@ -434,7 +421,7 @@ def radical(algebra: AlgebraBasis, f: FieldCtx | None = None, *, _verify: bool =
     graded, because G[a, b] != 0 only for grades (i, j) and (j, i), so the
     kernel of G splits by grade.
     """
-    field = f if f is not None else algebra.field
+    field = algebra.field
     p, n = field.p, algebra.n
     if algebra.dim == 0:
         return Subspace.zero(field, n * n)
@@ -475,21 +462,20 @@ def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
     _grades(rad.basis, algebra.blocks, "claimed radical")
     assert_two_sided_ideal(algebra, rad, "radical")
     _assert_nilpotent(algebra, rad)
-    if algebra.contains_identity:
-        if not algebra.space.contains(rad):
-            raise InternalInconsistency("claimed radical is not contained in the algebra",
-                                        witness="containment")
-        gram = _stage_gram(algebra.space.basis, algebra.n, algebra.field.p, power=1)
-        if kernel_array(gram, algebra.field.p).shape[0] == rad.dim:
-            return
-        quotient = _quotient_regular_rep(algebra, rad)
-        if quotient is not None and quotient.dim > 0:
-            again = radical(quotient, _verify=False)
-            if again.dim != 0:
-                raise InternalInconsistency(
-                    f"quotient by the radical still has a radical of dim {again.dim}",
-                    witness="quotient",
-                )
+    if not algebra.space.contains(rad):
+        raise InternalInconsistency("claimed radical is not contained in the algebra",
+                                    witness="containment")
+    gram = _stage_gram(algebra.space.basis, algebra.n, algebra.field.p, power=1)
+    if kernel_array(gram, algebra.field.p).shape[0] == rad.dim:
+        return
+    quotient = _quotient_regular_rep(algebra, rad)
+    if quotient is not None and quotient.dim > 0:
+        again = radical(quotient, _verify=False)
+        if again.dim != 0:
+            raise InternalInconsistency(
+                f"quotient by the radical still has a radical of dim {again.dim}",
+                witness="quotient",
+            )
 
 
 def _assert_nilpotent(algebra: AlgebraBasis, ideal: Subspace) -> None:
@@ -558,7 +544,7 @@ def _quotient_regular_rep(algebra: AlgebraBasis, ideal: Subspace) -> AlgebraBasi
     if space.dim != q:
         raise InternalInconsistency("regular representation of the quotient is not faithful",
                                     witness="quotient")
-    return AlgebraBasis(field, q, space, space.basis.reshape(q, q, q), contains_identity=True)
+    return AlgebraBasis(field, q, space, space.basis.reshape(q, q, q))
 
 
 def annihilator_W0(ctx: TalgContext, talgebra: AlgebraBasis, filt: list[Subspace]) -> Subspace:

@@ -65,11 +65,11 @@ def test_criterion_3_order5_no2_p3():
     start = time.perf_counter()
     s = validate_axioms(gen_cyclic(5))
     art = compute_artifacts(s, field_ctx(3), 0)
-    z = triple_product(art.ctx, 1, 1, 2) - triple_product(art.ctx, 1, 2, 2)
+    z = (triple_product(art.ctx, 1, 1, 2) - triple_product(art.ctx, 1, 2, 2)) % 3
     elapsed = time.perf_counter() - start
     ok = (
-        not z.is_zero()
-        and art.ann.member(z.vec())
+        z.any()
+        and art.ann.member(z.reshape(-1))
         and art.rad.dim == 0
         and art.ann.dim > art.rad.dim
         and elapsed < 1.0
@@ -103,7 +103,7 @@ def test_criterion_4_structural_constants_sweep():
                     failures.append((name, p, "quotient", m))
             if art.b1.dim:
                 n = art.ctx.n
-                mats = art.b1.mats()
+                mats = art.b1.basis.reshape(-1, n, n)
                 sq = np.einsum("aij,bjk->abik", mats, mats).reshape(-1, n, n) % p
                 span2 = Subspace.span(art.field, sq.reshape(-1, n * n), ambient_dim=n * n)
                 if span2.dim:
@@ -112,7 +112,7 @@ def test_criterion_4_structural_constants_sweep():
                     ) % p
                     if cubes.any():
                         failures.append((name, p, "B1cubed"))
-            if not art.rad.contains(art.b1.space):
+            if not art.rad.contains(art.b1):
                 failures.append((name, p, "B1radical"))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 30.0
@@ -163,7 +163,7 @@ def test_criterion_6_radical_oracle_battery():
             failures.append((p, "M2", rad_full.dim))
         check_radical_postconditions(full, rad_full)
     ctx = build_context(validate_axioms(gen_thin([[0, 1], [1, 0]])), field_ctx(2), 0)
-    c2 = algebra_closure(ctx.field, ctx.A[1].a[None, :, :])
+    c2 = algebra_closure(ctx.field, ctx.A[1:2])
     if c2.dim != 2:
         failures.append(("C2 algebra dim", c2.dim))
     rad_c2 = radical(c2)
@@ -220,8 +220,8 @@ def test_criterion_9_mixed_block_squares_and_semisimplicity():
                 if int(s.valencies[i]) % p != 0:
                     continue
                 mixed = ctx.eje(i, 0) + ctx.eje(0, i)
-                sq = mixed @ mixed
-                if sq == ctx.eje(i, i) and not sq.is_zero():
+                sq = mixed @ mixed % p
+                if np.array_equal(sq, ctx.eje(i, i)) and sq.any():
                     hit = True
                     break
             if not hit:

@@ -41,6 +41,16 @@ def test_gen_bad_parameters(capsys):
     assert main(["gen", "--family", "cyclic"]) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["--family", "cyclic", "--n", "60000"],  # refused before a 29 GB table is allocated
+    ["--family", "thin", "--n", "60000"],
+    ["--family", "hamming", "--len", "20000", "--q", "2"],  # 2^20000 has 6021 digits
+])
+def test_gen_refuses_more_points_than_desk_scale(args, capsys):
+    assert main(["gen", *args]) == 1
+    assert "beyond desk scale" in capsys.readouterr().err
+
+
 def test_analyze_json_cyclic5_p3(z5_file, capsys):
     rc = main(["analyze", "--scheme", str(z5_file), "--prime", "3", "--json"])
     assert rc == 0

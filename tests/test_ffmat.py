@@ -5,13 +5,10 @@ from hypothesis import given, settings, strategies as st
 from modtalg.errors import DimensionMismatch, NotPrime, PrimeTooLarge
 from modtalg.ffmat import (
     _is_prime,
-    GfpMatrix,
     Subspace,
     charpoly_coeffs,
     field_ctx,
-    kernel,
     kernel_array,
-    rref,
     rref_array,
     solve_array,
 )
@@ -68,9 +65,6 @@ def test_rref_identity_fixed():
     reduced, rank, pivots = rref_array(eye, 2)
     assert np.array_equal(reduced, eye)
     assert rank == 3 and pivots == [0, 1, 2]
-    m = GfpMatrix(field_ctx(2), eye)
-    wrapped, wrank, wpiv = rref(m)
-    assert wrapped == m and wrank == 3 and wpiv == [0, 1, 2]
 
 
 def test_rref_all_ones_gf2():
@@ -107,13 +101,40 @@ def test_rref_idempotent_and_transpose_rank(p, rows, cols, data):
 
 
 def test_kernel_fixed_cases():
-    f = field_ctx(2)
-    assert kernel(GfpMatrix.identity(f, 3)).dim == 0
-    full = kernel(GfpMatrix.zeros(f, 2, 3))
-    assert full.dim == 3
-    parity = kernel(GfpMatrix(f, [[1, 1]]))
-    assert parity.dim == 1
-    assert np.array_equal(parity.basis, [[1, 1]])
+    assert kernel_array(np.eye(3, dtype=np.int64), 2).shape == (0, 3)
+    assert np.array_equal(kernel_array(np.zeros((2, 3), dtype=np.int64), 2), np.eye(3))
+    assert np.array_equal(kernel_array(np.array([[1, 1]]), 2), [[1, 1]])
+
+
+def test_array_functions_refuse_primes_that_overflow_int64():
+    # (p-1)^2 >= 2^63: a single product of residues leaves int64
+    p = 4294967291
+    f = field_ctx(p)
+    square = [[p - 1, p - 2], [p - 3, p - 5]]
+    for call in (
+        lambda: rref_array(square, p),
+        lambda: kernel_array(square, p),
+        lambda: solve_array(square, [1, 0], p),
+        lambda: Subspace.span(f, [p - 1, p - 2]),
+        lambda: charpoly_coeffs(square, p),
+    ):
+        with pytest.raises(PrimeTooLarge):
+            call()
+
+
+def test_int64_bounds_scale_with_the_contraction_length():
+    # 2 (p-1)^2 < 2^63 <= 3 (p-1)^2 for p = 2^31 - 1
+    p = 2**31 - 1
+    f = field_ctx(p)
+    plane = Subspace.span(f, [[1, 0, 0], [0, 1, 0]])
+    full = Subspace.span(f, np.eye(3, dtype=np.int64))
+    assert plane.member([p - 1, p - 2, 0]) and not plane.member([0, 0, 1])
+    assert plane.intersect(full) == plane
+    assert charpoly_coeffs([[p - 1]], p).tolist() == [[1, 1]]
+    for call in (lambda: full.member([1, 2, 3]), lambda: full.intersect(plane),
+                 lambda: charpoly_coeffs(np.eye(2, dtype=np.int64), p)):
+        with pytest.raises(PrimeTooLarge):
+            call()
 
 
 def test_kernel_vectors_annihilate():
@@ -245,17 +266,3 @@ def test_charpoly_cayley_hamilton():
             acc = (acc + int(c) * power) % p
             power = (power @ m) % p
         assert not acc.any()
-
-
-def test_gfpmatrix_operations():
-    f = field_ctx(3)
-    a = GfpMatrix(f, [[1, 2], [0, 1]])
-    b = GfpMatrix(f, [[2, 0], [1, 1]])
-    assert (a @ b).a.tolist() == [[4 % 3, 2], [1, 1]]
-    assert (a + b).a.tolist() == [[0, 2], [1, 2]]
-    assert (a - a).is_zero()
-    assert a.T.a.tolist() == [[1, 0], [2, 1]]
-    assert a.scale(2).a.tolist() == [[2, 4 % 3], [0, 2]]
-    assert a.vec().tolist() == [1, 2, 0, 1]
-    with pytest.raises(DimensionMismatch):
-        a @ GfpMatrix(f, [[1, 2, 3]])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from modtalg.errors import (
     OutOfRange,
 )
 from modtalg.ffmat import field_ctx
-from modtalg.fixtures import load_order12_no21, s3_table
+from modtalg.fixtures import cyclic_group_table, load_order12_no21, s3_table
 from modtalg.oracles import axioms_brute, intersection_count, strata_brute
 from modtalg.scheme import (
     gen_cyclic,
@@ -307,3 +309,15 @@ def test_gen_thin_rejects_non_groups():
     ]
     with pytest.raises(InvalidParameter):
         gen_thin(nonassoc)
+
+
+def test_gen_thin_checks_associativity_in_quadratic_memory():
+    # all n^3 products (ab)c at once would take 8 n^3 bytes, 64 MB at n = 200
+    n = 200
+    tracemalloc.start()
+    try:
+        assert gen_thin(cyclic_group_table(n)).n == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n**3 // 10

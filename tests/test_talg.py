@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +11,18 @@ from modtalg.errors import (
     NotPPrimeValenced,
     PrimeTooLarge,
 )
-from modtalg.ffmat import GfpMatrix, Subspace, field_ctx, kernel_array, rref_array
+from modtalg.ffmat import Subspace, field_ctx, kernel_array, rref_array
 from modtalg.oracles import word_closure_dim
 from modtalg.primary import build_primary, filtration
-from modtalg.scheme import gen_cyclic, gen_hamming, gen_thin, strata, validate_axioms
+from modtalg.scheme import (
+    RelationTable,
+    SchemeData,
+    gen_cyclic,
+    gen_hamming,
+    gen_thin,
+    strata,
+    validate_axioms,
+)
 from modtalg import talg
 from modtalg.talg import (
     AlgebraBasis,
@@ -45,10 +55,43 @@ def test_context_identities_hold(schemes):
     for name, s in schemes.items():
         for p in (2, 3):
             ctx = build_context(s, field_ctx(p), 0)
-            total = np.zeros((s.n, s.n), dtype=np.int64)
-            for a in ctx.A:
-                total += a.a
-            assert np.array_equal(total % p, ctx.J.a), name
+            assert ctx.gens.shape == (2 * (s.d + 1), s.n, s.n), name
+            assert np.array_equal(ctx.A.sum(axis=0) % p, np.ones((s.n, s.n))), name
+            assert np.array_equal(np.diagonal(ctx.Estar, axis1=1, axis2=2), ctx.u), name
+
+
+def _scheme(entries, converse, valencies, d=None):
+    # a SchemeData taken as given, without validate_axioms
+    entries = np.array(entries, dtype=np.int64)
+    table = RelationTable(n=len(entries), d=int(entries.max()) if d is None else d, entries=entries)
+    return SchemeData(table, np.array(converse), np.array(valencies), tensor=None)
+
+
+Z5 = gen_cyclic(5).entries  # converse (0, 1, 2), valencies (1, 2, 2)
+
+# (scheme, base point, message) for each identity a corrupted scheme can
+# break.  "E_i* is not symmetric" and "dual idempotents not orthogonal"
+# cannot be reached this way: the E_i* are diagonal 0/1 matrices over a
+# partition of the points.
+CORRUPTED_SCHEMES = {
+    "converse": (_scheme(Z5, [0, 2, 1], [1, 2, 2]), 0, "A_1^t != A_(i')"),
+    "valencies": (_scheme(Z5, [0, 1, 2], [1, 2, 3]), 0, "J E_2* 1 != k_2 1"),
+    "identity relation": (_scheme([[1, 0], [0, 1]], [0, 1], [1, 1]), 0, "A_0 != I"),
+    "d understated": (_scheme(Z5, [0, 1], [1, 2], d=1), 0, "sum of dual idempotents != I"),
+    "d understated off the base row": (
+        _scheme([[0, 1, 1], [1, 0, 2], [1, 2, 0]], [0, 1], [1, 2], d=1), 0,
+        "sum of adjacency matrices != J"),
+    "relation missing from the base row": (
+        _scheme([[0, 1, 2], [1, 0, 1], [2, 1, 0]], [0, 1, 2], [1, 1, 1]), 1,
+        "E_0* J E_2* vanished"),
+}
+
+
+@pytest.mark.parametrize("corruption", CORRUPTED_SCHEMES)
+def test_context_rejects_a_corrupted_scheme(corruption):
+    s, x, message = CORRUPTED_SCHEMES[corruption]
+    with pytest.raises(InternalInconsistency, match=f"^{re.escape(message)}$"):
+        build_context(s, field_ctx(3), x)
 
 
 def test_context_base_point_bounds():
@@ -69,22 +112,21 @@ def test_prime_bound_is_enforced_before_arithmetic():
 def test_one_point_context_and_algebra():
     s = validate_axioms(gen_cyclic(1))
     ctx = build_context(s, field_ctx(3), 0)
-    eye = GfpMatrix.identity(ctx.field, 1)
-    assert ctx.A[0] == ctx.Estar[0] == ctx.J == eye
+    assert ctx.gens.tolist() == [[[1]], [[1]]]
     assert generate_algebra(ctx).dim == 1
 
 
 def test_dual_idempotent_support_is_valency():
     s = validate_axioms(gen_cyclic(5))
     ctx = build_context(s, field_ctx(2), 0)
-    assert int(np.count_nonzero(np.diagonal(ctx.Estar[1].a))) == 2
+    assert int(np.count_nonzero(np.diagonal(ctx.Estar[1]))) == 2
 
 
 def test_triple_product_with_identity_relation(schemes):
     for name, s in schemes.items():
         ctx = build_context(s, field_ctx(3), 0)
         for i in range(s.d + 1):
-            assert triple_product(ctx, i, 0, i) == ctx.Estar[i], name
+            assert np.array_equal(triple_product(ctx, i, 0, i), ctx.Estar[i]), name
 
 
 def test_triple_product_action_on_ones(schemes):
@@ -95,9 +137,10 @@ def test_triple_product_action_on_ones(schemes):
             for i in range(s.d + 1):
                 for j in range(s.d + 1):
                     for l in range(s.d + 1):
-                        lhs = triple_product(ctx, i, j, l).apply(ctx.ones)
+                        ones = np.ones(s.n, dtype=np.int64)
+                        lhs = triple_product(ctx, i, j, l) @ ones % p
                         coef = s.p(l, int(s.converse[j]), i) % p
-                        rhs = (coef * ctx.Estar[i].apply(ctx.ones)) % p
+                        rhs = coef * (ctx.Estar[i] @ ones) % p
                         assert np.array_equal(lhs, rhs), (name, p, i, j, l)
 
 
@@ -112,8 +155,8 @@ def test_triple_product_thin_collapse(schemes):
                     if min(int(k[i]), int(k[l])) != 1:
                         continue
                     t = triple_product(ctx, i, j, l)
-                    if not t.is_zero():
-                        assert t == ctx.eje(i, l), (name, i, j, l)
+                    if t.any():
+                        assert np.array_equal(t, ctx.eje(i, l)), (name, i, j, l)
 
 
 def test_triple_product_bounds():
@@ -192,8 +235,7 @@ def test_b0_identity_thin_scheme():
     t = generate_algebra(ctx)
     b0, b1 = b0_b1(ctx, t, _filtration(ctx))
     e = b0_identity(ctx, t, b0)
-    want = ctx.eje(0, 0) + ctx.eje(1, 1)
-    assert e == want
+    assert np.array_equal(e, ctx.eje(0, 0) + ctx.eje(1, 1))
 
 
 def test_b0_identity_cyclic5_p3_central():
@@ -203,7 +245,7 @@ def test_b0_identity_cyclic5_p3_central():
     b0, _ = b0_b1(ctx, t, _filtration(ctx))
     e = b0_identity(ctx, t, b0)  # verification happens inside
     tm = t.mats()
-    assert np.array_equal((e.a @ tm) % 3, (tm @ e.a) % 3)
+    assert np.array_equal((e @ tm) % 3, (tm @ e) % 3)
 
 
 def test_b0_identity_not_pprime():
@@ -216,7 +258,7 @@ def test_b0_identity_not_pprime():
 
 
 def _closure_of(f, mats):
-    return algebra_closure(f, np.array(mats, dtype=np.int64), include_identity=True)
+    return algebra_closure(f, np.array(mats, dtype=np.int64))
 
 
 def test_radical_upper_triangular():
@@ -246,11 +288,11 @@ def test_radical_full_matrix_algebra():
 def test_radical_group_algebra_c2_mod2():
     s = validate_axioms(gen_thin([[0, 1], [1, 0]]))
     ctx = build_context(s, field_ctx(2), 0)
-    alg = _closure_of(ctx.field, [ctx.A[1].a])
+    alg = _closure_of(ctx.field, [ctx.A[1]])
     assert alg.dim == 2
     rad = radical(alg)
     assert rad.dim == 1
-    assert rad.member((np.eye(2, dtype=np.int64) + ctx.A[1].a).reshape(-1) % 2)
+    assert rad.member((np.eye(2, dtype=np.int64) + ctx.A[1]).reshape(-1) % 2)
 
 
 def test_radical_cyclic5_p3_is_zero(artifacts):
@@ -351,7 +393,7 @@ def test_b1_cubed_vanishes(artifacts, schemes):
             if art.b1.dim == 0:
                 continue
             n = art.ctx.n
-            mats = art.b1.mats()
+            mats = art.b1.basis.reshape(-1, n, n)
             sq = np.einsum("aij,bjk->abik", mats, mats).reshape(-1, n, n) % p
             span2 = Subspace.span(art.field, sq.reshape(-1, n * n), ambient_dim=n * n)
             cubes = (
@@ -364,7 +406,7 @@ def test_b1_inside_radical(artifacts, schemes):
     for name in schemes:
         for p in PRIMES:
             art = artifacts(name, p)
-            assert art.rad.contains(art.b1.space), (name, p)
+            assert art.rad.contains(art.b1), (name, p)
 
 
 def test_mixed_block_square_identity(artifacts, schemes):
@@ -381,8 +423,8 @@ def test_mixed_block_square_identity(artifacts, schemes):
                 if int(s.valencies[i]) % p != 0:
                     continue
                 mixed = ctx.eje(i, 0) + ctx.eje(0, i)
-                sq = mixed @ mixed
-                if sq == ctx.eje(i, i) and not sq.is_zero():
+                sq = mixed @ mixed % p
+                if np.array_equal(sq, ctx.eje(i, i)) and sq.any():
                     hits.append(i)
             assert hits, (name, p)
 
@@ -439,9 +481,9 @@ def test_corrupted_annihilator_kernel_is_rejected(artifacts, monkeypatch, corrup
 
 def test_annihilator_cyclic5_p3_contains_difference(artifacts):
     art = artifacts("cyclic-5", 3)
-    z = triple_product(art.ctx, 1, 1, 2) - triple_product(art.ctx, 1, 2, 2)
-    assert not z.is_zero()
-    assert art.ann.member(z.vec())
+    z = (triple_product(art.ctx, 1, 1, 2) - triple_product(art.ctx, 1, 2, 2)) % 3
+    assert z.any()
+    assert art.ann.member(z.reshape(-1))
     # radical is zero here, so Ann is strictly larger than Rad
     assert art.rad.dim == 0 and art.ann.dim > 0
 
@@ -455,7 +497,7 @@ def test_annihilator_right_thin_kill(artifacts, schemes):
                 continue
             mats = art.ann.basis.reshape(-1, art.ctx.n, art.ctx.n)
             for i in art.strata.thin:
-                assert not ((mats @ art.ctx.Estar[i].a) % p).any(), (name, p, i)
+                assert not ((mats @ art.ctx.Estar[i]) % p).any(), (name, p, i)
 
 
 def test_radical_inside_annihilator_when_pprime(artifacts, schemes):
@@ -514,23 +556,23 @@ def test_generator_ideal_test_matches_full_basis(artifacts, schemes):
         for p in (2, 3):
             art = artifacts(name, p)
             tal, n = art.talgebra, s.n
-            for what, space in (("B0", art.b0.space), ("B1", art.b1.space),
+            for what, space in (("B0", art.b0), ("B1", art.b1),
                                 ("Rad", art.rad), ("Ann", art.ann)):
                 assert is_two_sided_ideal(tal, space), (name, p, what)
                 assert _ideal_by_full_basis(tal, space), (name, p, what)
             if s.d == 0:
                 continue
             # T E_0* is a left ideal; E_0* A_1 is outside it, so it is not a right ideal
-            left = (tal.mats() @ art.ctx.Estar[0].a) % p
+            left = (tal.mats() @ art.ctx.Estar[0]) % p
             left_ideal = Subspace.span(art.field, left.reshape(-1, n * n), ambient_dim=n * n)
             assert not is_two_sided_ideal(tal, left_ideal), (name, p)
             assert not _ideal_by_full_basis(tal, left_ideal), (name, p)
             # the span of the A_i is closed under the A_i but not under the E_i*
-            bose_mesner = Subspace.span(art.field, [a.vec() for a in art.ctx.A], ambient_dim=n * n)
+            bose_mesner = Subspace.span(art.field, art.ctx.A.reshape(-1, n * n), ambient_dim=n * n)
             assert not is_two_sided_ideal(tal, bose_mesner), (name, p)
             assert not _ideal_by_full_basis(tal, bose_mesner), (name, p)
             # E_1* commutes with the E_i* only, J with the A_i only
-            for m in (art.ctx.Estar[1].a, art.ctx.J.a):
+            for m in (art.ctx.Estar[1], np.ones((n, n), dtype=np.int64)):
                 assert not is_central(tal, m), (name, p)
                 assert not _central_by_full_basis(tal, m), (name, p)
             assert is_central(tal, np.eye(n, dtype=np.int64)), (name, p)
@@ -548,7 +590,7 @@ def test_trace_gram_reduces_before_int64_overflow():
 
 def _one_block(alg):
     # the same algebra with the trivial grading
-    return AlgebraBasis(alg.field, alg.n, alg.space, alg.generators, alg.contains_identity)
+    return AlgebraBasis(alg.field, alg.n, alg.space, alg.generators)
 
 
 def test_derived_blocks_are_the_subconstituents(schemes):
@@ -587,15 +629,14 @@ def test_radical_with_derived_blocks_equals_one_block(p, n, data):
         gens = np.triu(gens)
     supports = st.lists(st.integers(0, 1), min_size=n, max_size=n)
     idempotents = [np.diag(d) for d in data.draw(st.lists(supports, min_size=1, max_size=3))]
-    alg = algebra_closure(field_ctx(p), np.concatenate([gens, idempotents]),
-                          include_identity=data.draw(st.booleans()))
+    alg = algebra_closure(field_ctx(p), np.concatenate([gens, idempotents]))
     assert radical(alg) == radical(_one_block(alg))
 
 
 def test_non_homogeneous_claim_is_rejected_with_its_witness(artifacts):
     art = artifacts("cyclic-5", 2)
     ctx, blocks, n = art.ctx, art.talgebra.blocks, art.ctx.n
-    mixed = (ctx.Estar[0] + ctx.Estar[1]).vec()
+    mixed = (ctx.Estar[0] + ctx.Estar[1]).reshape(-1)
     want_pairs = sorted({(int(blocks[y]), int(blocks[y])) for y in np.flatnonzero(np.diagonal(mixed.reshape(n, n)))})
     claim = Subspace.span(art.field, mixed, ambient_dim=n * n)
     with pytest.raises(InternalInconsistency) as err:
@@ -635,7 +676,7 @@ def test_quotient_elimination_equals_the_pivot_loop(artifacts, schemes):
         for p in (2, 3):
             art = artifacts(name, p)
             zero = Subspace.zero(art.field, art.ctx.n ** 2)
-            for ideal in (art.rad, art.b1.space, art.ann, zero):
+            for ideal in (art.rad, art.b1, art.ann, zero):
                 fast = _quotient_regular_rep(art.talgebra, ideal)
                 want = _quotient_by_pivot_loop(art.talgebra, ideal)
                 assert (fast is None) == (want is None), (name, p)
