@@ -15,7 +15,7 @@ import numpy as np
 
 from .characterize import CharReport, CorollaryReport, check_corollary, check_equivalences
 from .errors import InternalInconsistency
-from .ffmat import FieldCtx, Subspace
+from .ffmat import FieldCtx, Subspace, pairwise_mod
 from .primary import (
     ClosureDigraph,
     CompositionReport,
@@ -99,23 +99,38 @@ def compute_artifacts(s: SchemeData, f: FieldCtx, x: int = 0) -> Artifacts:
     return art
 
 
+def _first_outside(space: Subspace, vectors: np.ndarray) -> int:
+    """Index of the first row of `vectors` outside `space` (one exists)."""
+    return next(i for i, v in enumerate(vectors) if not space.member(v))
+
+
 def _cross_checks(art: Artifacts) -> None:
-    """Provable identities tying independent artifacts together."""
-    p = art.field.p
+    """Provable identities tying independent artifacts together.
+
+    A failure names the check and the offending basis element in its
+    witness: (check, r, b) when Rad(T) basis element r sends W_0 basis
+    vector b outside W_1, otherwise (check, i) for basis element i of the
+    space that should lie in the other."""
     n = art.ctx.n
+    w0, w1 = art.filt[0], art.filt[1]
     # Rad(T) W_0 is the radical of the module, which is exactly W_1
-    if art.rad.dim == 0:
-        pushed = Subspace.zero(art.field, n)
-    else:
-        rmats = art.rad.basis.reshape(-1, n, n)
-        images = np.einsum("rij,bj->rbi", rmats, art.filt[0].basis) % p
-        pushed = Subspace.span(art.field, images.reshape(-1, n), ambient_dim=n)
-    if pushed != art.filt[1]:
-        raise InternalInconsistency("Rad(T) W_0 != W_1")
+    images = pairwise_mod(art.rad.basis.reshape(-1, n, n), w0.basis[:, :, None], art.field.p)
+    images = images.reshape(-1, n)
+    pushed = Subspace.span(art.field, images, ambient_dim=n)
+    if pushed != w1:
+        if not w1.contains(pushed):
+            witness = ("Rad(T) W_0 in W_1", *divmod(_first_outside(w1, images), w0.dim))
+        else:
+            witness = ("W_1 in Rad(T) W_0", _first_outside(pushed, w1.basis))
+        raise InternalInconsistency("Rad(T) W_0 != W_1", witness=witness)
     if not art.rad.contains(art.b1):
-        raise InternalInconsistency("B1 escapes the radical")
+        raise InternalInconsistency("B1 escapes the radical",
+                                    witness=("B1 in Rad(T)", _first_outside(art.rad, art.b1.basis)))
     if art.strata.p_prime_valenced and not art.ann.contains(art.rad):
-        raise InternalInconsistency("irreducible W_0 but Rad(T) not inside Ann(W_0)")
+        raise InternalInconsistency(
+            "irreducible W_0 but Rad(T) not inside Ann(W_0)",
+            witness=("Rad(T) in Ann(W_0)", _first_outside(art.ann, art.rad.basis)),
+        )
 
 
 @dataclass(eq=False)

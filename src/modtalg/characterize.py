@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistency
-from .ffmat import Subspace, solve_array
+from .ffmat import Subspace, matmul_mod, pairwise_mod, solve_array
 from .talg import is_central, is_two_sided_ideal
 
 __all__ = ["CharReport", "CorollaryReport", "b0_unit_element", "check_equivalences", "check_corollary"]
@@ -75,26 +75,26 @@ def b0_unit_element(artifacts) -> np.ndarray | None:
     p = artifacts.field.p
     u = artifacts.module.vectors
     m = u.shape[0]
-    gram = (u @ u.T) % p
+    gram = matmul_mod(u, u.T, p)
     eye = np.eye(m, dtype=np.int64)
     # row (a, b) of X K = I is sum_j X_aj K_jb = [a = b]; of K X = I, sum_j K_aj X_jb
     system = np.concatenate([np.kron(eye, gram.T), np.kron(gram, eye)])
     sol = solve_array(system, np.concatenate([eye.reshape(-1)] * 2), p)
     if sol is None:
         return None
-    return (u.T @ sol.reshape(m, m) @ u) % p
+    return matmul_mod(matmul_mod(u.T, sol.reshape(m, m), p), u, p)
 
 
 def _thin_kills(artifacts, space: Subspace) -> bool:
-    """E_i* Z = Z E_i* = 0 for every Z in the space and every thin i."""
-    if space.dim == 0:
-        return True
+    """E_i* Z = Z E_i* = 0 for every Z in the space and every thin i.
+
+    E_i* = diag(u_i) with u_i = E_i* 1 a 0/1 vector, so E_i* Z keeps the
+    rows of Z in the support of u_i and Z E_i* its columns."""
     ctx = artifacts.ctx
-    p = ctx.field.p
     mats = space.basis.reshape(-1, ctx.n, ctx.n)
     for i in artifacts.strata.thin:
-        e = ctx.Estar[i]
-        if ((e @ mats) % p).any() or ((mats @ e) % p).any():
+        pts = np.flatnonzero(ctx.u[i])
+        if mats[:, pts].any() or mats[:, :, pts].any():
             return False
     return True
 
@@ -108,7 +108,7 @@ def _complement_ideal(artifacts, unit: np.ndarray | None) -> bool:
     n = ctx.n
     tal = artifacts.talgebra
     proj = (np.eye(n, dtype=np.int64) - unit) % p
-    dvecs = ((proj @ tal.mats()) % p).reshape(-1, n * n)
+    dvecs = pairwise_mod(proj[None], tal.mats(), p).reshape(tal.dim, n * n)
     dspace = Subspace.span(ctx.field, dvecs, ambient_dim=n * n)
     if dspace.dim + artifacts.b0.dim != tal.dim:
         return False
@@ -120,8 +120,6 @@ def _complement_ideal(artifacts, unit: np.ndarray | None) -> bool:
 def check_equivalences(artifacts) -> CharReport:
     """Evaluate the eight computable characterization items and require
     them to coincide."""
-    p = artifacts.field.p
-
     i_flag = artifacts.strata.p_prime_valenced
 
     unit = b0_unit_element(artifacts)

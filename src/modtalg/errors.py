@@ -19,11 +19,12 @@ class IndexOutOfRange(Error):
 
 class PrimeTooLarge(Error):
     """p >= 2^64, or k (p-1)^2 >= 2^63 where k is the number of products of
-    residues mod p that one contraction sums: the sum could overflow int64.
-    The analysis checks k = n^2, its longest contraction, with one exception:
-    the trace Gram of the quotient certificate sums up to n^4 terms and stays
-    exact only because `talg._stage_gram` reduces mod p every `step` terms.
-    The `ffmat` array functions check their own k."""
+    residues mod p that an entry check admits: the sum could overflow int64.
+    The analysis checks k = n^2 before any arithmetic, and the `ffmat` array
+    functions check their own k.  Products run through `ffmat.matmul_mod`,
+    which sums any number of terms exactly by reducing mod p after each
+    chunk that int64 holds; it raises this only when a single product of
+    two residues, (p-1)^2, reaches 2^63."""
 
 
 class BasePointOutOfRange(Error):

@@ -3,7 +3,10 @@
 Matrices are numpy int64 arrays with every entry reduced to [0, p).
 Subspaces are kept in reduced row-echelon form, so two subspaces are equal
 exactly when their basis arrays are identical.  Everything here is
-deterministic; nothing is probabilistic or floating point.
+deterministic and exact; nothing is probabilistic.  Products of matrices
+go through `matmul_mod`, which uses float64 BLAS only where every partial
+sum is an integer below 2^53 and so carries no rounding (see its
+docstring).
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ __all__ = [
     "FieldCtx",
     "field_ctx",
     "Subspace",
+    "matmul_mod",
+    "pairwise_mod",
     "rref_array",
     "kernel_array",
     "solve_array",
@@ -94,6 +99,96 @@ def _require_int64(terms: int, p: int) -> None:
         raise PrimeTooLarge(
             f"p={p} is too large: a sum of {terms} products of residues would overflow int64"
         )
+
+
+# Entries of one float64 block of `matmul_mod`: its temporaries stay near
+# 256 KB whatever the size of the product.
+_BLOCK = 2**15
+
+
+def _reduce(x: np.ndarray, p: int) -> None:
+    """x %= p in place for nonnegative int64 x; the floor division by a
+    scalar is about twice as fast as numpy's remainder."""
+    q = x // p
+    q *= p
+    x -= q
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p exactly, as int64, for residues a (m x k), b (k x n)
+    in [0, p).
+
+    The path follows from k and p alone.  When k (p-1)^2 < 2^53 the product
+    runs in float64 BLAS.  Every partial sum of the k products is then a
+    nonnegative integer at most k (p-1)^2 < 2^53, and every such integer is
+    an IEEE double; so each product, each addition and each fused
+    multiply-add returns the exact integer, whatever the order of
+    summation, the blocking or the number of BLAS threads.  The float64
+    temporaries are one copy of b and blocks of about `_BLOCK` entries of a
+    and of the result, converted and reduced into the int64 result one
+    block of rows at a time.
+
+    Otherwise the product runs in int64 with delayed reduction: chunks of
+    c = floor((2^63 - 1) / (p-1)^2) terms sum to at most c (p-1)^2 < 2^63,
+    each chunk's sum is reduced mod p, and the running total stays below
+    2p.  When even c = 1 fails, that is (p-1)^2 >= 2^63, and k >= 1, it
+    raises PrimeTooLarge, the bound `rref_array` enforces as well.  k = 0
+    gives the zero matrix for every p.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise DimensionMismatch("matmul_mod expects (m x k) @ (k x n)")
+    (m, k), n = a.shape, b.shape[1]
+    out = np.zeros((m, n), dtype=np.int64)
+    if k == 0:
+        return out
+    if k * (p - 1) ** 2 < 2**53:
+        fb = b.astype(np.float64)
+        rows = max(1, _BLOCK // max(1, k, n))
+        for r in range(0, m, rows):
+            block = out[r : r + rows]
+            block[...] = a[r : r + rows].astype(np.float64) @ fb
+            _reduce(block, p)
+        return out
+    chunk = (2**63 - 1) // (p - 1) ** 2
+    if chunk == 0:
+        raise PrimeTooLarge(f"p={p} is too large: (p-1)^2 >= 2^63 would overflow int64")
+    for s in range(0, k, chunk):
+        part = a[:, s : s + chunk] @ b[s : s + chunk]
+        _reduce(part, p)
+        out += part
+        np.subtract(out, p, out=out, where=out >= p)
+    return out
+
+
+def pairwise_mod(left: np.ndarray, right: np.ndarray, p: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """left[a] @ right[b] mod p for every pair, shape (A, B, m, n), from
+    stacks of residues left (A x m x k) and right (B x k x n); written into
+    `out` (any array or view of that shape) when given.
+
+    All products are one gemm (A m x k) @ (k x B n) with rows (a, i) and
+    columns (b, l), run through `matmul_mod` over slices of the left stack
+    so that each int64 slice of the result stays near `_BLOCK` entries on
+    its way into out[a, b, i, l].  Each slice converts the whole right
+    stack again, so the narrower side is the one converted: when B n > A m
+    the products are taken as (right[b]^T left[a]^T)^T instead.
+    """
+    (A, m, k), (B, _, n) = left.shape, right.shape
+    if out is None:
+        out = np.empty((A, B, m, n), dtype=np.int64)
+    if B * n > A * m:
+        pairwise_mod(right.transpose(0, 2, 1), left.transpose(0, 2, 1), p,
+                     out.transpose(1, 0, 3, 2))
+        return out
+    wide = right.transpose(1, 0, 2).reshape(k, B * n)
+    step = max(1, _BLOCK // max(1, B * m * n))
+    for a in range(0, A, step):
+        part = left[a : a + step]
+        prod = matmul_mod(part.reshape(len(part) * m, k), wide, p)
+        out[a : a + step] = prod.reshape(len(part), m, B, n).transpose(0, 2, 1, 3)
+    return out
 
 
 def rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
@@ -224,9 +319,8 @@ class Subspace:
             v = v[None, :]
         if v.shape[1] != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        c = v[:, list(self.pivots)] if self.pivots else np.zeros((v.shape[0], 0), dtype=np.int64)
-        residual = (v - c @ self.basis) % self.field.p
-        if residual.any():
+        c = v[:, list(self.pivots)]
+        if not np.array_equal(matmul_mod(c, self.basis, self.field.p), v):
             return None
         return c[0] if single else c
 
@@ -258,7 +352,7 @@ class Subspace:
         ker = kernel_array(stacked, self.field.p)
         if ker.shape[0] == 0:
             return Subspace.zero(self.field, self.ambient_dim)
-        vecs = (ker[:, : self.dim] @ self.basis) % self.field.p
+        vecs = matmul_mod(ker[:, : self.dim], self.basis, self.field.p)
         return Subspace.span(self.field, vecs, ambient_dim=self.ambient_dim)
 
     def __eq__(self, other):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, InternalInconsistency, InvalidParameter
-from .ffmat import FieldCtx, Subspace, kernel_array, rref_array
+from .ffmat import FieldCtx, Subspace, kernel_array, matmul_mod, pairwise_mod, rref_array
 from .scheme import SchemeData, Strata
 from .talg import TalgContext
 
@@ -85,7 +85,8 @@ class PrimaryModule:
         row = ctx.scheme.table.entries[ctx.x]
         self.reps = np.array([int(np.nonzero(row == i)[0][0]) for i in range(d + 1)])
         # the image of basis vector h under generator g, read at the representatives
-        act = (ctx.gens @ self.vectors.T % p)[:, self.reps]
+        rows = ctx.gens[:, self.reps].reshape(-1, ctx.n)
+        act = matmul_mod(rows, self.vectors.T, p).reshape(-1, d + 1, d + 1)
         self.action = GeneratorAction(ctx.field, ctx.scheme.converse.copy(), act[: d + 1], act[d + 1 :])
         self._verify_action()
 
@@ -99,7 +100,7 @@ class PrimaryModule:
         p = self.ctx.field.p
         w = np.asarray(w, dtype=np.int64) % p
         c = w[self.reps]
-        if not np.array_equal((c @ self.vectors) % p, w):
+        if not np.array_equal(matmul_mod(c[None], self.vectors, p)[0], w):
             raise InternalInconsistency("vector outside the span of {E_i* 1}")
         return c
 
@@ -141,7 +142,7 @@ def filtration(ctx: TalgContext, strata_: Strata, module: PrimaryModule) -> list
         if sub.dim != keep.size:
             raise InternalInconsistency("filtration dimensions collapsed")
         if sub.dim:
-            images = (np.einsum("gij,bj->gbi", ctx.gens, module.vectors[keep]) % p).reshape(-1, n)
+            images = pairwise_mod(ctx.gens, module.vectors[keep, :, None], p).reshape(-1, n)
             if sub.coords(images) is None:
                 g, b = divmod(next(r for r, v in enumerate(images) if not sub.member(v)), keep.size)
                 raise InternalInconsistency(f"W_{m} is not invariant under generator {g}",
@@ -319,7 +320,7 @@ def uniserial_check(
         if rad.dim == 0 or filt[level].dim == 0:
             pushed = Subspace.zero(ctx.field, n)
         else:
-            images = np.einsum("rij,bj->rbi", rad_mats, filt[level].basis) % p
+            images = pairwise_mod(rad_mats, filt[level].basis[:, :, None], p)
             pushed = Subspace.span(ctx.field, images.reshape(-1, n), ambient_dim=n)
         if pushed != filt[level + 1]:
             result = False
@@ -334,10 +335,11 @@ def verify_Ml_iso(ctx: TalgContext, l: int, module: PrimaryModule) -> bool:
         raise IndexOutOfRange(f"relation index {l} outside [0, {ctx.d}]")
     p = ctx.field.p
     targets = np.stack([ctx.eje(i, l) for i in range(ctx.d + 1)])
+    flat = targets.reshape(ctx.d + 1, -1)
     for g, act in zip(ctx.gens, module.action.all_mats()):
         for h in range(ctx.d + 1):
-            lhs = np.tensordot(act[:, h], targets, axes=(0, 0)) % p
-            rhs = (g @ targets[h]) % p
+            lhs = matmul_mod(act[:, h][None], flat, p).reshape(targets.shape[1:])
+            rhs = matmul_mod(g, targets[h], p)
             if not np.array_equal(lhs, rhs):
                 return False
     return True
@@ -450,4 +452,4 @@ def factor_selfcontra(
             raise InternalInconsistency("stratum member with wrong valuation")
         q.append(ki % p)
     system = _diagonal_intertwining_system(factor_action(module, factor.cls))
-    return not ((system @ np.array(q, dtype=np.int64)) % p).any()
+    return not matmul_mod(system, np.array(q, dtype=np.int64)[:, None], p).any()

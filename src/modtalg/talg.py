@@ -18,7 +18,15 @@ from .errors import (
     NotPPrimeValenced,
     PrimeTooLarge,
 )
-from .ffmat import FieldCtx, Subspace, charpoly_coeffs, kernel_array, rref_array
+from .ffmat import (
+    FieldCtx,
+    Subspace,
+    charpoly_coeffs,
+    kernel_array,
+    matmul_mod,
+    pairwise_mod,
+    rref_array,
+)
 from .scheme import SchemeData
 
 __all__ = [
@@ -48,11 +56,12 @@ class TalgContext:
     The defining identities (transposes, partitions of I and J, idempotent
     orthogonality, nonvanishing of E_i* J E_j*, and J E_i* 1 = k_i 1) are
     asserted eagerly at construction; a bad table fails here, not later.
-    A prime with n^2 (p-1)^2 >= 2^63 is rejected before any arithmetic:
-    every contraction downstream runs over at most n^2 terms in int64,
-    except the trace Gram of the quotient certificate, which sums q^2 <= n^4
-    terms and stays exact only because `_stage_gram` reduces mod p every
-    `step` terms.
+    A prime with n^2 (p-1)^2 >= 2^63 is rejected before any arithmetic, so
+    the int64 entry checks downstream (`Subspace.coords` over at most n^2
+    coordinates, `charpoly_coeffs`) cannot fail halfway through an
+    analysis.  Products run through `ffmat.matmul_mod`, which is exact at
+    any contraction length by its delayed reduction; the trace Gram of the
+    quotient certificate, which sums q^2 <= n^4 terms, relies on that.
     """
 
     __slots__ = ("scheme", "field", "x", "n", "d", "gens", "A", "Estar", "u")
@@ -98,12 +107,12 @@ class TalgContext:
         if not (A.sum(axis=0) % p == 1).all():
             raise InternalInconsistency("sum of adjacency matrices != J")
         for i in range(d + 1):
-            prods = E[i] @ E % p
+            prods = pairwise_mod(E[i : i + 1], E, p)[0]
             prods[i] -= E[i]
             if prods.any():
                 raise InternalInconsistency("dual idempotents not orthogonal")
-            # E_i* J E_j* = u_i u_j^T for every j
-            vanished = np.flatnonzero(~np.einsum("a,jb->jab", self.u[i], self.u).any(axis=(1, 2)))
+            # E_i* J E_j* = u_i u_j^T, zero iff u_i or u_j is
+            vanished = np.flatnonzero(~(self.u[i].any() & self.u.any(axis=1)))
             if vanished.size:
                 raise InternalInconsistency(f"E_{i}* J E_{vanished[0]}* vanished")
         # J E_i* 1 = (sum of the entries of u_i) 1
@@ -125,7 +134,8 @@ def triple_product(ctx: TalgContext, i: int, j: int, l: int) -> np.ndarray:
     for idx in (i, j, l):
         if not 0 <= idx <= ctx.d:
             raise IndexOutOfRange(f"relation index {idx} outside [0, {ctx.d}]")
-    return ctx.Estar[i] @ ctx.A[j] @ ctx.Estar[l] % ctx.field.p
+    p = ctx.field.p
+    return matmul_mod(matmul_mod(ctx.Estar[i], ctx.A[j], p), ctx.Estar[l], p)
 
 
 class AlgebraBasis:
@@ -219,19 +229,21 @@ def _graded_products(left: np.ndarray, left_cols: np.ndarray, right: np.ndarray,
 
     Every product left out is zero: when left_cols[a] != right_rows[b], no
     point is both a nonzero column of left[a] and a nonzero row of
-    right[b].  The kept ones contract over the points of the shared block.
+    right[b].  The kept ones contract over the points of the shared block,
+    one `pairwise_mod` per block.
     """
+    m, n = left.shape[1], right.shape[2]
     a_parts = [np.zeros(0, dtype=np.int64)]
     b_parts = [np.zeros(0, dtype=np.int64)]
-    prods = [np.zeros((0, left.shape[1], right.shape[2]), dtype=np.int64)]
+    prods = [np.zeros((0, m, n), dtype=np.int64)]
     for j in np.intersect1d(left_cols, right_rows):
         a = np.flatnonzero(left_cols == j)
         b = np.flatnonzero(right_rows == j)
         pts = np.flatnonzero(blocks == j)
-        part = np.einsum("aik,bkl->abil", left[a][:, :, pts], right[b][:, pts, :]) % p
+        part = pairwise_mod(left[a][:, :, pts], right[b][:, pts, :], p)
         a_parts.append(np.repeat(a, len(b)))
         b_parts.append(np.tile(b, len(a)))
-        prods.append(part.reshape(-1, *part.shape[2:]))
+        prods.append(part.reshape(len(a) * len(b), m, n))
     return np.concatenate(a_parts), np.concatenate(b_parts), np.concatenate(prods)
 
 
@@ -246,12 +258,11 @@ def _generator_products(gens: np.ndarray, mats: np.ndarray, p: int) -> np.ndarra
     {t : tm = mt} is a unital subalgebra, so m is central in T iff it
     commutes with every g.  The converses hold because the g lie in T.
     """
-    n = mats.shape[-1]
-    out = np.empty((2, len(gens), len(mats), n, n), dtype=np.int64)
-    np.einsum("gij,bjk->gbik", gens, mats, out=out[0])
-    np.einsum("bij,gjk->gbik", mats, gens, out=out[1])
-    out %= p
-    return out.reshape(2, -1, n * n)
+    g, b, n = len(gens), len(mats), mats.shape[-1]
+    out = np.empty((2, g, b, n, n), dtype=np.int64)
+    pairwise_mod(gens, mats, p, out=out[0])
+    pairwise_mod(mats, gens, p, out=out[1].transpose(1, 0, 2, 3))
+    return out.reshape(2, g * b, n * n)
 
 
 def is_two_sided_ideal(alg: AlgebraBasis, ideal: Subspace) -> bool:
@@ -322,7 +333,7 @@ def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis,
     divisible = np.array([int(k) % p == 0 for k in ctx.scheme.valencies])
     if filt[:2] != [Subspace.span(ctx.field, w, ambient_dim=n) for w in (u, u[divisible])]:
         raise InternalInconsistency("W_0, W_1 are not spanned by their E_i* 1", witness="filtration")
-    outer = np.einsum("ia,jb->ijab", u, u).reshape(d + 1, d + 1, n * n)
+    outer = (u[:, None, :, None] * u[None, :, None, :]).reshape(d + 1, d + 1, n * n)
     pairs = divisible[:, None] | divisible[None, :]
     b0 = Subspace.span(ctx.field, outer.reshape(-1, n * n), ambient_dim=n * n)
     if b0.dim != (d + 1) ** 2:
@@ -349,7 +360,9 @@ def b0_identity(ctx: TalgContext, talgebra: AlgebraBasis, b0: Subspace) -> np.nd
         raise NotPPrimeValenced(f"p={p} divides valencies at relations {bad}")
     e = sum(ctx.field.inv(int(k[i])) * ctx.eje(i, i) for i in range(ctx.d + 1)) % p
     mats = b0.basis.reshape(-1, ctx.n, ctx.n)
-    if not (np.array_equal(e @ mats % p, mats) and np.array_equal(mats @ e % p, mats)):
+    unit = e[None]
+    if not (np.array_equal(pairwise_mod(unit, mats, p)[0], mats)
+            and np.array_equal(pairwise_mod(mats, unit, p)[:, 0], mats)):
         raise InternalInconsistency("e is not a unit of B0")
     if not is_central(talgebra, e):
         raise InternalInconsistency("e is not central in T")
@@ -361,10 +374,10 @@ def _stage_gram(basis_flat: np.ndarray, n: int, p: int, power: int,
     """Gram matrix G[a, b] of the stage function applied to products:
     G[a, b] = coefficient index `power` of det(tI - B_a B_b) mod p.
 
-    power = 1 is the ordinary trace form (computed directly).  It sums n^2
-    terms, and for the quotient certificate n is dim T/Rad, up to the
-    square of the scheme's n; it is reduced every `step` terms so that no
-    partial sum leaves int64.
+    power = 1 is the ordinary trace form, one `matmul_mod` product of the
+    basis with its transposed matrices.  It sums n^2 terms, and for the
+    quotient certificate n is dim T/Rad, up to the square of the scheme's
+    n; the kernel's delayed reduction keeps it exact at any length.
 
     Larger powers run the Berkowitz recurrence on the products the grading
     by `blocks` (one block when None) leaves nonzero.  Let B_a have grade
@@ -378,13 +391,7 @@ def _stage_gram(basis_flat: np.ndarray, n: int, p: int, power: int,
     kdim = basis_flat.shape[0]
     mats = basis_flat.reshape(kdim, n, n)
     if power == 1:
-        tflat = mats.transpose(0, 2, 1).reshape(kdim, n * n)
-        step = (2**63 - p) // (p - 1) ** 2
-        gram = np.zeros((kdim, kdim), dtype=np.int64)
-        for start in range(0, n * n, step):
-            part = basis_flat[:, start : start + step] @ tflat[:, start : start + step].T
-            gram = (gram + part) % p
-        return gram
+        return matmul_mod(basis_flat, mats.transpose(0, 2, 1).reshape(kdim, n * n).T, p)
     if blocks is None:
         blocks = np.zeros(n, dtype=np.int64)
     rows, cols = _grades(basis_flat, blocks, power)
@@ -432,7 +439,7 @@ def radical(algebra: AlgebraBasis, *, _verify: bool = True) -> Subspace:
         gram = _stage_gram(basis, n, p, power, algebra.blocks)
         ker = kernel_array(gram.T, p)
         if ker.shape[0] < basis.shape[0]:
-            basis = (ker @ basis) % p
+            basis = matmul_mod(ker, basis, p)
             reduced, rank, _ = rref_array(basis, p)
             basis = reduced[:rank]
         power *= p
@@ -537,7 +544,7 @@ def _quotient_regular_rep(algebra: AlgebraBasis, ideal: Subspace) -> AlgebraBasi
         raise InternalInconsistency("algebra is not closed under products", witness="quotient")
     coords = np.zeros((q * q, k), dtype=np.int64)
     coords[a * q + b] = found
-    qcoords = (coords[:, comp] - coords[:, ipivots] @ icoords[:, comp]) % p
+    qcoords = (coords[:, comp] - matmul_mod(coords[:, ipivots], icoords[:, comp], p)) % p
     # reg(a)[:, b] = quotient coordinates of rep_a rep_b
     reg = qcoords.reshape(q, q, q).transpose(0, 2, 1)
     space = Subspace.span(field, reg.reshape(q, q * q), ambient_dim=q * q)
@@ -558,12 +565,14 @@ def annihilator_W0(ctx: TalgContext, talgebra: AlgebraBasis, filt: list[Subspace
     (so it is all of Ann).
     """
     n, p = ctx.n, ctx.field.p
-    w0 = filt[0].basis
-    images = (np.einsum("bij,vj->bvi", talgebra.mats(), w0) % p).reshape(talgebra.dim, -1)
+    w0t = filt[0].basis.T
+    nv = w0t.shape[1]
+    # images[b, (i, v)] = (B_b w_v)_i
+    images = matmul_mod(talgebra.space.basis.reshape(-1, n), w0t, p).reshape(talgebra.dim, n * nv)
     ker = kernel_array(images.T, p)
-    ann = Subspace.span(ctx.field, (ker @ talgebra.space.basis) % p, ambient_dim=n * n)
-    kills = np.einsum("aij,vj->avi", ann.basis.reshape(-1, n, n), w0) % p
-    bad = np.argwhere(kills.any(axis=2))
+    ann = Subspace.span(ctx.field, matmul_mod(ker, talgebra.space.basis, p), ambient_dim=n * n)
+    kills = matmul_mod(ann.basis.reshape(-1, n), w0t, p).reshape(ann.dim, n, nv)
+    bad = np.argwhere(kills.any(axis=1))
     if bad.size:
         a, v = (int(i) for i in bad[0])
         raise InternalInconsistency(f"Ann_T(W0) element {a} does not kill basis vector {v} of W_0",

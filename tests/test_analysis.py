@@ -1,0 +1,71 @@
+"""The cross-checks of `analysis.compute_artifacts` on corrupted artifacts:
+each failure is an InternalInconsistency whose witness names the check and
+the offending basis element."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from modtalg.analysis import _cross_checks
+from modtalg.errors import InternalInconsistency
+from modtalg.ffmat import Subspace
+
+
+def _raises(art):
+    with pytest.raises(InternalInconsistency) as err:
+        _cross_checks(art)
+    return err.value
+
+
+def test_uncorrupted_artifacts_pass(artifacts, schemes):
+    for name in schemes:
+        for p in (2, 3):
+            _cross_checks(artifacts(name, p))
+
+
+def test_radical_image_outside_W1_is_witnessed(artifacts):
+    art = artifacts("hamming-2-2", 2)
+    n = art.ctx.n
+    zero = Subspace.zero(art.field, n)
+    err = _raises(replace(art, filt=[art.filt[0], zero, *art.filt[2:]]))
+    assert str(err) == "Rad(T) W_0 != W_1"
+    check, r, b = err.witness
+    assert check == "Rad(T) W_0 in W_1"
+    image = art.rad.basis[r].reshape(n, n) @ art.filt[0].basis[b] % 2
+    assert image.any()
+    # every earlier (element, vector) pair maps to zero
+    earlier = art.rad.basis[:r].reshape(-1, n, n) @ art.filt[0].basis.T % 2
+    assert not earlier.any()
+
+
+def test_W1_beyond_the_radical_image_is_witnessed(artifacts):
+    art = artifacts("hamming-2-2", 2)
+    err = _raises(replace(art, filt=[art.filt[0], art.filt[0], *art.filt[2:]]))
+    assert str(err) == "Rad(T) W_0 != W_1"
+    check, i = err.witness
+    assert check == "W_1 in Rad(T) W_0"
+    assert not art.filt[1].member(art.filt[0].basis[i])
+    assert all(art.filt[1].member(v) for v in art.filt[0].basis[:i])
+
+
+def test_B1_outside_the_radical_is_witnessed(artifacts):
+    art = artifacts("cyclic-5", 2)
+    err = _raises(replace(art, b1=art.b0))
+    assert str(err) == "B1 escapes the radical"
+    check, i = err.witness
+    assert check == "B1 in Rad(T)"
+    assert not art.rad.member(art.b0.basis[i])
+    assert all(art.rad.member(v) for v in art.b0.basis[:i])
+
+
+def test_radical_outside_the_annihilator_is_witnessed(artifacts):
+    # p'-valenced, so Rad(T) must lie in Ann(W_0); a radical that kills W_0
+    # keeps the first two checks satisfied
+    art = artifacts("cyclic-5", 3)
+    assert art.strata.p_prime_valenced and art.ann.dim > 0
+    zero = Subspace.zero(art.field, art.ctx.n ** 2)
+    err = _raises(replace(art, rad=art.ann, ann=zero))
+    assert str(err) == "irreducible W_0 but Rad(T) not inside Ann(W_0)"
+    assert err.witness == ("Rad(T) in Ann(W_0)", 0)
+    assert np.any(art.ann.basis[0])

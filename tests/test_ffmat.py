@@ -9,6 +9,8 @@ from modtalg.ffmat import (
     charpoly_coeffs,
     field_ctx,
     kernel_array,
+    matmul_mod,
+    pairwise_mod,
     rref_array,
     solve_array,
 )
@@ -135,6 +137,58 @@ def test_int64_bounds_scale_with_the_contraction_length():
                  lambda: charpoly_coeffs(np.eye(2, dtype=np.int64), p)):
         with pytest.raises(PrimeTooLarge):
             call()
+
+
+# Primes at the bounds of `matmul_mod`: float64 BLAS while k (p-1)^2 < 2^53
+# (up to k = 100 for 9490601, k = 99 for 9490631, k = 1 for 94906249, never
+# for 94906297), int64 chunks of c = floor((2^63 - 1) / (p-1)^2) terms
+# otherwise (c = 100, 99, 1 for 303700003, 303700063, 3037000493), and
+# 3037000507 has (p-1)^2 >= 2^63.
+KERNEL_PRIMES = (2, 3, 9490601, 9490631, 94906249, 94906297, 303700003, 303700063, 3037000493)
+
+
+def _matmul_by_python_ints(a, b, p):
+    rows = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
+    return np.array(rows, dtype=np.int64).reshape(a.shape[0], b.shape[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from(KERNEL_PRIMES), m=st.sampled_from([0, 1, 3, 120]),
+       n=st.sampled_from([0, 1, 4]), high=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_matmul_mod_matches_python_integers(p, m, n, high, seed, data):
+    floats = -(-(2**53) // (p - 1) ** 2)  # the first k that leaves float64
+    chunk = (2**63 - 1) // (p - 1) ** 2
+    edges = [k for k in (0, floats - 1, floats, chunk, chunk + 1, 2 * chunk + 1) if 0 <= k <= 300]
+    k = data.draw(st.one_of(st.integers(0, 300), st.sampled_from(edges)))
+    rng = np.random.default_rng(seed)
+    low = max(0, p - 4) if high else 0  # residues near p make the sums largest
+    a, b = rng.integers(low, p, size=(m, k)), rng.integers(low, p, size=(k, n))
+    assert np.array_equal(matmul_mod(a, b, p), _matmul_by_python_ints(a, b, p))
+
+
+def test_matmul_mod_refuses_only_products_that_leave_int64():
+    p = 3037000507
+    one = np.ones((2, 1), dtype=np.int64)
+    with pytest.raises(PrimeTooLarge):
+        matmul_mod(one, one.T, p)
+    assert matmul_mod(np.zeros((2, 0)), np.zeros((0, 3)), p).tolist() == [[0] * 3] * 2
+    with pytest.raises(DimensionMismatch):
+        matmul_mod(one, one, 2)
+
+
+@pytest.mark.parametrize("shapes", [((0, 2, 3), (4, 3, 2)), ((3, 2, 3), (0, 3, 2)),
+                                    ((3, 0, 3), (2, 3, 2)), ((3, 2, 0), (2, 0, 2)),
+                                    ((3, 2, 3), (2, 3, 0)), ((5, 4, 3), (2, 3, 6))])
+def test_pairwise_mod_on_empty_and_rectangular_stacks(shapes):
+    p = 7
+    rng = np.random.default_rng(5)
+    left, right = rng.integers(0, p, size=shapes[0]), rng.integers(0, p, size=shapes[1])
+    want = np.einsum("aik,bkl->abil", left, right) % p
+    assert np.array_equal(pairwise_mod(left, right, p), want)
+    out = np.empty(want.shape[:2][::-1] + want.shape[2:], dtype=np.int64)
+    pairwise_mod(left, right, p, out=out.transpose(1, 0, 2, 3))
+    assert np.array_equal(out.transpose(1, 0, 2, 3), want)
 
 
 def test_kernel_vectors_annihilate():

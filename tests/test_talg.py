@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -586,6 +587,30 @@ def test_trace_gram_reduces_before_int64_overflow():
     mats = basis.astype(object).reshape(k, n, n)
     want = np.array([[int(np.trace(a @ b)) % p for b in mats] for a in mats])
     assert np.array_equal(_stage_gram(basis, n, p, 1), want)
+
+
+@pytest.mark.parametrize("p, n", [(3037000493, 3), (2147483647, 3), (1000000007, 5)])
+def test_trace_gram_is_exact_when_one_sum_leaves_int64(p, n):
+    # n^2 (p-1)^2 >= 2^63, with int64 chunks of 1, 2 and 9 terms
+    assert n * n * (p - 1) ** 2 >= 2**63
+    rng = np.random.default_rng(p % 1000)
+    basis = rng.integers(p - 50, p, size=(6, n * n))
+    mats = basis.astype(object).reshape(-1, n, n)
+    want = np.array([[int(np.trace(a @ b)) % p for b in mats] for a in mats])
+    assert np.array_equal(_stage_gram(basis, n, p, 1), want)
+
+
+def test_generator_products_peak_is_the_output_plus_one_megabyte():
+    # the float64 temporaries of the kernel stay in blocks, not whole stacks
+    tal = generate_algebra(build_context(validate_axioms(gen_cyclic(16)), field_ctx(2), 0))
+    assert tal.dim == 130
+    tracemalloc.start()
+    try:
+        prods = talg._generator_products(tal.generators, tal.mats(), 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= prods.nbytes + 2**20, (peak, prods.nbytes)
 
 
 def _one_block(alg):
