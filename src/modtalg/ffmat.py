@@ -199,11 +199,10 @@ def rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
     `Subspace.span` inherit that bound.
     """
     _require_int64(1, p)
-    a = np.asarray(a, dtype=np.int64) % p
+    a = np.asarray(a, dtype=np.int64) % p  # a new array: the input is never written
     if a.ndim != 2:
         raise DimensionMismatch("rref expects a two-dimensional array")
     m, n = a.shape
-    a = a.copy()
     r = 0
     pivots: list[int] = []
     for c in range(n):
@@ -235,11 +234,10 @@ def kernel_array(a: np.ndarray, p: int) -> np.ndarray:
     free = [c for c in range(n) if c not in pivot_set]
     if not free:
         return np.zeros((0, n), dtype=np.int64)
+    # row r: 1 at the free column free[r], -reduced[i, free[r]] at pivots[i]
     vecs = np.zeros((len(free), n), dtype=np.int64)
-    for row, fc in enumerate(free):
-        vecs[row, fc] = 1
-        for i, pc in enumerate(pivots):
-            vecs[row, pc] = (-reduced[i, fc]) % p
+    vecs[np.arange(len(free)), free] = 1
+    vecs[:, pivots] = (-reduced[:rank, free].T) % p
     out, _, _ = rref_array(vecs, p)
     return out[: len(free)]
 
@@ -308,21 +306,61 @@ class Subspace:
         if other.field != self.field or other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("subspaces live in different ambient spaces")
 
+    def reduce(self, vectors) -> tuple[np.ndarray, np.ndarray]:
+        """(c, r) for a stack of row vectors v: c = v[:, pivots] and the
+        residual r = v - c basis mod p, one `matmul_mod` product.
+
+        The basis is fully reduced, basis[i, pivots[j]] = [i = j], so r is
+        zero on every pivot column.  r = 0 exactly when v lies in the
+        subspace: if v = x basis then x = v[:, pivots] = c.  Then c holds the
+        coordinates of v in the basis.
+        """
+        p = self.field.p
+        v = np.asarray(vectors, dtype=np.int64)
+        if v.ndim != 2 or v.shape[1] != self.ambient_dim:
+            raise DimensionMismatch("vector length does not match ambient dimension")
+        if v.size and not 0 <= v.min() <= v.max() < p:  # residues skip the costly %
+            v = v % p
+        c = v[:, list(self.pivots)]
+        r = matmul_mod(c, self.basis, p)
+        np.subtract(v, r, out=r)
+        np.add(r, p, out=r, where=r < 0)
+        return c, r
+
     def coords(self, vectors) -> np.ndarray | None:
         """Coordinates of row vectors in the echelon basis, or None if any
-        vector falls outside the subspace.  Raises PrimeTooLarge when
-        dim (p-1)^2 >= 2^63."""
-        _require_int64(self.dim, self.field.p)
-        v = np.asarray(vectors, dtype=np.int64) % self.field.p
+        vector falls outside the subspace."""
+        v = np.asarray(vectors, dtype=np.int64)
         single = v.ndim == 1
-        if single:
-            v = v[None, :]
-        if v.shape[1] != self.ambient_dim:
-            raise DimensionMismatch("vector length does not match ambient dimension")
-        c = v[:, list(self.pivots)]
-        if not np.array_equal(matmul_mod(c, self.basis, self.field.p), v):
+        c, r = self.reduce(v[None, :] if single else v)
+        if r.any():
             return None
         return c[0] if single else c
+
+    def adjoin(self, vectors) -> tuple["Subspace", np.ndarray]:
+        """(S, N): S is the span of the subspace and the rows of `vectors`,
+        and N the echelon basis of a complement of the subspace in S.
+
+        N is the reduced row-echelon form of the rows' nonzero residuals (see
+        `reduce`), so it is zero on the subspace's pivot columns and its
+        pivots are new.  Reducing the old basis against N clears N's pivot
+        columns.  An old row is nonzero at a pivot of N only right of its
+        own pivot, and the row of N subtracted there is zero left of that
+        pivot and on every old pivot column, so the old row keeps its
+        leading 1 and its zeros on the other old pivots.  Both blocks,
+        ordered by pivot, form the reduced row-echelon basis of S, which is
+        unique.
+        """
+        _, residual = self.reduce(vectors)
+        new = Subspace.span(self.field, residual[residual.any(axis=1)], ambient_dim=self.ambient_dim)
+        if new.dim == 0:
+            return self, new.basis
+        _, old = new.reduce(self.basis)
+        pivots = np.array(self.pivots + new.pivots, dtype=np.int64)
+        order = np.argsort(pivots)
+        basis = np.concatenate([old, new.basis])[order]
+        basis.setflags(write=False)
+        return Subspace(self.field, self.ambient_dim, basis, tuple(pivots[order].tolist())), new.basis
 
     def member(self, v) -> bool:
         return self.coords(v) is not None
@@ -335,16 +373,13 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        stacked = np.concatenate([self.basis, other.basis], axis=0)
-        return Subspace.span(self.field, stacked, ambient_dim=self.ambient_dim)
+        return self.adjoin(other.basis)[0]
 
     def __add__(self, other: "Subspace") -> "Subspace":
         return self.sum(other)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Raises PrimeTooLarge when self.dim (p-1)^2 >= 2^63."""
         self._check(other)
-        _require_int64(self.dim, self.field.p)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.field, self.ambient_dim)
         # kernel of the stacked-basis map (a, b) -> a.basis_self - b.basis_other

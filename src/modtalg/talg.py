@@ -57,11 +57,14 @@ class TalgContext:
     orthogonality, nonvanishing of E_i* J E_j*, and J E_i* 1 = k_i 1) are
     asserted eagerly at construction; a bad table fails here, not later.
     A prime with n^2 (p-1)^2 >= 2^63 is rejected before any arithmetic, so
-    the int64 entry checks downstream (`Subspace.coords` over at most n^2
-    coordinates, `charpoly_coeffs`) cannot fail halfway through an
-    analysis.  Products run through `ffmat.matmul_mod`, which is exact at
-    any contraction length by its delayed reduction; the trace Gram of the
-    quotient certificate, which sums q^2 <= n^4 terms, relies on that.
+    the int64 sums that do not go through `ffmat.matmul_mod` (the Berkowitz
+    recurrence of `charpoly_coeffs`, and the independent products of
+    `oracles` behind `verify --deep`) cannot overflow halfway through an
+    analysis.  Products, including the residuals of `Subspace.reduce` and
+    the trace Gram of the quotient certificate (q^2 <= n^4 terms), run
+    through `matmul_mod`, which is exact at any contraction length by its
+    delayed reduction and needs only (p-1)^2 < 2^63, the bound
+    `ffmat.rref_array` enforces as well.
     """
 
     __slots__ = ("scheme", "field", "x", "n", "d", "gens", "A", "Estar", "u")
@@ -281,9 +284,26 @@ def is_central(alg: AlgebraBasis, m: np.ndarray) -> bool:
 def algebra_closure(field: FieldCtx, generators: np.ndarray) -> AlgebraBasis:
     """Smallest product-closed span containing the generators and I.
 
-    Fixpoint iteration: multiply the current echelon basis by every
-    generator on the left and on the right, re-echelonize, repeat until the
-    dimension is stable.  The result is graded by `_idempotent_blocks`.
+    A worklist closure that multiplies each element once.  S_0 is the span
+    of the generators and I, and its echelon basis is the first frontier
+    F_0.  Round k forms g f for every generator g and every f in the
+    frontier F_k, and `Subspace.adjoin` reduces these products against the
+    basis of S_k; those outside S_k give the echelon block F_{k+1}, and
+    S_{k+1} = S_k + span F_{k+1}.  The loop stops at the first empty
+    frontier, when every product already lies in S = S_k.  Each nonempty
+    frontier raises the dimension, so there are at most n^2 rounds.
+
+    S is the algebra.  Unrolled, S = span(F_0 + F_1 + ... + F_k), so an
+    s in S is a sum of elements f of the frontiers, and g s is a sum of the
+    g f, each formed in the round after f entered and lying in S.  So S is
+    closed under left multiplication by every generator.  It contains I,
+    hence by induction on the length every product g_1 g_2 ... g_m =
+    g_1 (g_2 ... g_m) of generators, and it holds nothing else, since every
+    element found is a combination of such products.  Products on the
+    right would find the same words again.  The reduced row-echelon basis
+    of a subspace is unique, so the basis does not depend on the order in
+    which the closure found it.  The result is graded by
+    `_idempotent_blocks`.
     """
     gens = np.asarray(generators, dtype=np.int64) % field.p
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
@@ -291,13 +311,10 @@ def algebra_closure(field: FieldCtx, generators: np.ndarray) -> AlgebraBasis:
     n = gens.shape[1]
     seed = np.concatenate([gens.reshape(len(gens), -1), np.eye(n, dtype=np.int64).reshape(1, -1)])
     space = Subspace.span(field, seed, ambient_dim=n * n)
-    while True:
-        prods = _generator_products(gens, space.basis.reshape(-1, n, n), field.p)
-        stacked = np.concatenate([space.basis, prods.reshape(-1, n * n)], axis=0)
-        new = Subspace.span(field, stacked, ambient_dim=n * n)
-        if new.dim == space.dim:
-            break
-        space = new
+    frontier = space.basis
+    while len(frontier):
+        prods = pairwise_mod(gens, frontier.reshape(-1, n, n), field.p)
+        space, frontier = space.adjoin(prods.reshape(-1, n * n))
     return AlgebraBasis(field, n, space, gens, blocks=_idempotent_blocks(gens))
 
 

@@ -108,6 +108,60 @@ def test_kernel_fixed_cases():
     assert np.array_equal(kernel_array(np.array([[1, 1]]), 2), [[1, 1]])
 
 
+def _matrix(p, rows, cols, data):
+    flat = data.draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))
+    return np.array(flat, dtype=np.int64).reshape(rows, cols)
+
+
+def _kernel_by_loop(a, p):
+    # reference: one null-space vector per free column, filled entry by entry
+    reduced, rank, pivots = rref_array(a, p)
+    free = [c for c in range(a.shape[1]) if c not in set(pivots)]
+    if not free:
+        return np.zeros((0, a.shape[1]), dtype=np.int64)
+    vecs = np.zeros((len(free), a.shape[1]), dtype=np.int64)
+    for row, fc in enumerate(free):
+        vecs[row, fc] = 1
+        for i, pc in enumerate(pivots):
+            vecs[row, pc] = (-reduced[i, fc]) % p
+    return rref_array(vecs, p)[0][: len(free)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), rows=st.integers(0, 6), cols=st.integers(1, 7),
+       data=st.data())
+def test_kernel_equals_the_loop_version(p, rows, cols, data):
+    a = _matrix(p, rows, cols, data)
+    assert np.array_equal(kernel_array(a, p), _kernel_by_loop(a, p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), rows=st.integers(1, 6), cols=st.integers(1, 6),
+       data=st.data())
+def test_rref_leaves_its_input_unchanged(p, rows, cols, data):
+    a = _matrix(p, rows, cols, data)
+    before = a.copy()
+    rref_array(a, p)
+    kernel_array(a, p)
+    assert np.array_equal(a, before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), cols=st.integers(1, 7), data=st.data())
+def test_adjoin_is_the_span_of_both(p, cols, data):
+    f = field_ctx(p)
+    old = _matrix(p, data.draw(st.integers(0, 5)), cols, data)
+    rows = _matrix(p, data.draw(st.integers(0, 5)), cols, data)
+    space = Subspace.span(f, old, ambient_dim=cols)
+    grown, block = space.adjoin(rows)
+    want = Subspace.span(f, np.concatenate([old, rows]), ambient_dim=cols)
+    assert grown == want and grown.pivots == want.pivots
+    assert not grown.basis.flags.writeable
+    # the block spans a complement of the old subspace in the sum
+    assert block.shape[0] == want.dim - space.dim
+    assert space.intersect(Subspace.span(f, block, ambient_dim=cols)).dim == 0
+
+
 def test_array_functions_refuse_primes_that_overflow_int64():
     # (p-1)^2 >= 2^63: a single product of residues leaves int64
     p = 4294967291
@@ -133,10 +187,14 @@ def test_int64_bounds_scale_with_the_contraction_length():
     assert plane.member([p - 1, p - 2, 0]) and not plane.member([0, 0, 1])
     assert plane.intersect(full) == plane
     assert charpoly_coeffs([[p - 1]], p).tolist() == [[1, 1]]
-    for call in (lambda: full.member([1, 2, 3]), lambda: full.intersect(plane),
-                 lambda: charpoly_coeffs(np.eye(2, dtype=np.int64), p)):
-        with pytest.raises(PrimeTooLarge):
-            call()
+    # the residual of a 3-dimensional subspace sums 3 products: `matmul_mod`
+    # takes it in int64 chunks of 2 terms
+    for vec in ([1, 2, 3], [p - 1, p - 2, p - 3]):
+        assert full.member(vec) and full.coords(vec).tolist() == [int(x) % p for x in vec]
+    meet = full.intersect(plane)
+    assert [[int(x) for x in row] for row in meet.basis] == [[1, 0, 0], [0, 1, 0]]
+    with pytest.raises(PrimeTooLarge):
+        charpoly_coeffs(np.eye(2, dtype=np.int64), p)
 
 
 # Primes at the bounds of `matmul_mod`: float64 BLAS while k (p-1)^2 < 2^53

@@ -182,6 +182,69 @@ def test_algebra_dim_matches_word_oracle_small(schemes):
             assert generate_algebra(ctx).dim == word_closure_dim(ctx), (name, p)
 
 
+def _closure_by_full_rounds(f, gens):
+    # reference: multiply the whole basis by every generator on both sides
+    # and re-echelonize the whole stack until the dimension stops growing
+    p, n = f.p, gens.shape[1]
+    gens = gens % p
+    seed = np.concatenate([gens.reshape(len(gens), -1), np.eye(n, dtype=np.int64).reshape(1, -1)])
+    space = Subspace.span(f, seed, ambient_dim=n * n)
+    while True:
+        mats = space.basis.reshape(-1, n, n)
+        left = np.einsum("gij,bjk->gbik", gens, mats) % p
+        right = np.einsum("bij,gjk->gbik", mats, gens) % p
+        stacked = np.concatenate([space.basis, left.reshape(-1, n * n), right.reshape(-1, n * n)])
+        grown = Subspace.span(f, stacked, ambient_dim=n * n)
+        if grown.dim == space.dim:
+            return space
+        space = grown
+
+
+def _assert_closed(alg):
+    # independent of how the closure ran, and of `Subspace.reduce`: adding
+    # I, the generators g and every g b and b g (b in the basis) to the
+    # basis leaves the rank unchanged
+    n, p = alg.n, alg.field.p
+    mats = alg.mats()
+    left = np.einsum("gij,bjk->gbik", alg.generators, mats) % p
+    right = np.einsum("bij,gjk->gbik", mats, alg.generators) % p
+    everything = [alg.space.basis, np.eye(n, dtype=np.int64).reshape(1, -1),
+                  alg.generators.reshape(-1, n * n), left.reshape(-1, n * n),
+                  right.reshape(-1, n * n)]
+    assert rref_array(np.concatenate(everything), p)[1] == alg.dim
+
+
+def _assert_closure_matches_full_rounds(f, gens):
+    alg = algebra_closure(f, gens)
+    want = _closure_by_full_rounds(f, gens)
+    assert alg.space.pivots == want.pivots
+    assert alg.space.basis.tobytes() == want.basis.tobytes()
+    _assert_closed(alg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), n=st.sampled_from([1, 2, 3, 4, 5]), data=st.data())
+def test_worklist_closure_equals_the_full_round_fixpoint(p, n, data):
+    count = data.draw(st.integers(1, 3))
+    entries = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
+    gens = np.array(data.draw(st.lists(entries, min_size=count, max_size=count))).reshape(count, n, n)
+    if data.draw(st.booleans()):
+        gens = np.triu(gens)
+    if data.draw(st.booleans()):
+        supports = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        idempotents = [np.diag(d) for d in data.draw(st.lists(supports, min_size=1, max_size=3))]
+        gens = np.concatenate([gens, idempotents])
+    _assert_closure_matches_full_rounds(field_ctx(p), gens)
+
+
+def test_worklist_closure_equals_the_full_round_fixpoint_on_the_corpus(schemes):
+    for name, s in schemes.items():
+        for p in PRIMES:
+            for x in sorted({0, s.n - 1}):
+                ctx = build_context(s, field_ctx(p), x)
+                _assert_closure_matches_full_rounds(ctx.field, ctx.gens)
+
+
 def test_algebra_contains_b0_lower_bound(artifacts, schemes):
     for name in schemes:
         for p in PRIMES:
