@@ -230,7 +230,8 @@ def analyze(
         elif c.computed() != char.computed():
             raise InternalInconsistency(
                 f"characterization booleans changed between base points "
-                f"{base_points[0]} and {x}"
+                f"{base_points[0]} and {x}",
+                witness=("base points", base_points[0], x),
             )
     assert first is not None and char is not None and coro is not None
     return AnalysisReport(

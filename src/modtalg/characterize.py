@@ -5,6 +5,9 @@ algebra artifacts; the remaining three (Krull-Schmidt counts and the
 quantifications over all irreducible modules) are reported as implied by
 item (i).  Computed booleans must agree on every input; divergence raises
 InternalInconsistency because the statements are provably equivalent.
+Item (iii) reuses certified artifacts: B0's unit comes from K^-1, and the
+complement (I - e) T is compared with the certified annihilator Ann_T(W_0)
+instead of being tested as an ideal again.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistency
-from .ffmat import Subspace, matmul_mod, pairwise_mod, solve_array
-from .talg import is_central, is_two_sided_ideal
+from .ffmat import Subspace, matmul_mod, pairwise_mod, rref_array
+from .talg import is_central
 
 __all__ = ["CharReport", "CorollaryReport", "b0_unit_element", "check_equivalences", "check_corollary"]
 
@@ -63,26 +66,25 @@ class CorollaryReport:
 
 
 def b0_unit_element(artifacts) -> np.ndarray | None:
-    """Identity element of B0 found by linear solve (no valency formula),
+    """Identity element of B0 found by linear algebra (no valency formula),
     so the unital test stays independent of the p'-valenced flag.
 
     With u_i = E_i* 1, B0 has the basis u_i u_j^T (`b0_b1` pins its
     dimension to (d+1)^2), and u_i u_j^T u_l u_m^T = K_jl u_i u_m^T with
     K = (u_j . u_l).  So e = sum_ij X_ij u_i u_j^T multiplies as
     X o Y = X K Y: B0 is M_{d+1}(GF(p)) with the sandwich product, and e
-    is its unit iff X K = I = K X.  K is computed from the vectors, never
-    from the valencies."""
+    is its unit iff X K = I = K X.  K is square, so a one-sided inverse is
+    two-sided: the unit exists iff K is invertible, and then X = K^-1, read
+    off the row reduction of [K | I].  K is computed from the vectors,
+    never from the valencies."""
     p = artifacts.field.p
     u = artifacts.module.vectors
     m = u.shape[0]
     gram = matmul_mod(u, u.T, p)
-    eye = np.eye(m, dtype=np.int64)
-    # row (a, b) of X K = I is sum_j X_aj K_jb = [a = b]; of K X = I, sum_j K_aj X_jb
-    system = np.concatenate([np.kron(eye, gram.T), np.kron(gram, eye)])
-    sol = solve_array(system, np.concatenate([eye.reshape(-1)] * 2), p)
-    if sol is None:
+    reduced, _, pivots = rref_array(np.concatenate([gram, np.eye(m, dtype=np.int64)], axis=1), p)
+    if pivots != list(range(m)):
         return None
-    return matmul_mod(matmul_mod(u.T, sol.reshape(m, m), p), u, p)
+    return matmul_mod(matmul_mod(u.T, reduced[:, m:], p), u, p)
 
 
 def _thin_kills(artifacts, space: Subspace) -> bool:
@@ -100,7 +102,21 @@ def _thin_kills(artifacts, space: Subspace) -> bool:
 
 
 def _complement_ideal(artifacts, unit: np.ndarray | None) -> bool:
-    """T = B0 + D with D = (I - e) T a two-sided ideal meeting B0 in 0."""
+    """T = B0 + D with D = (I - e) T a two-sided ideal meeting B0 in 0,
+    decided as dim D + dim B0 = dim T and D = Ann_T(W_0).
+
+    Let e = u^T K^-1 u be B0's unit from `b0_unit_element`.  On the basis
+    u_l of W_0, e u_l = sum_i (K^-1 K)_il u_i = u_l, so e acts on W_0 as the
+    identity; t W_0 lies in W_0, so (I - e) t kills W_0 and D is inside Ann.
+    The map t -> (I - e) t has kernel B0: e b = b on B0, and t = e t lies
+    in the ideal B0.  So dim D = dim T - dim B0.  With K invertible, B0
+    acts faithfully on W_0: b = u^T X u sends u_l to sum_i (X K)_il u_i,
+    which is 0 for every l only when X = 0.  So Ann meets B0 in 0, and
+    dim Ann <= dim T - dim B0 = dim D; hence D = Ann, the ideal certified
+    by `annihilator_W0`.  T = B0 + D because t = e t + (I - e) t, and the
+    sum is direct by dimension.  Conversely, a pass makes D that ideal; it
+    meets B0 in 0 by the faithfulness (a unit exists only when K is
+    invertible) and has the complementary dimension."""
     if unit is None:
         return False
     ctx = artifacts.ctx
@@ -110,46 +126,30 @@ def _complement_ideal(artifacts, unit: np.ndarray | None) -> bool:
     proj = (np.eye(n, dtype=np.int64) - unit) % p
     dvecs = pairwise_mod(proj[None], tal.mats(), p).reshape(tal.dim, n * n)
     dspace = Subspace.span(ctx.field, dvecs, ambient_dim=n * n)
-    if dspace.dim + artifacts.b0.dim != tal.dim:
-        return False
-    if dspace.intersect(artifacts.b0).dim != 0:
-        return False
-    return is_two_sided_ideal(tal, dspace)
+    return dspace.dim + artifacts.b0.dim == tal.dim and dspace == artifacts.ann
 
 
 def check_equivalences(artifacts) -> CharReport:
     """Evaluate the eight computable characterization items and require
     them to coincide."""
-    i_flag = artifacts.strata.p_prime_valenced
-
     unit = b0_unit_element(artifacts)
     ii_flag = unit is not None and is_central(artifacts.talgebra, unit)
-
-    iii_flag = _complement_ideal(artifacts, unit if ii_flag else None)
-    iv_flag = artifacts.b1.dim == 0 and unit is not None
-    v_flag = _thin_kills(artifacts, artifacts.ann)
-    vi_flag = _thin_kills(artifacts, artifacts.rad)
-    viii_flag = artifacts.filt[1].dim == 0
-    ix_flag = artifacts.w0_selfcontra
-
-    booleans = [i_flag, ii_flag, iii_flag, iv_flag, v_flag, vi_flag, viii_flag, ix_flag]
-    if len(set(booleans)) != 1:
-        raise InternalInconsistency(
-            "characterization booleans diverge: "
-            f"i={i_flag} ii={ii_flag} iii={iii_flag} iv={iv_flag} "
-            f"v={v_flag} vi={vi_flag} viii={viii_flag} ix={ix_flag}"
-        )
-    return CharReport(
-        i_pprime=i_flag,
+    report = CharReport(
+        i_pprime=artifacts.strata.p_prime_valenced,
         ii_b0_unital_central=ii_flag,
-        iii_complement_ideal=iii_flag,
-        iv_b0_simple=iv_flag,
-        v_ann_thin_kills=v_flag,
-        vi_rad_thin_kills=vi_flag,
-        viii_W0_irreducible=viii_flag,
-        ix_W0_selfcontra=ix_flag,
+        iii_complement_ideal=_complement_ideal(artifacts, unit if ii_flag else None),
+        iv_b0_simple=artifacts.b1.dim == 0 and unit is not None,
+        v_ann_thin_kills=_thin_kills(artifacts, artifacts.ann),
+        vi_rad_thin_kills=_thin_kills(artifacts, artifacts.rad),
+        viii_W0_irreducible=artifacts.filt[1].dim == 0,
+        ix_W0_selfcontra=artifacts.w0_selfcontra,
         consistent=True,
     )
+    verdicts = report.computed()
+    if len(set(verdicts.values())) != 1:
+        raise InternalInconsistency("characterization booleans diverge",
+                                    witness=("characterization", verdicts))
+    return report
 
 
 def check_corollary(artifacts, char: CharReport) -> CorollaryReport:
@@ -159,10 +159,8 @@ def check_corollary(artifacts, char: CharReport) -> CorollaryReport:
     simple_unital = artifacts.b1.dim == 0 and unit is not None
     rad_kills = char.vi_rad_thin_kills
     if simple_unital != rad_kills or simple_unital != char.i_pprime:
-        raise InternalInconsistency(
-            f"corollary booleans diverge: simple_unital={simple_unital} "
-            f"rad_kills={rad_kills} theorem={char.i_pprime}"
-        )
+        raise InternalInconsistency("corollary booleans diverge",
+                                    witness=("corollary", simple_unital, rad_kills, char.i_pprime))
     return CorollaryReport(
         b0_simple_unital=simple_unital,
         rad_thin_kills=rad_kills,

@@ -66,11 +66,17 @@ def _load_scheme(path: str):
     return validate_axioms(parse_scheme(Path(path).read_bytes()))
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+def _emit(text: str, out: str | None) -> int:
+    """Write the text to the file `out`, or to stdout; the exit code."""
+    if not out:
         sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def _with_witness(exc: Exception) -> str:
@@ -84,6 +90,9 @@ def cmd_analyze(args) -> int:
         s = _load_scheme(args.scheme)
     except OSError as exc:
         print(f"error: cannot read {args.scheme}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except InvalidParameter as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SchemeParseError, AxiomViolation) as exc:
         print(f"validation failure: {_with_witness(exc)}", file=sys.stderr)
@@ -108,11 +117,7 @@ def cmd_analyze(args) -> int:
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {_with_witness(exc)}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    if args.json:
-        _emit(report_to_json(report), args.out)
-    else:
-        _emit(_human_summary(report), args.out)
-    return EXIT_OK
+    return _emit(report_to_json(report) if args.json else _human_summary(report), args.out)
 
 
 def _human_summary(report) -> str:
@@ -180,7 +185,8 @@ def cmd_batch(args) -> int:
         for e in entries
     ]
     doc = {"schema": 1, "entries": entries, "summary": summary}
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+    if _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out) != EXIT_OK:
+        return EXIT_USAGE
     for e in entries:
         if e["status"] == "inconsistent":
             print(f"internal inconsistency in {e['scheme_id']} at p={e['prime']}: "
@@ -231,6 +237,9 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     try:
         table = parse_scheme(text)
+    except InvalidParameter as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except SchemeParseError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_INVALID

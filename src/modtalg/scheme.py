@@ -96,6 +96,7 @@ def parse_scheme(text: str | bytes) -> RelationTable:
         raise Malformed(f"point count is not an integer: {head[0]!r}") from None
     if n < 1:
         raise Malformed(f"point count must be positive, got {n}")
+    check_point_count(n)
     rows = data[1:]
     if len(rows) != n:
         raise Malformed(f"expected {n} table rows, found {len(rows)}")
@@ -269,9 +270,9 @@ def strata(s: SchemeData, f: FieldCtx) -> Strata:
     )
 
 
-# Desk scale: the generators refuse larger schemes before allocating any
-# n x n table.  At n = 60000 one int64 table alone is 29 GB, and the
-# analysis works with matrices of dimension n^2.
+# Desk scale: the generators and `parse_scheme` refuse larger schemes
+# before allocating any n x n table.  At n = 60000 one int64 table alone is
+# 29 GB, and the analysis works with matrices of dimension n^2.
 MAX_POINTS = 1024
 
 

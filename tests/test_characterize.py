@@ -1,10 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from test_talg import _ideal_by_full_basis
 
+from modtalg import analysis, characterize
 from modtalg.analysis import analyze
-from modtalg.characterize import b0_unit_element, check_corollary, check_equivalences
-from modtalg.errors import NotPPrimeValenced
-from modtalg.ffmat import field_ctx, solve_array
+from modtalg.characterize import (
+    _complement_ideal,
+    b0_unit_element,
+    check_corollary,
+    check_equivalences,
+)
+from modtalg.errors import InternalInconsistency, NotPPrimeValenced
+from modtalg.ffmat import Subspace, field_ctx, solve_array
 from modtalg.talg import b0_identity
 
 PRIMES = (2, 3, 5, 7)
@@ -118,3 +127,72 @@ def test_report_serialization_is_stable(schemes):
     r2 = report_to_json(analyze(s, field_ctx(3), [0], scheme_id="cyclic-5"))
     assert r1 == r2
     assert '"schema": 1' in r1
+
+
+def _complement_ideal_dense(art, unit):
+    # the definition of (iii): D = (I - e) T is complementary to B0 and a two-sided ideal
+    if unit is None:
+        return False
+    p, n, tal = art.field.p, art.ctx.n, art.talgebra
+    proj = (np.eye(n, dtype=np.int64) - unit) % p
+    dspace = Subspace.span(art.field, (proj @ tal.mats() % p).reshape(tal.dim, n * n),
+                           ambient_dim=n * n)
+    return (dspace.dim + art.b0.dim == tal.dim
+            and dspace.intersect(art.b0).dim == 0
+            and _ideal_by_full_basis(tal, dspace))
+
+
+def test_complement_ideal_matches_dense_definition(artifacts, schemes):
+    for name in schemes:
+        for p in PRIMES:
+            art = artifacts(name, p)
+            unit = b0_unit_element(art)
+            # 2e is not B0's unit, so both definitions must also agree on a refusal
+            for e in (unit,) if unit is None else (unit, 2 * unit % p):
+                assert _complement_ideal(art, e) == _complement_ideal_dense(art, e), (name, p)
+
+
+def _only_iii_fails(err):
+    check, verdicts = err.value.witness
+    assert check == "characterization"
+    assert {k for k, v in verdicts.items() if not v} == {"iii_complement_ideal"}
+
+
+def test_annihilator_missing_a_row_breaks_item_iii(artifacts):
+    art = artifacts("cyclic-5", 3)
+    ann = art.ann
+    assert ann.dim > 0
+    short = Subspace.span(art.field, ann.basis[1:], ambient_dim=ann.ambient_dim)
+    with pytest.raises(InternalInconsistency, match="diverge") as err:
+        check_equivalences(replace(art, ann=short))
+    _only_iii_fails(err)
+
+
+def test_doubled_unit_breaks_item_iii(artifacts, monkeypatch):
+    art = artifacts("cyclic-5", 3)
+    unit = b0_unit_element(art)
+    monkeypatch.setattr(characterize, "b0_unit_element", lambda a: 2 * unit % 3)
+    with pytest.raises(InternalInconsistency, match="diverge") as err:
+        check_equivalences(art)
+    _only_iii_fails(err)
+
+
+def test_corollary_divergence_is_witnessed(artifacts):
+    art = artifacts("cyclic-5", 3)
+    c = check_equivalences(art)
+    with pytest.raises(InternalInconsistency, match="corollary") as err:
+        check_corollary(art, replace(c, vi_rad_thin_kills=False))
+    assert err.value.witness == ("corollary", True, False, True)
+
+
+def test_base_point_flip_is_witnessed(schemes, monkeypatch):
+    real = analysis.check_equivalences
+
+    def flip_away_from_0(art):
+        c = real(art)
+        return c if art.x == 0 else replace(c, ix_W0_selfcontra=not c.ix_W0_selfcontra)
+
+    monkeypatch.setattr(analysis, "check_equivalences", flip_away_from_0)
+    with pytest.raises(InternalInconsistency, match="changed between base points") as err:
+        analyze(schemes["cyclic-5"], field_ctx(3), [0, 2])
+    assert err.value.witness == ("base points", 0, 2)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,3 +329,38 @@ def test_usage_errors_exit_1():
 def test_analyze_base_point_out_of_range(z5_file):
     assert main(["analyze", "--scheme", str(z5_file), "--prime", "2",
                  "--base-point", "9"]) == 1
+
+
+def _run_cli(*args):
+    # a fresh interpreter, so an uncaught exception shows as a traceback on stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "modtalg.cli", *args],
+                          capture_output=True, text=True, env=env, check=False)
+
+
+def test_out_to_unwritable_path_exits_1(z5_file, tmp_path):
+    missing = tmp_path / "no-such-dir"
+    for args in (["analyze", "--scheme", str(z5_file), "--prime", "3"],
+                 ["batch", "--dir", str(z5_file.parent), "--primes", "2"]):
+        out = missing / "x.json"
+        proc = _run_cli(*args, "--out", str(out))
+        assert proc.returncode == 1, proc.stderr
+        assert f"error: cannot write {out}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not missing.exists()
+
+
+def test_point_count_beyond_desk_scale_is_refused(tmp_path, capsys):
+    # only the point count is read: the table is refused before it is parsed
+    d = tmp_path / "corpus"
+    d.mkdir()
+    big = d / "big.scheme"
+    big.write_text("1025\n")
+    for cmd in ("analyze", "verify"):
+        assert main([cmd, "--scheme", str(big), "--prime", "2"]) == 1
+        assert "error: 1025 points is beyond desk scale" in capsys.readouterr().err
+    assert main(["batch", "--dir", str(d), "--primes", "2"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [(e["status"], e["message"]) for e in doc["entries"]] == [
+        ("error", "1025 points is beyond desk scale (at most 1024)")]
