@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -393,11 +394,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the exit code.  An --out that cannot be written
+    is refused before any analysis, without opening (and so truncating)
+    it; `_emit` still reports a write that fails."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    out = Path(getattr(args, "out", None) or "")
+    if out.name and (out.is_dir() or not out.parent.is_dir() or not os.access(out.parent, os.W_OK)):
+        print(f"error: cannot write {out}: not a file in a writable directory", file=sys.stderr)
+        return EXIT_USAGE
     return args.func(args)
 
 

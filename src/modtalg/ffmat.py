@@ -6,7 +6,18 @@ exactly when their basis arrays are identical.  Everything here is
 deterministic and exact; nothing is probabilistic.  Products of matrices
 go through `matmul_mod`, which uses float64 BLAS only where every partial
 sum is an integer below 2^53 and so carries no rounding (see its
-docstring).
+docstring).  Row reduction (`rref_array`) is exact in int64 as long as one
+product of two residues, (p-1)^2, stays below 2^63.
+
+Products of reduced bases are often reduced already, and `rref_array`
+returns such input after one O(mn) test.  Let K (k x m) and B (m x N) be
+in reduced row-echelon form with full row rank, B with pivots P.  Then KB
+is too, with pivots P[piv(K)].  Since B[:, P] = I, (KB)[:, P] = K, so
+(KB)[:, P[piv(K)]] = K[:, piv(K)] = I.  Row i of K is zero left of
+l = piv(K)[i], and rows j >= l of B are zero left of P[j] >= P[l], so row
+i of KB is zero left of P[l] and 1 there.  So a kernel basis times a
+basis (`kernel_array` returns its basis reduced), as in `talg.radical`
+and `talg.annihilator_W0`, needs no elimination.
 """
 
 from __future__ import annotations
@@ -194,32 +205,66 @@ def pairwise_mod(left: np.ndarray, right: np.ndarray, p: int,
 def rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
     """Reduced row-echelon form of an integer matrix mod p.
 
-    Returns (R, rank, pivot_columns).  The input is not modified.  Raises
-    PrimeTooLarge when (p-1)^2 >= 2^63; `kernel_array`, `solve_array` and
-    `Subspace.span` inherit that bound.
+    Returns (R, rank, pivot_columns).  R is always a new array: the input
+    is not modified and never returned.  Raises PrimeTooLarge when
+    (p-1)^2 >= 2^63; `kernel_array`, `solve_array` and `Subspace.span`
+    inherit that bound.
+
+    Input already in reduced row-echelon form with full row rank is
+    returned after one O(mn) test on its reduction mod p: the leading
+    columns lead[i] of the rows increase strictly and R[:, lead] = I.  Then
+    every row is nonzero with leading entry 1, alone in its column, so R is
+    in reduced row-echelon form, which is unique: it is the answer, with
+    rank m and pivots lead.
+
+    Otherwise Gauss-Jordan elimination visits the pivot columns in order
+    and touches only what can change:
+
+    - Row operations keep a zero column zero, so only the columns nonzero
+      in the input can hold a pivot.
+    - One nonzero search per column c gives its nonzero rows; with r pivots
+      found, the pivot row pr is the first of them >= r.  If pr != r, row
+      r is zero in column c, so after the swap the rows to clear are the
+      same rows less pr.
+    - When column c is visited, every row from r on is zero left of c:
+      each earlier pivot column is zero off its pivot row, and each earlier
+      column without a pivot was zero from row r on when it was passed,
+      which adding multiples of those rows kept.  So scaling the pivot row
+      and subtracting it from the rows nonzero in column c change columns
+      c onwards only.
+
+    Every product is of two residues and every difference stays above
+    -(p-1)^2, so int64 holds each step exactly.
     """
     _require_int64(1, p)
-    a = np.asarray(a, dtype=np.int64) % p  # a new array: the input is never written
+    a = np.array(a, dtype=np.int64)  # a new array: the input is never written
     if a.ndim != 2:
         raise DimensionMismatch("rref expects a two-dimensional array")
+    if a.size and not 0 <= a.min() <= a.max() < p:  # residues skip the costly %
+        a %= p
     m, n = a.shape
+    if 0 < m <= n:
+        lead = (a != 0).argmax(axis=1)
+        if (lead[1:] > lead[:-1]).all() and np.array_equal(a[:, lead], np.eye(m, dtype=np.int64)):
+            return a, m, lead.tolist()
     r = 0
     pivots: list[int] = []
-    for c in range(n):
+    for c in a.any(axis=0).nonzero()[0].tolist():
         if r == m:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        rows = a[:, c].nonzero()[0]
+        i = int(rows.searchsorted(r))
+        if i == rows.size:
             continue
-        pr = r + int(nz[0])
+        pr = int(rows[i])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
+        pivot = a[r, c:]
+        if pivot[0] != 1:
+            pivot[:] = pivot * pow(int(pivot[0]), p - 2, p) % p
+        others = rows[rows != pr]
         if others.size:
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
+            a[others, c:] = (a[others, c:] - a[others, c, None] * pivot) % p
         pivots.append(c)
         r += 1
     return a, r, pivots
@@ -227,19 +272,16 @@ def rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
 
 def kernel_array(a: np.ndarray, p: int) -> np.ndarray:
     """Echelonized basis (rows) of the right null space {v : a v = 0} mod p."""
-    a = np.asarray(a, dtype=np.int64) % p
-    m, n = a.shape
     reduced, rank, pivots = rref_array(a, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    if not free:
+    n = reduced.shape[1]
+    free = np.delete(np.arange(n), pivots)
+    if not free.size:
         return np.zeros((0, n), dtype=np.int64)
     # row r: 1 at the free column free[r], -reduced[i, free[r]] at pivots[i]
     vecs = np.zeros((len(free), n), dtype=np.int64)
     vecs[np.arange(len(free)), free] = 1
     vecs[:, pivots] = (-reduced[:rank, free].T) % p
-    out, _, _ = rref_array(vecs, p)
-    return out[: len(free)]
+    return rref_array(vecs, p)[0]
 
 
 def solve_array(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
@@ -254,8 +296,7 @@ def solve_array(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     if pivots and pivots[-1] == n:
         return None
     x = np.zeros(n, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = reduced[i, n]
+    x[pivots] = reduced[:rank, n]
     return x
 
 
@@ -374,9 +415,6 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
         return self.adjoin(other.basis)[0]
-
-    def __add__(self, other: "Subspace") -> "Subspace":
-        return self.sum(other)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check(other)

@@ -99,29 +99,31 @@ class TalgContext:
         A, E = self.A, self.Estar
         for i in range(d + 1):
             if not np.array_equal(A[i].T, A[int(self.scheme.converse[i])]):
-                raise InternalInconsistency(f"A_{i}^t != A_(i')")
+                raise InternalInconsistency(f"A_{i}^t != A_(i')", witness=("A_i^t != A_(i')", i))
             if not np.array_equal(E[i].T, E[i]):
-                raise InternalInconsistency(f"E_{i}* is not symmetric")
-        ident = np.eye(n, dtype=np.int64)
-        if not np.array_equal(A[0], ident):
-            raise InternalInconsistency("A_0 != I")
-        if not np.array_equal(E.sum(axis=0) % p, ident):
-            raise InternalInconsistency("sum of dual idempotents != I")
-        if not (A.sum(axis=0) % p == 1).all():
-            raise InternalInconsistency("sum of adjacency matrices != J")
+                raise InternalInconsistency(f"E_{i}* is not symmetric", witness=("E_i* is not symmetric", i))
+        for message, wrong in (("A_0 != I", A[0] != np.eye(n)),
+                               ("sum of dual idempotents != I", E.sum(axis=0) % p != np.eye(n)),
+                               ("sum of adjacency matrices != J", A.sum(axis=0) % p != 1)):
+            if wrong.any():
+                raise InternalInconsistency(message, witness=(message, tuple(np.argwhere(wrong)[0].tolist())))
         for i in range(d + 1):
             prods = pairwise_mod(E[i : i + 1], E, p)[0]
             prods[i] -= E[i]
-            if prods.any():
-                raise InternalInconsistency("dual idempotents not orthogonal")
+            wrong = np.flatnonzero(prods.any(axis=(1, 2)))
+            if wrong.size:
+                raise InternalInconsistency("dual idempotents not orthogonal",
+                                            witness=("dual idempotents not orthogonal", (i, int(wrong[0]))))
             # E_i* J E_j* = u_i u_j^T, zero iff u_i or u_j is
             vanished = np.flatnonzero(~(self.u[i].any() & self.u.any(axis=1)))
             if vanished.size:
-                raise InternalInconsistency(f"E_{i}* J E_{vanished[0]}* vanished")
+                raise InternalInconsistency(f"E_{i}* J E_{vanished[0]}* vanished",
+                                            witness=("E_i* J E_j* vanished", (i, int(vanished[0]))))
         # J E_i* 1 = (sum of the entries of u_i) 1
         wrong = np.flatnonzero(self.u.sum(axis=1) % p != self.scheme.valencies % p)
         if wrong.size:
-            raise InternalInconsistency(f"J E_{wrong[0]}* 1 != k_{wrong[0]} 1")
+            raise InternalInconsistency(f"J E_{wrong[0]}* 1 != k_{wrong[0]} 1",
+                                        witness=("J E_i* 1 != k_i 1", int(wrong[0])))
 
     def eje(self, i: int, j: int) -> np.ndarray:
         """E_i* J E_j* = u_i u_j^T."""
@@ -344,6 +346,12 @@ def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis,
     As p is prime, p | k_i k_j iff p | k_i or p | k_j, so
     B1 = W_1 (x) W_0 + W_0 (x) W_1, closed the same way.  B0 lies in T
     (checked), hence so does B1.
+
+    A failed check raises InternalInconsistency with the witness
+    (check, (i, j)): for a dimension, the first pair whose E_i* J E_j*
+    lies in the span of the pairs before it (the first non-pivot column of
+    the products taken as columns); for containment, the first pair whose
+    E_i* J E_j* is not in T.
     """
     d, n, p = ctx.d, ctx.n, ctx.field.p
     u = ctx.u
@@ -352,14 +360,17 @@ def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis,
         raise InternalInconsistency("W_0, W_1 are not spanned by their E_i* 1", witness="filtration")
     outer = (u[:, None, :, None] * u[None, :, None, :]).reshape(d + 1, d + 1, n * n)
     pairs = divisible[:, None] | divisible[None, :]
-    b0 = Subspace.span(ctx.field, outer.reshape(-1, n * n), ambient_dim=n * n)
-    if b0.dim != (d + 1) ** 2:
-        raise InternalInconsistency(f"dim B0 = {b0.dim}, expected {(d + 1) ** 2}")
-    b1 = Subspace.span(ctx.field, outer[pairs], ambient_dim=n * n)
-    if b1.dim != pairs.sum():
-        raise InternalInconsistency(f"dim B1 = {b1.dim}, expected {pairs.sum()}")
+    every = np.ones((d + 1, d + 1), dtype=bool)
+    b0, b1 = (Subspace.span(ctx.field, outer[keep], ambient_dim=n * n) for keep in (every, pairs))
+    for name, space, keep in (("dim B0", b0, every), ("dim B1", b1, pairs)):
+        if space.dim != keep.sum():
+            k = next(k for k, c in enumerate(rref_array(outer[keep].T, p)[2] + [-1]) if k != c)
+            raise InternalInconsistency(f"{name} = {space.dim}, expected {keep.sum()}",
+                                        witness=(name, tuple(np.argwhere(keep)[k].tolist())))
     if not talgebra.space.contains(b0):
-        raise InternalInconsistency("B0 not contained in T")
+        outside = int(talgebra.space.reduce(outer.reshape(-1, n * n))[1].any(axis=1).argmax())
+        raise InternalInconsistency("B0 not contained in T",
+                                    witness=("B0 not contained in T", divmod(outside, d + 1)))
     return b0, b1
 
 
@@ -368,7 +379,10 @@ def b0_identity(ctx: TalgContext, talgebra: AlgebraBasis, b0: Subspace) -> np.nd
 
     Only exists when no valency vanishes mod p; raises NotPPrimeValenced
     otherwise.  The unit and centrality properties are verified against the
-    computed bases before returning.
+    computed bases before returning: b e = e b = b for every basis element
+    b of B0, and g e = e g for every generator g of T (see
+    `_generator_products`).  A failure raises InternalInconsistency with
+    the witness (check, index of the first b or g that fails).
     """
     p = ctx.field.p
     k = ctx.scheme.valencies
@@ -376,13 +390,12 @@ def b0_identity(ctx: TalgContext, talgebra: AlgebraBasis, b0: Subspace) -> np.nd
         bad = [i for i in range(ctx.d + 1) if int(k[i]) % p == 0]
         raise NotPPrimeValenced(f"p={p} divides valencies at relations {bad}")
     e = sum(ctx.field.inv(int(k[i])) * ctx.eje(i, i) for i in range(ctx.d + 1)) % p
-    mats = b0.basis.reshape(-1, ctx.n, ctx.n)
-    unit = e[None]
-    if not (np.array_equal(pairwise_mod(unit, mats, p)[0], mats)
-            and np.array_equal(pairwise_mod(mats, unit, p)[:, 0], mats)):
-        raise InternalInconsistency("e is not a unit of B0")
-    if not is_central(talgebra, e):
-        raise InternalInconsistency("e is not central in T")
+    unit = _generator_products(b0.basis.reshape(-1, ctx.n, ctx.n), e[None], p)
+    left, right = _generator_products(talgebra.generators, e[None], p)
+    for message, wrong in (("e is not a unit of B0", (unit != b0.basis).any(axis=(0, 2))),
+                           ("e is not central in T", (left != right).any(axis=1))):
+        if wrong.any():
+            raise InternalInconsistency(message, witness=(message, int(wrong.argmax())))
     return e
 
 
@@ -443,7 +456,10 @@ def radical(algebra: AlgebraBasis, *, _verify: bool = True) -> Subspace:
     every call.  Stages p^k beyond the largest block of the grading are
     skipped: their Gram is zero (see `_stage_gram`).  Every candidate stays
     graded, because G[a, b] != 0 only for grades (i, j) and (j, i), so the
-    kernel of G splits by grade.
+    kernel of G splits by grade.  The new basis (ker G) L has independent
+    rows, both factors being reduced bases, and it is in reduced
+    row-echelon form already (see `ffmat`), so `rref_array` returns it
+    after its O(mn) test.
     """
     field = algebra.field
     p, n = field.p, algebra.n
@@ -456,9 +472,7 @@ def radical(algebra: AlgebraBasis, *, _verify: bool = True) -> Subspace:
         gram = _stage_gram(basis, n, p, power, algebra.blocks)
         ker = kernel_array(gram.T, p)
         if ker.shape[0] < basis.shape[0]:
-            basis = matmul_mod(ker, basis, p)
-            reduced, rank, _ = rref_array(basis, p)
-            basis = reduced[:rank]
+            basis = rref_array(matmul_mod(ker, basis, p), p)[0]
         power *= p
     rad = Subspace.span(field, basis, ambient_dim=n * n)
     if _verify:
@@ -477,7 +491,8 @@ def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
     lies in J(T).
     Every x in J(T) makes each product xy nilpotent, so Tr(xy) = 0 and
     J(T) lies in ker G.  If dim ker G = dim rad, then rad = J(T) and T/rad
-    is semisimple.  Otherwise, as when the trace form is degenerate in
+    is semisimple; dim ker G = dim T - rank G needs no kernel basis.
+    Otherwise, as when the trace form is degenerate in
     characteristic p and a later stage p^k > 1 of the radical shrank its
     candidate, the radical is recomputed on the regular representation of
     T/rad and must be zero.  The claim is never trusted, so this certifies
@@ -490,7 +505,7 @@ def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
         raise InternalInconsistency("claimed radical is not contained in the algebra",
                                     witness="containment")
     gram = _stage_gram(algebra.space.basis, algebra.n, algebra.field.p, power=1)
-    if kernel_array(gram, algebra.field.p).shape[0] == rad.dim:
+    if gram.shape[0] - rref_array(gram, algebra.field.p)[1] == rad.dim:
         return
     quotient = _quotient_regular_rep(algebra, rad)
     if quotient is not None and quotient.dim > 0:
@@ -534,7 +549,9 @@ def _quotient_regular_rep(algebra: AlgebraBasis, ideal: Subspace) -> AlgebraBasi
     Coordinates modulo the ideal come from one product with its echelon
     basis: that basis is fully reduced (zero at every other pivot), so
     subtracting the pivot rows one at a time changes no pivot column still
-    to be used.
+    to be used.  The ideal's coordinates in the algebra's basis are
+    independent, as its basis is, so their row reduction has no zero rows
+    (and is empty for the zero ideal).
     """
     field = algebra.field
     p = field.p
@@ -542,15 +559,8 @@ def _quotient_regular_rep(algebra: AlgebraBasis, ideal: Subspace) -> AlgebraBasi
     k = algebra.dim
     if ideal.dim == k:
         return None
-    if ideal.dim == 0:
-        icoords = np.zeros((0, k), dtype=np.int64)
-        ipivots: list[int] = []
-    else:
-        reduced, rank, piv = rref_array(algebra.space.coords(ideal.basis), p)
-        icoords = reduced[:rank]
-        ipivots = piv
-    pivot_set = set(ipivots)
-    comp = [c for c in range(k) if c not in pivot_set]
+    icoords, _, ipivots = rref_array(algebra.space.coords(ideal.basis), p)
+    comp = np.delete(np.arange(k), ipivots)
     q = len(comp)
     reps = algebra.space.basis[comp]
     rows, cols = _grades(reps, algebra.blocks, "quotient")

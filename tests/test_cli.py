@@ -351,6 +351,24 @@ def test_out_to_unwritable_path_exits_1(z5_file, tmp_path):
         assert not missing.exists()
 
 
+def test_unwritable_out_is_refused_before_any_analysis(z5_file, tmp_path, capsys, monkeypatch):
+    from modtalg import cli
+
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("an analysis ran")
+
+    monkeypatch.setattr(cli, "_batch_entry", no_analysis)
+    monkeypatch.setattr(cli, "analyze", no_analysis)
+    kept = tmp_path / "kept.json"
+    kept.write_text("old report\n")
+    for out in (tmp_path / "no-such-dir" / "y.json", tmp_path, kept / "y.json"):
+        for args in (["batch", "--dir", str(z5_file.parent), "--primes", "2"],
+                     ["analyze", "--scheme", str(z5_file), "--prime", "3"]):
+            assert main([*args, "--out", str(out)]) == 1
+            assert f"error: cannot write {out}: " in capsys.readouterr().err
+    assert kept.read_text() == "old report\n"
+
+
 def test_point_count_beyond_desk_scale_is_refused(tmp_path, capsys):
     # only the point count is read: the table is refused before it is parsed
     d = tmp_path / "corpus"

@@ -140,10 +140,64 @@ def test_kernel_equals_the_loop_version(p, rows, cols, data):
        data=st.data())
 def test_rref_leaves_its_input_unchanged(p, rows, cols, data):
     a = _matrix(p, rows, cols, data)
-    before = a.copy()
-    rref_array(a, p)
-    kernel_array(a, p)
-    assert np.array_equal(a, before)
+    reduced, rank, _ = rref_array(a, p)
+    # already reduced input takes the early return and must still be copied
+    for x in (a, reduced[:rank], np.eye(cols, dtype=np.int64)):
+        before = x.copy()
+        out = rref_array(x, p)[0]
+        kernel_array(x, p)
+        assert np.array_equal(x, before)
+        assert out is not x and not np.shares_memory(out, x)
+
+
+def _rref_by_column_scan(a, p):
+    # reference: the column-by-column elimination rref_array replaced, verbatim
+    a = np.asarray(a, dtype=np.int64) % p
+    m, n = a.shape
+    r = 0
+    pivots = []
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r] = (a[r] * inv) % p
+        others = np.nonzero(a[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, r, pivots
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 2**31 - 1]), rows=st.integers(0, 7), cols=st.integers(0, 8),
+       form=st.sampled_from(["as drawn", "reduced", "reduced with zero rows", "reduced, rows permuted"]),
+       data=st.data())
+def test_rref_equals_the_column_scan(p, rows, cols, form, data):
+    entry = st.one_of(st.just(0), st.just(1), st.integers(-p, 2 * p - 1))
+    a = np.array(data.draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)),
+                 dtype=np.int64).reshape(rows, cols)
+    if cols:
+        a[:, data.draw(st.lists(st.integers(0, cols - 1), max_size=cols))] = 0
+    if rows:
+        a = np.concatenate([a, a[data.draw(st.lists(st.integers(0, rows - 1), max_size=3))]])
+    if form != "as drawn":
+        reduced, rank, _ = _rref_by_column_scan(a, p)
+        a = reduced if form == "reduced with zero rows" else reduced[:rank]
+        if form == "reduced, rows permuted":
+            a = a[data.draw(st.permutations(range(rank)))]
+    want_r, want_rank, want_pivots = _rref_by_column_scan(a, p)
+    got_r, got_rank, got_pivots = rref_array(a, p)
+    assert np.array_equal(got_r, want_r) and got_r.shape == want_r.shape
+    assert (got_rank, got_pivots) == (want_rank, want_pivots)
+    assert all(type(c) is int for c in got_pivots)
 
 
 @settings(max_examples=60, deadline=None)

@@ -70,29 +70,34 @@ def _scheme(entries, converse, valencies, d=None):
 
 Z5 = gen_cyclic(5).entries  # converse (0, 1, 2), valencies (1, 2, 2)
 
-# (scheme, base point, message) for each identity a corrupted scheme can
-# break.  "E_i* is not symmetric" and "dual idempotents not orthogonal"
-# cannot be reached this way: the E_i* are diagonal 0/1 matrices over a
-# partition of the points.
+# (scheme, base point, message, witness) for each identity a corrupted
+# scheme can break.  "E_i* is not symmetric" and "dual idempotents not
+# orthogonal" cannot be reached this way: the E_i* are diagonal 0/1
+# matrices over a partition of the points.
 CORRUPTED_SCHEMES = {
-    "converse": (_scheme(Z5, [0, 2, 1], [1, 2, 2]), 0, "A_1^t != A_(i')"),
-    "valencies": (_scheme(Z5, [0, 1, 2], [1, 2, 3]), 0, "J E_2* 1 != k_2 1"),
-    "identity relation": (_scheme([[1, 0], [0, 1]], [0, 1], [1, 1]), 0, "A_0 != I"),
-    "d understated": (_scheme(Z5, [0, 1], [1, 2], d=1), 0, "sum of dual idempotents != I"),
+    "converse": (_scheme(Z5, [0, 2, 1], [1, 2, 2]), 0, "A_1^t != A_(i')",
+                 ("A_i^t != A_(i')", 1)),
+    "valencies": (_scheme(Z5, [0, 1, 2], [1, 2, 3]), 0, "J E_2* 1 != k_2 1",
+                  ("J E_i* 1 != k_i 1", 2)),
+    "identity relation": (_scheme([[1, 0], [0, 1]], [0, 1], [1, 1]), 0, "A_0 != I",
+                          ("A_0 != I", (0, 0))),
+    "d understated": (_scheme(Z5, [0, 1], [1, 2], d=1), 0, "sum of dual idempotents != I",
+                      ("sum of dual idempotents != I", (2, 2))),
     "d understated off the base row": (
         _scheme([[0, 1, 1], [1, 0, 2], [1, 2, 0]], [0, 1], [1, 2], d=1), 0,
-        "sum of adjacency matrices != J"),
+        "sum of adjacency matrices != J", ("sum of adjacency matrices != J", (1, 2))),
     "relation missing from the base row": (
         _scheme([[0, 1, 2], [1, 0, 1], [2, 1, 0]], [0, 1, 2], [1, 1, 1]), 1,
-        "E_0* J E_2* vanished"),
+        "E_0* J E_2* vanished", ("E_i* J E_j* vanished", (0, 2))),
 }
 
 
 @pytest.mark.parametrize("corruption", CORRUPTED_SCHEMES)
 def test_context_rejects_a_corrupted_scheme(corruption):
-    s, x, message = CORRUPTED_SCHEMES[corruption]
-    with pytest.raises(InternalInconsistency, match=f"^{re.escape(message)}$"):
+    s, x, message, witness = CORRUPTED_SCHEMES[corruption]
+    with pytest.raises(InternalInconsistency, match=f"^{re.escape(message)}$") as err:
         build_context(s, field_ctx(3), x)
+    assert err.value.witness == witness
 
 
 def test_context_base_point_bounds():
@@ -319,6 +324,48 @@ def test_b0_identity_not_pprime():
     b0, _ = b0_b1(ctx, t, _filtration(ctx))
     with pytest.raises(NotPPrimeValenced):
         b0_identity(ctx, t, b0)
+
+
+def _cyclic5_p3():
+    ctx = build_context(validate_axioms(gen_cyclic(5)), field_ctx(3), 0)
+    return ctx, generate_algebra(ctx)
+
+
+def test_dependent_b0_spanning_set_is_witnessed():
+    # E_2* 1 replaced by E_1* 1, so E_0* J E_2* = E_0* J E_1* is the first dependent pair
+    ctx, t = _cyclic5_p3()
+    ctx.u = ctx.u[[0, 1, 1]]
+    filt = [Subspace.span(ctx.field, ctx.u, ambient_dim=ctx.n), Subspace.zero(ctx.field, ctx.n)]
+    with pytest.raises(InternalInconsistency, match="^dim B0 = 4, expected 9$") as err:
+        b0_b1(ctx, t, filt)
+    assert err.value.witness == ("dim B0", (0, 2))
+
+
+def test_b0_outside_the_algebra_is_witnessed():
+    # the Bose-Mesner algebra has a constant diagonal, so it misses E_0* J E_0* = e_x e_x^T
+    ctx, _ = _cyclic5_p3()
+    bose_mesner = algebra_closure(ctx.field, ctx.A)
+    with pytest.raises(InternalInconsistency, match="^B0 not contained in T$") as err:
+        b0_b1(ctx, bose_mesner, _filtration(ctx))
+    assert err.value.witness == ("B0 not contained in T", (0, 0))
+
+
+def test_b0_unit_faults_are_witnessed():
+    ctx, t = _cyclic5_p3()
+    b0, _ = b0_b1(ctx, t, _filtration(ctx))
+    # e I = e != I: e is no unit of a space that contains I
+    with_identity = Subspace.span(ctx.field, np.eye(ctx.n, dtype=np.int64).reshape(1, -1))
+    with pytest.raises(InternalInconsistency, match="^e is not a unit of B0$") as err:
+        b0_identity(ctx, t, with_identity)
+    assert err.value.witness == ("e is not a unit of B0", 0)
+    # one more generator, the matrix unit e_0 e_1^T: e e_0 e_1^T = e_0 e_1^T, but
+    # e_0 e_1^T e = k_1^-1 e_0 (E_1* 1)^T
+    unit = np.zeros((1, ctx.n, ctx.n), dtype=np.int64)
+    unit[0, 0, 1] = 1
+    wider = AlgebraBasis(ctx.field, ctx.n, t.space, np.concatenate([t.generators, unit]))
+    with pytest.raises(InternalInconsistency, match="^e is not central in T$") as err:
+        b0_identity(ctx, wider, b0)
+    assert err.value.witness == ("e is not central in T", 2 * (ctx.d + 1))
 
 
 def _closure_of(f, mats):
