@@ -30,7 +30,6 @@ from .scheme import (
     gen_cyclic,
     gen_hamming,
     gen_thin,
-    intersection_numbers,
     parse_scheme,
     serialize_scheme,
     strata,
@@ -41,7 +40,6 @@ from .talg import (
     TalgContext,
     annihilator_W0,
     b0_b1,
-    b0_identity,
     build_context,
     generate_algebra,
     radical,

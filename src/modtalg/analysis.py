@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .characterize import CharReport, CorollaryReport, check_corollary, check_equivalences
 from .errors import InternalInconsistency
 from .ffmat import FieldCtx, Subspace, pairwise_mod
@@ -99,11 +97,6 @@ def compute_artifacts(s: SchemeData, f: FieldCtx, x: int = 0) -> Artifacts:
     return art
 
 
-def _first_outside(space: Subspace, vectors: np.ndarray) -> int:
-    """Index of the first row of `vectors` outside `space` (one exists)."""
-    return next(i for i, v in enumerate(vectors) if not space.member(v))
-
-
 def _cross_checks(art: Artifacts) -> None:
     """Provable identities tying independent artifacts together.
 
@@ -119,17 +112,17 @@ def _cross_checks(art: Artifacts) -> None:
     pushed = Subspace.span(art.field, images, ambient_dim=n)
     if pushed != w1:
         if not w1.contains(pushed):
-            witness = ("Rad(T) W_0 in W_1", *divmod(_first_outside(w1, images), w0.dim))
+            witness = ("Rad(T) W_0 in W_1", *divmod(int(w1.outside(images)[0]), w0.dim))
         else:
-            witness = ("W_1 in Rad(T) W_0", _first_outside(pushed, w1.basis))
+            witness = ("W_1 in Rad(T) W_0", int(pushed.outside(w1.basis)[0]))
         raise InternalInconsistency("Rad(T) W_0 != W_1", witness=witness)
     if not art.rad.contains(art.b1):
         raise InternalInconsistency("B1 escapes the radical",
-                                    witness=("B1 in Rad(T)", _first_outside(art.rad, art.b1.basis)))
+                                    witness=("B1 in Rad(T)", int(art.rad.outside(art.b1.basis)[0])))
     if art.strata.p_prime_valenced and not art.ann.contains(art.rad):
         raise InternalInconsistency(
             "irreducible W_0 but Rad(T) not inside Ann(W_0)",
-            witness=("Rad(T) in Ann(W_0)", _first_outside(art.ann, art.rad.basis)),
+            witness=("Rad(T) in Ann(W_0)", int(art.ann.outside(art.rad.basis)[0])),
         )
 
 
@@ -211,7 +204,7 @@ def analyze(
     """
     base_points = tuple(int(x) for x in base_points)
     if not base_points:
-        raise InternalInconsistency("no base points requested")
+        raise InternalInconsistency("no base points requested", witness=("base points", base_points))
     dim_T: list[int] = []
     dim_rad: list[int] = []
     dim_ann: list[int] = []

@@ -1,13 +1,15 @@
 """Individually computable items of the p'-valenced characterization.
 
-Eight of the equivalent statements are recomputed independently from the
-algebra artifacts; the remaining three (Krull-Schmidt counts and the
+Eight of the equivalent statements are decided from the certified algebra
+artifacts, each by its own computation or by a lemma whose inputs are
+checked at run time; the remaining three (Krull-Schmidt counts and the
 quantifications over all irreducible modules) are reported as implied by
 item (i).  Computed booleans must agree on every input; divergence raises
 InternalInconsistency because the statements are provably equivalent.
-Item (iii) reuses certified artifacts: B0's unit comes from K^-1, and the
-complement (I - e) T is compared with the certified annihilator Ann_T(W_0)
-instead of being tested as an ideal again.
+Items (ii) and (iii) rest on B0's unit, which comes from K^-1: its
+centrality follows from B0 being an ideal (see `check_equivalences`), and
+the complement (I - e) T is compared with the certified annihilator
+Ann_T(W_0) instead of being tested as an ideal again.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 from .errors import InternalInconsistency
 from .ffmat import Subspace, matmul_mod, pairwise_mod, rref_array
-from .talg import is_central
 
 __all__ = ["CharReport", "CorollaryReport", "b0_unit_element", "check_equivalences", "check_corollary"]
 
@@ -131,13 +132,20 @@ def _complement_ideal(artifacts, unit: np.ndarray | None) -> bool:
 
 def check_equivalences(artifacts) -> CharReport:
     """Evaluate the eight computable characterization items and require
-    them to coincide."""
+    them to coincide.
+
+    Item (ii), B0 unital with central identity, holds iff B0's unit e
+    exists: when it does, it is central in T.  Proof.  `b0_b1` certifies
+    B0 as a two-sided ideal of T, from the invariance of W_0 that
+    `filtration` checked, and checks that B0 lies in T.  e lies in B0 and
+    is its two-sided unit, because XK = I = KX (see `b0_unit_element`).
+    So for t in T both et and te lie in B0, and
+    et = (et)e = e(te) = te."""
     unit = b0_unit_element(artifacts)
-    ii_flag = unit is not None and is_central(artifacts.talgebra, unit)
     report = CharReport(
         i_pprime=artifacts.strata.p_prime_valenced,
-        ii_b0_unital_central=ii_flag,
-        iii_complement_ideal=_complement_ideal(artifacts, unit if ii_flag else None),
+        ii_b0_unital_central=unit is not None,
+        iii_complement_ideal=_complement_ideal(artifacts, unit),
         iv_b0_simple=artifacts.b1.dim == 0 and unit is not None,
         v_ann_thin_kills=_thin_kills(artifacts, artifacts.ann),
         vi_rad_thin_kills=_thin_kills(artifacts, artifacts.rad),

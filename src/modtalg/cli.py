@@ -288,9 +288,7 @@ def cmd_verify(args) -> int:
 
     rad = radical(talgebra, _verify=False)
     if args.inject_radical_fault:
-        extra = next(
-            row for row in talgebra.space.basis if not rad.member(row)
-        )
+        extra = talgebra.space.basis[rad.outside(talgebra.space.basis)[0]]
         corrupted = Subspace.span(
             f, np.concatenate([rad.basis, extra[None, :]]), ambient_dim=ctx.n * ctx.n
         )

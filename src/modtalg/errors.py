@@ -71,10 +71,6 @@ class AxiomIII(AxiomViolation):
     """An intersection count is not constant on some relation."""
 
 
-class NotPPrimeValenced(Error):
-    """Some valency is divisible by the field characteristic."""
-
-
 class FixtureInvalid(Error):
     """A bundled fixture failed its identity validation."""
 

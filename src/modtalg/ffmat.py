@@ -81,12 +81,6 @@ class FieldCtx:
             raise NotPrime(f"{p} is not a prime number")
         self.p = p
 
-    def inv(self, a: int) -> int:
-        a = int(a) % self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse in GF(p)")
-        return pow(a, self.p - 2, self.p)
-
     def __eq__(self, other):
         return isinstance(other, FieldCtx) and other.p == self.p
 
@@ -368,6 +362,11 @@ class Subspace:
         np.add(r, p, out=r, where=r < 0)
         return c, r
 
+    def outside(self, vectors) -> np.ndarray:
+        """Indices of the rows of `vectors` that lie outside the subspace, in
+        increasing order: the rows whose residual (see `reduce`) is nonzero."""
+        return np.flatnonzero(self.reduce(vectors)[1].any(axis=1))
+
     def coords(self, vectors) -> np.ndarray | None:
         """Coordinates of row vectors in the echelon basis, or None if any
         vector falls outside the subspace."""
@@ -404,29 +403,15 @@ class Subspace:
         return Subspace(self.field, self.ambient_dim, basis, tuple(pivots[order].tolist())), new.basis
 
     def member(self, v) -> bool:
-        return self.coords(v) is not None
+        return self.outside([v]).size == 0
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
-        if other.dim == 0:
-            return True
-        return self.coords(other.basis) is not None
+        return self.outside(other.basis).size == 0
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
         return self.adjoin(other.basis)[0]
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient_dim)
-        # kernel of the stacked-basis map (a, b) -> a.basis_self - b.basis_other
-        stacked = np.concatenate([self.basis.T, other.basis.T], axis=1)
-        ker = kernel_array(stacked, self.field.p)
-        if ker.shape[0] == 0:
-            return Subspace.zero(self.field, self.ambient_dim)
-        vecs = matmul_mod(ker[:, : self.dim], self.basis, self.field.p)
-        return Subspace.span(self.field, vecs, ambient_dim=self.ambient_dim)
 
     def __eq__(self, other):
         return (

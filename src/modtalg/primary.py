@@ -34,7 +34,6 @@ __all__ = [
     "hom_space",
     "is_selfcontragredient",
     "selfcontra_W0",
-    "factor_selfcontra",
 ]
 
 
@@ -79,8 +78,11 @@ class PrimaryModule:
     def __init__(self, ctx: TalgContext):
         self.ctx = ctx
         d, p = ctx.d, ctx.field.p
-        if rref_array(ctx.u, p)[1] != d + 1:
-            raise InternalInconsistency("the vectors E_i* 1 are not independent")
+        pivots = rref_array(ctx.u.T, p)[2]
+        if len(pivots) != d + 1:
+            i = next(i for i, c in enumerate(pivots + [-1]) if i != c)
+            raise InternalInconsistency("the vectors E_i* 1 are not independent",
+                                        witness=("E_i* 1 independent", i))
         self.vectors = ctx.u
         row = ctx.scheme.table.entries[ctx.x]
         self.reps = np.array([int(np.nonzero(row == i)[0][0]) for i in range(d + 1)])
@@ -100,26 +102,27 @@ class PrimaryModule:
         p = self.ctx.field.p
         w = np.asarray(w, dtype=np.int64) % p
         c = w[self.reps]
-        if not np.array_equal(matmul_mod(c[None], self.vectors, p)[0], w):
-            raise InternalInconsistency("vector outside the span of {E_i* 1}")
+        wrong = np.flatnonzero(matmul_mod(c[None], self.vectors, p)[0] != w)
+        if wrong.size:
+            raise InternalInconsistency("vector outside the span of {E_i* 1}",
+                                        witness=("span of E_i* 1", int(wrong[0])))
         return c
 
     def _verify_action(self) -> None:
-        ctx = self.ctx
-        p = ctx.field.p
-        tensor = ctx.scheme.tensor
-        conv = ctx.scheme.converse
-        d = ctx.d
-        for j in range(d + 1):
-            expect = np.zeros((d + 1, d + 1), dtype=np.int64)
-            for h in range(d + 1):
-                expect[:, h] = tensor[h, conv[j], :] % p
-            if not np.array_equal(self.action.actA[j], expect):
-                raise InternalInconsistency(f"action of A_{j} disagrees with p_{{h j'}}^i")
-            unit = np.zeros((d + 1, d + 1), dtype=np.int64)
-            unit[j, j] = 1
-            if not np.array_equal(self.action.actE[j], unit):
-                raise InternalInconsistency(f"action of E_{j}* is not the coordinate projector")
+        """A failure's witness (check, (j, i, h)) names the entry (i, h) of
+        the action of A_j or E_j* that differs from the formula."""
+        scheme = self.ctx.scheme
+        eye = np.eye(self.dim, dtype=np.int64)
+        # entry (j, i, h): p_{h j'}^i for A_j, and [i = h = j] for E_j*
+        checks = (("action of A_{} disagrees with p_{{h j'}}^i", self.action.actA,
+                   np.transpose(scheme.tensor[:, scheme.converse], (1, 2, 0)) % self.ctx.field.p),
+                  ("action of E_{}* is not the coordinate projector", self.action.actE,
+                   eye[:, :, None] * eye[:, None, :]))
+        for message, got, want in checks:
+            wrong = np.argwhere(got != want)
+            if wrong.size:
+                j, i, h = (int(v) for v in wrong[0])
+                raise InternalInconsistency(message.format(j), witness=(message.format("j"), (j, i, h)))
 
 
 def build_primary(ctx: TalgContext) -> PrimaryModule:
@@ -140,11 +143,12 @@ def filtration(ctx: TalgContext, strata_: Strata, module: PrimaryModule) -> list
         keep = np.nonzero(strata_.valuations >= m)[0]
         sub = Subspace.span(f, module.vectors[keep], ambient_dim=n)
         if sub.dim != keep.size:
-            raise InternalInconsistency("filtration dimensions collapsed")
+            raise InternalInconsistency("filtration dimensions collapsed",
+                                        witness=("filtration dimension", m))
         if sub.dim:
             images = pairwise_mod(ctx.gens, module.vectors[keep, :, None], p).reshape(-1, n)
             if sub.coords(images) is None:
-                g, b = divmod(next(r for r, v in enumerate(images) if not sub.member(v)), keep.size)
+                g, b = divmod(int(sub.outside(images)[0]), keep.size)
                 raise InternalInconsistency(f"W_{m} is not invariant under generator {g}",
                                             witness=(m, g, int(keep[b])))
         chain.append(sub)
@@ -185,7 +189,8 @@ def _reachability(adj: np.ndarray) -> np.ndarray:
 def closure_digraph(s: SchemeData, f: FieldCtx) -> ClosureDigraph:
     adj = (s.tensor % f.p != 0).any(axis=1).T
     if not adj.diagonal().all():
-        raise InternalInconsistency("missing self-loop: some p_{i 0}^i != 1")
+        raise InternalInconsistency("missing self-loop: some p_{i 0}^i != 1",
+                                    witness=("self-loop", int(np.flatnonzero(~adj.diagonal())[0])))
     # row i of R & R^T is i's component; its first True is the minimum
     reach = _reachability(adj)
     ids = np.unique((reach & reach.T).argmax(axis=1), return_inverse=True)[1]
@@ -250,10 +255,15 @@ def composition_factors(
     some e_h, so M is irreducible iff its support digraph is strongly
     connected.
 
+    The factor labels (level, class) are distinct with no check: the
+    classes of one level are the elements of a set.
+
     Witnesses: ("composition", level, (i, h)) for a nonzero entry (i, h)
     with h in the stratum and i below it, ("composition", level, cls,
     (i, h)) for h in cls and i in another class of the stratum, and
-    ("composition", level, cls, h) when e_h does not generate the factor.
+    ("composition", level, cls, h) when e_h does not generate the factor,
+    and ("bottom stratum", i) for the first i of S_0 outside the class of
+    relation 0.
     """
     _check_weight_spaces(module.action)
     p = ctx.field.p
@@ -271,7 +281,8 @@ def composition_factors(
         classes = sorted({tuple(i for i in sn if digraph.same_class(i, j)) for j in sn})
         qn.append(classes)
         if n_level == 0 and len(classes) != 1:
-            raise InternalInconsistency("the bottom stratum must form a single class")
+            raise InternalInconsistency("the bottom stratum must form a single class",
+                                        witness=("bottom stratum", classes[1][0]))
         for cls in classes:
             others = np.array([i for i in sn if i not in cls], dtype=np.int64)
             edge = _first_edge(gens, others, np.array(cls), p)
@@ -286,9 +297,6 @@ def composition_factors(
                 raise InternalInconsistency(f"factor {cls} not regenerated from coordinate {h}",
                                             witness=("composition", n_level, cls, h))
             factors.append(CompositionFactor(level=n_level, cls=cls))
-    labels = [(f.level, f.cls) for f in factors]
-    if len(set(labels)) != len(labels):
-        raise InternalInconsistency("repeated composition factor label")
     return CompositionReport(
         epsilon=strata_.epsilon,
         strata_sets=strata_.sets,
@@ -431,25 +439,7 @@ def selfcontra_W0(module: PrimaryModule, strata_: Strata) -> bool:
     if verdict != strata_.p_prime_valenced:
         raise InternalInconsistency(
             f"W_0 self-contragredient verdict {verdict} contradicts "
-            f"p'-valenced flag {strata_.p_prime_valenced}"
+            f"p'-valenced flag {strata_.p_prime_valenced}",
+            witness=("self-duality of W_0", verdict, strata_.p_prime_valenced),
         )
     return verdict
-
-
-def factor_selfcontra(
-    module: PrimaryModule, strata_: Strata, factor: CompositionFactor
-) -> bool:
-    """Verify the explicit self-duality of one composition factor: with
-    k_i = p^level q_i, the diagonal map e_i -> q_i (dual basis) intertwines
-    the factor action with its contragredient."""
-    p = module.ctx.field.p
-    k = module.ctx.scheme.valencies
-    q = []
-    for i in factor.cls:
-        ki = int(k[i])
-        ki //= p**factor.level
-        if ki % p == 0:
-            raise InternalInconsistency("stratum member with wrong valuation")
-        q.append(ki % p)
-    system = _diagonal_intertwining_system(factor_action(module, factor.cls))
-    return not matmul_mod(system, np.array(q, dtype=np.int64)[:, None], p).any()

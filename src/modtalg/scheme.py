@@ -33,7 +33,6 @@ __all__ = [
     "serialize_scheme",
     "SchemeData",
     "validate_axioms",
-    "intersection_numbers",
     "Strata",
     "strata",
     "check_point_count",
@@ -222,10 +221,6 @@ def validate_axioms(t: RelationTable) -> SchemeData:
         raise InternalInconsistency("triangle identity failed on a validated table")
 
     return SchemeData(t, converse, valencies, tensor)
-
-
-def intersection_numbers(s: SchemeData, i: int, j: int, l: int) -> int:
-    return s.p(i, j, l)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,6 @@ from .errors import (
     IndexOutOfRange,
     InternalInconsistency,
     InvalidParameter,
-    NotPPrimeValenced,
     PrimeTooLarge,
 )
 from .ffmat import (
@@ -36,10 +35,7 @@ __all__ = [
     "AlgebraBasis",
     "algebra_closure",
     "generate_algebra",
-    "is_two_sided_ideal",
-    "is_central",
     "b0_b1",
-    "b0_identity",
     "radical",
     "check_radical_postconditions",
     "annihilator_W0",
@@ -256,31 +252,17 @@ def _generator_products(gens: np.ndarray, mats: np.ndarray, p: int) -> np.ndarra
     """g M and M g for every generator g and every M, stacked with shape
     (2, len(gens) * len(mats), n * n), left products first.
 
-    Ideal and centrality tests need no more.  Let T be the algebra the g
-    generate (with or without I).  If gI and Ig lie in a subspace I for
-    every g, then {t : tI in I and It in I} is a unital subalgebra that
-    contains every g, hence all of T: I is a two-sided ideal.  Likewise
-    {t : tm = mt} is a unital subalgebra, so m is central in T iff it
-    commutes with every g.  The converses hold because the g lie in T.
+    An ideal test needs no more.  Let T be the algebra the g generate (with
+    or without I).  If gI and Ig lie in a subspace I for every g, then
+    {t : tI in I and It in I} is a unital subalgebra that contains every g,
+    hence all of T: I is a two-sided ideal.  The converse holds because
+    the g lie in T.
     """
     g, b, n = len(gens), len(mats), mats.shape[-1]
     out = np.empty((2, g, b, n, n), dtype=np.int64)
     pairwise_mod(gens, mats, p, out=out[0])
     pairwise_mod(mats, gens, p, out=out[1].transpose(1, 0, 2, 3))
     return out.reshape(2, g * b, n * n)
-
-
-def is_two_sided_ideal(alg: AlgebraBasis, ideal: Subspace) -> bool:
-    """g I and I g lie in I for every generator g of the algebra."""
-    n = alg.n
-    prods = _generator_products(alg.generators, ideal.basis.reshape(-1, n, n), alg.field.p)
-    return ideal.coords(prods.reshape(-1, n * n)) is not None
-
-
-def is_central(alg: AlgebraBasis, m: np.ndarray) -> bool:
-    """m commutes with every generator of the algebra."""
-    left, right = _generator_products(alg.generators, m[None], alg.field.p)
-    return np.array_equal(left, right)
 
 
 def algebra_closure(field: FieldCtx, generators: np.ndarray) -> AlgebraBasis:
@@ -326,15 +308,26 @@ def generate_algebra(ctx: TalgContext) -> AlgebraBasis:
 
 
 def assert_two_sided_ideal(alg: AlgebraBasis, ideal: Subspace, what: str) -> None:
-    """Raise InternalInconsistency unless the ideal is two-sided in alg."""
-    if not is_two_sided_ideal(alg, ideal):
-        raise InternalInconsistency(f"{what} is not a two-sided ideal", witness="ideal")
+    """Raise InternalInconsistency unless g I and I g lie in I for every
+    generator g of the algebra, i.e. unless I is a two-sided ideal (see
+    `_generator_products`).  The witness (side, g, b) names the first
+    product outside I: generator g times basis element b of I, on the left
+    ("left", g b) or on the right ("right", b g)."""
+    n = alg.n
+    prods = _generator_products(alg.generators, ideal.basis.reshape(-1, n, n), alg.field.p)
+    outside = ideal.outside(prods.reshape(-1, n * n))
+    if outside.size:
+        side, g, b = np.unravel_index(outside[0], (2, len(alg.generators), ideal.dim))
+        raise InternalInconsistency(f"{what} is not a two-sided ideal",
+                                    witness=(("left", "right")[side], int(g), int(b)))
 
 
 def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis,
           filt: list[Subspace]) -> tuple[Subspace, Subspace]:
     """The ideal B0 = span{E_i* J E_j*} and its sub-ideal B1 from pairs with
-    p | k_i k_j; dimensions are pinned to (d+1)^2 and the pair count.
+    p | k_i k_j; dim B0 is pinned to (d+1)^2.  B1 is spanned by a subset of
+    those (d+1)^2 matrices, which the pin has just shown independent, so
+    dim B1 is the pair count without a check.
 
     Both are ideals of T because `filtration` checked W_0 = filt[0] and
     W_1 = filt[1] invariant; these must be spanned by the u_i = E_i* 1 used
@@ -348,7 +341,7 @@ def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis,
     (checked), hence so does B1.
 
     A failed check raises InternalInconsistency with the witness
-    (check, (i, j)): for a dimension, the first pair whose E_i* J E_j*
+    (check, (i, j)): for the dimension, the first pair whose E_i* J E_j*
     lies in the span of the pairs before it (the first non-pivot column of
     the products taken as columns); for containment, the first pair whose
     E_i* J E_j* is not in T.
@@ -358,45 +351,18 @@ def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis,
     divisible = np.array([int(k) % p == 0 for k in ctx.scheme.valencies])
     if filt[:2] != [Subspace.span(ctx.field, w, ambient_dim=n) for w in (u, u[divisible])]:
         raise InternalInconsistency("W_0, W_1 are not spanned by their E_i* 1", witness="filtration")
-    outer = (u[:, None, :, None] * u[None, :, None, :]).reshape(d + 1, d + 1, n * n)
-    pairs = divisible[:, None] | divisible[None, :]
-    every = np.ones((d + 1, d + 1), dtype=bool)
-    b0, b1 = (Subspace.span(ctx.field, outer[keep], ambient_dim=n * n) for keep in (every, pairs))
-    for name, space, keep in (("dim B0", b0, every), ("dim B1", b1, pairs)):
-        if space.dim != keep.sum():
-            k = next(k for k, c in enumerate(rref_array(outer[keep].T, p)[2] + [-1]) if k != c)
-            raise InternalInconsistency(f"{name} = {space.dim}, expected {keep.sum()}",
-                                        witness=(name, tuple(np.argwhere(keep)[k].tolist())))
+    outer = (u[:, None, :, None] * u[None, :, None, :]).reshape(-1, n * n)
+    b0 = Subspace.span(ctx.field, outer, ambient_dim=n * n)
+    if b0.dim != len(outer):
+        k = next(k for k, c in enumerate(rref_array(outer.T, p)[2] + [-1]) if k != c)
+        raise InternalInconsistency(f"dim B0 = {b0.dim}, expected {len(outer)}",
+                                    witness=("dim B0", divmod(k, d + 1)))
     if not talgebra.space.contains(b0):
-        outside = int(talgebra.space.reduce(outer.reshape(-1, n * n))[1].any(axis=1).argmax())
+        outside = int(talgebra.space.outside(outer)[0])
         raise InternalInconsistency("B0 not contained in T",
                                     witness=("B0 not contained in T", divmod(outside, d + 1)))
-    return b0, b1
-
-
-def b0_identity(ctx: TalgContext, talgebra: AlgebraBasis, b0: Subspace) -> np.ndarray:
-    """e = sum_i (k_i)^-1 E_i* J E_i*: the identity of B0, central in T.
-
-    Only exists when no valency vanishes mod p; raises NotPPrimeValenced
-    otherwise.  The unit and centrality properties are verified against the
-    computed bases before returning: b e = e b = b for every basis element
-    b of B0, and g e = e g for every generator g of T (see
-    `_generator_products`).  A failure raises InternalInconsistency with
-    the witness (check, index of the first b or g that fails).
-    """
-    p = ctx.field.p
-    k = ctx.scheme.valencies
-    if any(int(v) % p == 0 for v in k):
-        bad = [i for i in range(ctx.d + 1) if int(k[i]) % p == 0]
-        raise NotPPrimeValenced(f"p={p} divides valencies at relations {bad}")
-    e = sum(ctx.field.inv(int(k[i])) * ctx.eje(i, i) for i in range(ctx.d + 1)) % p
-    unit = _generator_products(b0.basis.reshape(-1, ctx.n, ctx.n), e[None], p)
-    left, right = _generator_products(talgebra.generators, e[None], p)
-    for message, wrong in (("e is not a unit of B0", (unit != b0.basis).any(axis=(0, 2))),
-                           ("e is not central in T", (left != right).any(axis=1))):
-        if wrong.any():
-            raise InternalInconsistency(message, witness=(message, int(wrong.argmax())))
-    return e
+    pairs = divisible[:, None] | divisible[None, :]
+    return b0, Subspace.span(ctx.field, outer[pairs.reshape(-1)], ambient_dim=n * n)
 
 
 def _stage_gram(basis_flat: np.ndarray, n: int, p: int, power: int,
@@ -503,7 +469,7 @@ def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
     _assert_nilpotent(algebra, rad)
     if not algebra.space.contains(rad):
         raise InternalInconsistency("claimed radical is not contained in the algebra",
-                                    witness="containment")
+                                    witness=("containment", int(algebra.space.outside(rad.basis)[0])))
     gram = _stage_gram(algebra.space.basis, algebra.n, algebra.field.p, power=1)
     if gram.shape[0] - rref_array(gram, algebra.field.p)[1] == rad.dim:
         return

@@ -4,6 +4,7 @@ budgets.  Each test prints a single pass/fail line."""
 import time
 
 import numpy as np
+from test_primary import explicit_map_intertwines
 
 from modtalg.analysis import compute_artifacts
 from modtalg.characterize import check_equivalences
@@ -12,7 +13,6 @@ from modtalg.errors import InternalInconsistency
 from modtalg.ffmat import Subspace, field_ctx
 from modtalg.fixtures import corpus, load_order12_no21
 from modtalg.oracles import module_lattice_analysis
-from modtalg.primary import factor_selfcontra
 from modtalg.scheme import gen_cyclic, gen_thin, serialize_scheme, validate_axioms
 from modtalg.talg import (
     algebra_closure,
@@ -200,7 +200,7 @@ def test_criterion_8_selfcontragredient_suite():
             if art.w0_selfcontra != art.strata.p_prime_valenced:
                 failures.append((name, p, "W0 flag"))
             for fac in art.comp.factors:
-                if not factor_selfcontra(art.module, art.strata, fac):
+                if not explicit_map_intertwines(art, fac):
                     failures.append((name, p, fac))
     _report(8, not failures, str(failures[:3]))
 

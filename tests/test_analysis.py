@@ -1,15 +1,16 @@
-"""The cross-checks of `analysis.compute_artifacts` on corrupted artifacts:
-each failure is an InternalInconsistency whose witness names the check and
-the offending basis element."""
+"""The cross-checks of `analysis.compute_artifacts` on corrupted artifacts,
+and `analyze` on an empty list of base points: each failure is an
+InternalInconsistency whose witness names the check and the offending
+element."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from modtalg.analysis import _cross_checks
+from modtalg.analysis import _cross_checks, analyze
 from modtalg.errors import InternalInconsistency
-from modtalg.ffmat import Subspace
+from modtalg.ffmat import Subspace, field_ctx
 
 
 def _raises(art):
@@ -69,3 +70,9 @@ def test_radical_outside_the_annihilator_is_witnessed(artifacts):
     assert str(err) == "irreducible W_0 but Rad(T) not inside Ann(W_0)"
     assert err.witness == ("Rad(T) in Ann(W_0)", 0)
     assert np.any(art.ann.basis[0])
+
+
+def test_analysis_without_base_points_is_witnessed(schemes):
+    with pytest.raises(InternalInconsistency, match="^no base points requested$") as err:
+        analyze(schemes["cyclic-5"], field_ctx(3), [])
+    assert err.value.witness == ("base points", ())

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_talg import _ideal_by_full_basis
+from test_talg import _central_by_full_basis, _ideal_by_full_basis
 
 from modtalg import analysis, characterize
 from modtalg.analysis import analyze
@@ -12,9 +12,8 @@ from modtalg.characterize import (
     check_corollary,
     check_equivalences,
 )
-from modtalg.errors import InternalInconsistency, NotPPrimeValenced
+from modtalg.errors import InternalInconsistency
 from modtalg.ffmat import Subspace, field_ctx, solve_array
-from modtalg.talg import b0_identity
 
 PRIMES = (2, 3, 5, 7)
 
@@ -70,19 +69,32 @@ def test_corollary_sweep(artifacts, schemes):
 
 
 def test_unit_element_matches_formula_when_pprime(artifacts, schemes):
-    # the solved identity element coincides with the closed-form one
+    # the solved identity element coincides with the closed form sum_i k_i^-1 E_i* J E_i*
     for name in schemes:
         for p in (2, 3):
             art = artifacts(name, p)
             solved = b0_unit_element(art)
             if art.strata.p_prime_valenced:
-                formula = b0_identity(art.ctx, art.talgebra, art.b0)
+                formula = sum(pow(int(k), p - 2, p) * art.ctx.eje(i, i)
+                              for i, k in enumerate(art.scheme.valencies)) % p
                 assert solved is not None
                 assert np.array_equal(solved, formula), (name, p)
             else:
-                with pytest.raises(NotPPrimeValenced):
-                    b0_identity(art.ctx, art.talgebra, art.b0)
                 assert solved is None
+
+
+def test_b0_unit_is_central_where_it_exists(artifacts, schemes):
+    # item (ii) reads "unit is not None"; centrality is the lemma of check_equivalences
+    found = 0
+    for name, s in schemes.items():
+        for p in PRIMES:
+            for x in range(s.n):
+                art = artifacts(name, p, x)
+                unit = b0_unit_element(art)
+                if unit is not None:
+                    assert _central_by_full_basis(art.talgebra, unit), (name, p, x)
+                    found += 1
+    assert found >= 100
 
 
 def _unit_by_dense_solve(art):
@@ -138,7 +150,7 @@ def _complement_ideal_dense(art, unit):
     dspace = Subspace.span(art.field, (proj @ tal.mats() % p).reshape(tal.dim, n * n),
                            ambient_dim=n * n)
     return (dspace.dim + art.b0.dim == tal.dim
-            and dspace.intersect(art.b0).dim == 0
+            and dspace.sum(art.b0).dim == tal.dim
             and _ideal_by_full_basis(tal, dspace))
 
 
@@ -173,6 +185,18 @@ def test_doubled_unit_breaks_item_iii(artifacts, monkeypatch):
     unit = b0_unit_element(art)
     monkeypatch.setattr(characterize, "b0_unit_element", lambda a: 2 * unit % 3)
     with pytest.raises(InternalInconsistency, match="diverge") as err:
+        check_equivalences(art)
+    _only_iii_fails(err)
+
+
+def test_corrupted_b0_unit_is_witnessed(artifacts, monkeypatch):
+    # e + E_0* J E_1* is no longer central (it fails to commute with E_1*), but
+    # (ii) now reads only that a unit exists, so (iii) must catch it
+    art = artifacts("cyclic-5", 3)
+    bad = (b0_unit_element(art) + art.ctx.eje(0, 1)) % 3
+    assert not _central_by_full_basis(art.talgebra, bad)
+    monkeypatch.setattr(characterize, "b0_unit_element", lambda a: bad)
+    with pytest.raises(InternalInconsistency, match="^characterization booleans diverge$") as err:
         check_equivalences(art)
     _only_iii_fails(err)
 

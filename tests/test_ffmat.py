@@ -54,14 +54,6 @@ def test_field_ctx_rejects_primes_from_2_64():
             field_ctx(p)
 
 
-def test_field_inverse():
-    f = field_ctx(7)
-    for a in range(1, 7):
-        assert (a * f.inv(a)) % 7 == 1
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
-
-
 def test_rref_identity_fixed():
     eye = np.eye(3, dtype=np.int64)
     reduced, rank, pivots = rref_array(eye, 2)
@@ -213,7 +205,7 @@ def test_adjoin_is_the_span_of_both(p, cols, data):
     assert not grown.basis.flags.writeable
     # the block spans a complement of the old subspace in the sum
     assert block.shape[0] == want.dim - space.dim
-    assert space.intersect(Subspace.span(f, block, ambient_dim=cols)).dim == 0
+    assert space.sum(Subspace.span(f, block, ambient_dim=cols)).dim == space.dim + len(block)
 
 
 def test_array_functions_refuse_primes_that_overflow_int64():
@@ -239,14 +231,12 @@ def test_int64_bounds_scale_with_the_contraction_length():
     plane = Subspace.span(f, [[1, 0, 0], [0, 1, 0]])
     full = Subspace.span(f, np.eye(3, dtype=np.int64))
     assert plane.member([p - 1, p - 2, 0]) and not plane.member([0, 0, 1])
-    assert plane.intersect(full) == plane
+    assert full.contains(plane) and plane.outside(full.basis).tolist() == [2]
     assert charpoly_coeffs([[p - 1]], p).tolist() == [[1, 1]]
     # the residual of a 3-dimensional subspace sums 3 products: `matmul_mod`
     # takes it in int64 chunks of 2 terms
     for vec in ([1, 2, 3], [p - 1, p - 2, p - 3]):
         assert full.member(vec) and full.coords(vec).tolist() == [int(x) % p for x in vec]
-    meet = full.intersect(plane)
-    assert [[int(x) for x in row] for row in meet.basis] == [[1, 0, 0], [0, 1, 0]]
     with pytest.raises(PrimeTooLarge):
         charpoly_coeffs(np.eye(2, dtype=np.int64), p)
 
@@ -320,18 +310,27 @@ def test_subspace_membership_of_basis():
     assert not s.member([0, 0, 1]) or s.dim == 3
 
 
-def test_subspace_intersect_idempotent():
-    f = field_ctx(3)
-    s = Subspace.span(f, [[1, 0, 2], [0, 1, 1]])
-    assert s.intersect(s) == s
-
-
 def test_subspace_axis_intersection_zero():
     f = field_ctx(2)
     e1 = Subspace.span(f, [[1, 0]])
     e2 = Subspace.span(f, [[0, 1]])
-    assert e1.intersect(e2).dim == 0
+    assert e1.outside(e2.basis).tolist() == [0] and e2.outside(e1.basis).tolist() == [0]
     assert e1.sum(e2).dim == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=small_prime, cols=st.integers(1, 6), data=st.data())
+def test_outside_matches_membership_row_by_row(p, cols, data):
+    f = field_ctx(p)
+    space = Subspace.span(f, _matrix(p, data.draw(st.integers(0, 4)), cols, data), ambient_dim=cols)
+    rows = _matrix(p, data.draw(st.integers(0, 6)), cols, data)
+    # members too: combinations of the basis
+    rows = np.concatenate([rows, _matrix(p, 2, space.dim, data) @ space.basis % p])
+    # reference: v lies outside iff adjoining it raises the rank
+    want = [i for i, v in enumerate(rows)
+            if Subspace.span(f, np.vstack([space.basis, v]), ambient_dim=cols).dim > space.dim]
+    assert space.outside(rows).tolist() == want
+    assert [i for i, v in enumerate(rows) if not space.member(v)] == want
 
 
 def test_dimension_mismatch_raises():
@@ -341,7 +340,7 @@ def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatch):
         s1.sum(s2)
     with pytest.raises(DimensionMismatch):
-        s1.intersect(s2)
+        s1.contains(s2)
 
 
 def _enumerate_vectors(basis, p):
@@ -364,12 +363,10 @@ def test_grassmann_identity_against_enumeration():
         a = Subspace.span(f, rng.integers(0, p, size=(2, 6)))
         b = Subspace.span(f, rng.integers(0, p, size=(2, 6)))
         total = a.sum(b)
-        meet = a.intersect(b)
-        assert total.dim + meet.dim == a.dim + b.dim
         va, vb = _enumerate_vectors(a.basis, p), _enumerate_vectors(b.basis, p)
         sums = {tuple((np.array(x) + np.array(y)) % p) for x in va for y in vb}
         assert len(sums) == p**total.dim
-        assert len(va & vb) == p**meet.dim
+        assert len(va & vb) == p ** (a.dim + b.dim - total.dim)
 
 
 @settings(max_examples=25, deadline=None)
@@ -381,7 +378,8 @@ def test_grassmann_identity_random(p, data):
     vb = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=amb, max_size=amb), min_size=1, max_size=3))
     a = Subspace.span(f, np.array(va, dtype=np.int64))
     b = Subspace.span(f, np.array(vb, dtype=np.int64))
-    assert a.sum(b).dim + a.intersect(b).dim == a.dim + b.dim
+    meet = _enumerate_vectors(a.basis, p) & _enumerate_vectors(b.basis, p)
+    assert len(meet) == p ** (a.dim + b.dim - a.sum(b).dim)
 
 
 def test_subspace_contains_and_equality():

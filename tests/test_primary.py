@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from modtalg.errors import IndexOutOfRange, InternalInconsistency, InvalidParameter
 from modtalg import analysis
-from modtalg.ffmat import Subspace, field_ctx, kernel_array, rref_array
+from modtalg.ffmat import Subspace, field_ctx, kernel_array, matmul_mod, rref_array
 from modtalg.oracles import count_subspaces, enumerate_subspaces, module_lattice_analysis
 from modtalg.primary import (
     GeneratorAction,
@@ -16,13 +16,13 @@ from modtalg.primary import (
     closure_digraph,
     composition_factors,
     factor_action,
-    factor_selfcontra,
+    filtration,
     hom_space,
     is_selfcontragredient,
     selfcontra_W0,
     verify_Ml_iso,
 )
-from modtalg.scheme import gen_cyclic, strata, validate_axioms
+from modtalg.scheme import SchemeData, gen_cyclic, strata, validate_axioms
 from modtalg.talg import build_context, triple_product
 
 PRIMES = (2, 3, 5, 7)
@@ -233,8 +233,9 @@ def test_b0_decomposes_into_columns(artifacts, schemes):
                 ambient_dim=n * n,
             )
             assert col.dim == s.d + 1
-            assert total.intersect(col).dim == 0
-            total = total.sum(col)
+            grown = total.sum(col)
+            assert grown.dim == total.dim + col.dim  # the sum is direct
+            total = grown
         assert total == art.b0
 
 
@@ -263,8 +264,9 @@ def test_selfcontra_hamming22_p2_false(artifacts):
 def test_selfcontra_crosscheck_raises_on_bug(artifacts):
     art = artifacts("cyclic-5", 3)
     wrong = strata(artifacts("cyclic-5", 2).scheme, field_ctx(2))
-    with pytest.raises(InternalInconsistency):
+    with pytest.raises(InternalInconsistency, match="contradicts") as err:
         selfcontra_W0(art.module, wrong)
+    assert err.value.witness == ("self-duality of W_0", True, False)
 
 
 def test_trivial_one_dim_module_selfcontra():
@@ -294,12 +296,21 @@ def test_selfcontra_rejects_non_coordinate_projectors(artifacts):
             is_selfcontragredient(GeneratorAction(act.field, act.converse, act.actA, actE))
 
 
+def explicit_map_intertwines(art, fac):
+    """The paper's map diag(k_i / p^level mod p) on one composition factor is
+    invertible and solves the diagonal intertwining equations with its dual."""
+    p = art.field.p
+    q = np.array([int(art.scheme.valencies[i]) // p**fac.level % p for i in fac.cls])
+    system = _diagonal_intertwining_system(factor_action(art.module, fac.cls))
+    return bool(q.all()) and not matmul_mod(system, q[:, None], p).any()
+
+
 def test_factor_selfcontra_explicit_map(artifacts, schemes):
     for name in schemes:
         for p in PRIMES:
             art = artifacts(name, p)
             for fac in art.comp.factors:
-                assert factor_selfcontra(art.module, art.strata, fac), (name, p, fac)
+                assert explicit_map_intertwines(art, fac), (name, p, fac)
 
 
 def test_hom_space_of_identical_actions(artifacts):
@@ -562,3 +573,78 @@ def test_non_invariant_W0_raises_before_b0_b1(schemes, monkeypatch):
         with pytest.raises(InternalInconsistency) as err:
             analysis.compute_artifacts(schemes["cyclic-5"], field_ctx(p))
         assert err.value.witness == (0, 1, 0), p
+
+
+def _cyclic5_context(p=3):
+    return build_context(validate_axioms(gen_cyclic(5)), field_ctx(p), 0)
+
+
+def test_dependent_basis_vectors_are_witnessed():
+    # E_2* 1 replaced by E_1* 1: the third vector depends on the first two
+    ctx = _cyclic5_context()
+    ctx.u = ctx.u[[0, 1, 1]]
+    with pytest.raises(InternalInconsistency, match="not independent") as err:
+        build_primary(ctx)
+    assert err.value.witness == ("E_i* 1 independent", 2)
+
+
+def test_coordinates_of_a_vector_outside_W0_are_witnessed():
+    module = build_primary(_cyclic5_context())
+    assert module.coords(module.vectors[1] * 2).tolist() == [0, 2, 0]
+    # cyclic-5 at x = 0: E_1* 1 = e_1 + e_4, so e_1 alone is off at point 4
+    with pytest.raises(InternalInconsistency, match="outside the span") as err:
+        module.coords(np.eye(5, dtype=np.int64)[1])
+    assert err.value.witness == ("span of E_i* 1", 4)
+
+
+def test_action_against_a_corrupted_tensor_is_witnessed():
+    ctx = _cyclic5_context()
+    s = ctx.scheme
+    tensor = s.tensor.copy()
+    # entry (i, h) = (2, 0) of A_1 is p_{0 1'}^2
+    tensor[0, s.converse[1], 2] += 1
+    ctx.scheme = SchemeData(s.table, s.converse, s.valencies, tensor)
+    with pytest.raises(InternalInconsistency, match="^action of A_1 disagrees") as err:
+        build_primary(ctx)
+    assert err.value.witness == ("action of A_j disagrees with p_{h j'}^i", (1, 2, 0))
+
+
+def test_dual_idempotent_action_off_its_coordinate_is_witnessed():
+    # E_1* also keeps the representative point of relation 2
+    ctx = _cyclic5_context()
+    module = build_primary(ctx)
+    gens = ctx.gens.copy()
+    gens[ctx.d + 2, module.reps[2], module.reps[2]] = 1
+    ctx.gens = gens
+    with pytest.raises(InternalInconsistency, match=r"^action of E_1\* is not") as err:
+        build_primary(ctx)
+    assert err.value.witness == ("action of E_j* is not the coordinate projector", (1, 2, 2))
+
+
+def test_collapsed_filtration_is_witnessed():
+    ctx = _cyclic5_context()
+    module = build_primary(ctx)
+    module.vectors = module.vectors[[0, 1, 1]]
+    with pytest.raises(InternalInconsistency, match="collapsed") as err:
+        filtration(ctx, strata(ctx.scheme, ctx.field), module)
+    assert err.value.witness == ("filtration dimension", 0)
+
+
+def test_missing_self_loop_is_witnessed():
+    s = validate_axioms(gen_cyclic(5))
+    tensor = s.tensor.copy()
+    tensor[1, :, 1] *= 3  # every p_{1 b}^1 vanishes mod 3
+    with pytest.raises(InternalInconsistency, match="self-loop") as err:
+        closure_digraph(SchemeData(s.table, s.converse, s.valencies, tensor), field_ctx(3))
+    assert err.value.witness == ("self-loop", 1)
+
+
+def test_split_bottom_stratum_is_witnessed(artifacts):
+    # cyclic-5 at p=3 has S_0 = {0, 1, 2}; relation 2 given a class of its own
+    art = artifacts("cyclic-5", 3)
+    ids = art.digraph.scc_ids.copy()
+    ids[2] = ids.max() + 1
+    split = dataclasses.replace(art.digraph, scc_ids=ids)
+    with pytest.raises(InternalInconsistency, match="bottom stratum") as err:
+        composition_factors(art.ctx, art.strata, split, art.module)
+    assert err.value.witness == ("bottom stratum", 2)

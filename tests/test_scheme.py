@@ -22,7 +22,6 @@ from modtalg.scheme import (
     gen_cyclic,
     gen_hamming,
     gen_thin,
-    intersection_numbers,
     parse_scheme,
     relation_table,
     serialize_scheme,
@@ -199,9 +198,9 @@ def test_tensor_matches_brute_counts_everywhere():
 
 def test_intersection_numbers_bounds():
     s = validate_axioms(gen_cyclic(5))
-    assert intersection_numbers(s, 1, 1, 2) == 1
+    assert s.p(1, 1, 2) == 1
     with pytest.raises(IndexOutOfRange):
-        intersection_numbers(s, 3, 0, 0)
+        s.p(3, 0, 0)
 
 
 def test_strata_order12_p2():

@@ -9,9 +9,10 @@ from modtalg.errors import (
     BasePointOutOfRange,
     IndexOutOfRange,
     InternalInconsistency,
-    NotPPrimeValenced,
     PrimeTooLarge,
 )
+from modtalg.analysis import compute_artifacts
+from modtalg.characterize import b0_unit_element
 from modtalg.ffmat import Subspace, field_ctx, kernel_array, rref_array
 from modtalg.oracles import word_closure_dim
 from modtalg.primary import build_primary, filtration
@@ -34,12 +35,9 @@ from modtalg.talg import (
     annihilator_W0,
     assert_two_sided_ideal,
     b0_b1,
-    b0_identity,
     build_context,
     check_radical_postconditions,
     generate_algebra,
-    is_central,
-    is_two_sided_ideal,
     radical,
     triple_product,
 )
@@ -299,31 +297,24 @@ def test_b0_b1_rejects_a_filtration_it_was_not_built_from(artifacts):
 
 
 def test_b0_identity_thin_scheme():
-    s = validate_axioms(gen_thin([[0, 1], [1, 0]]))
-    ctx = build_context(s, field_ctx(3), 0)
-    t = generate_algebra(ctx)
-    b0, b1 = b0_b1(ctx, t, _filtration(ctx))
-    e = b0_identity(ctx, t, b0)
-    assert np.array_equal(e, ctx.eje(0, 0) + ctx.eje(1, 1))
+    art = compute_artifacts(validate_axioms(gen_thin([[0, 1], [1, 0]])), field_ctx(3), 0)
+    e = b0_unit_element(art)
+    assert np.array_equal(e, art.ctx.eje(0, 0) + art.ctx.eje(1, 1))
 
 
 def test_b0_identity_cyclic5_p3_central():
-    s = validate_axioms(gen_cyclic(5))
-    ctx = build_context(s, field_ctx(3), 0)
-    t = generate_algebra(ctx)
-    b0, _ = b0_b1(ctx, t, _filtration(ctx))
-    e = b0_identity(ctx, t, b0)  # verification happens inside
-    tm = t.mats()
+    art = compute_artifacts(validate_axioms(gen_cyclic(5)), field_ctx(3), 0)
+    e = b0_unit_element(art)
+    bm = art.b0.basis.reshape(-1, art.ctx.n, art.ctx.n)
+    assert np.array_equal((e @ bm) % 3, bm) and np.array_equal((bm @ e) % 3, bm)
+    tm = art.talgebra.mats()
     assert np.array_equal((e @ tm) % 3, (tm @ e) % 3)
 
 
 def test_b0_identity_not_pprime():
-    s = validate_axioms(gen_hamming(2, 2))
-    ctx = build_context(s, field_ctx(2), 0)
-    t = generate_algebra(ctx)
-    b0, _ = b0_b1(ctx, t, _filtration(ctx))
-    with pytest.raises(NotPPrimeValenced):
-        b0_identity(ctx, t, b0)
+    # hamming(2,2) at p=2: k_1 = 2, so K = (u_i . u_j) is singular
+    art = compute_artifacts(validate_axioms(gen_hamming(2, 2)), field_ctx(2), 0)
+    assert b0_unit_element(art) is None
 
 
 def _cyclic5_p3():
@@ -348,24 +339,6 @@ def test_b0_outside_the_algebra_is_witnessed():
     with pytest.raises(InternalInconsistency, match="^B0 not contained in T$") as err:
         b0_b1(ctx, bose_mesner, _filtration(ctx))
     assert err.value.witness == ("B0 not contained in T", (0, 0))
-
-
-def test_b0_unit_faults_are_witnessed():
-    ctx, t = _cyclic5_p3()
-    b0, _ = b0_b1(ctx, t, _filtration(ctx))
-    # e I = e != I: e is no unit of a space that contains I
-    with_identity = Subspace.span(ctx.field, np.eye(ctx.n, dtype=np.int64).reshape(1, -1))
-    with pytest.raises(InternalInconsistency, match="^e is not a unit of B0$") as err:
-        b0_identity(ctx, t, with_identity)
-    assert err.value.witness == ("e is not a unit of B0", 0)
-    # one more generator, the matrix unit e_0 e_1^T: e e_0 e_1^T = e_0 e_1^T, but
-    # e_0 e_1^T e = k_1^-1 e_0 (E_1* 1)^T
-    unit = np.zeros((1, ctx.n, ctx.n), dtype=np.int64)
-    unit[0, 0, 1] = 1
-    wider = AlgebraBasis(ctx.field, ctx.n, t.space, np.concatenate([t.generators, unit]))
-    with pytest.raises(InternalInconsistency, match="^e is not central in T$") as err:
-        b0_identity(ctx, wider, b0)
-    assert err.value.witness == ("e is not central in T", 2 * (ctx.d + 1))
 
 
 def _closure_of(f, mats):
@@ -438,8 +411,46 @@ def test_radical_postconditions_reject_candidates_outside_the_algebra():
     # dimension 1, like span{E_12}, a nilpotent subspace that I preserves
     scalars = algebra_closure(field_ctx(2), np.eye(2, dtype=np.int64)[None])
     outside = Subspace.span(scalars.field, [[0, 1, 0, 0]], ambient_dim=4)
-    with pytest.raises(InternalInconsistency):
+    with pytest.raises(InternalInconsistency, match="not contained in the algebra") as err:
         check_radical_postconditions(scalars, outside)
+    assert err.value.witness == ("containment", 0)
+
+
+def _first_product_outside(alg, claim):
+    # reference: (side, g, b) of the first g b, then b g, outside the claim, one product at a time
+    n, p = alg.n, alg.field.p
+    for side in ("left", "right"):
+        for g, gen in enumerate(alg.generators):
+            for b, elem in enumerate(claim.basis.reshape(-1, n, n)):
+                prod = gen @ elem if side == "left" else elem @ gen
+                if not claim.member((prod % p).reshape(-1)):
+                    return side, g, b
+    return None
+
+
+def test_non_ideal_radical_claim_is_witnessed(artifacts, schemes):
+    # graded claims, so the grading check passes: the left ideal T E_0*, and an
+    # ideal (Rad, B0, Ann) with T's last basis element outside it adjoined
+    witnesses = []
+    for name in ("cyclic-5", "hamming-2-2", "as12-no21"):
+        for p in (2, 3):
+            art = artifacts(name, p)
+            tal, n = art.talgebra, art.ctx.n
+            claims = [(tal.mats() @ art.ctx.Estar[0] % p).reshape(-1, n * n)]
+            for ideal in (art.rad, art.b0, art.ann):
+                extra = tal.space.basis[ideal.outside(tal.space.basis)[-1]]
+                claims.append(np.vstack([ideal.basis, extra]))
+            for rows in claims:
+                claim = Subspace.span(tal.field, rows, ambient_dim=n * n)
+                want = _first_product_outside(tal, claim)
+                if want is None:
+                    continue
+                with pytest.raises(InternalInconsistency, match="^radical is not a two-sided ideal$") as err:
+                    check_radical_postconditions(tal, claim)
+                assert err.value.witness == want, (name, p, claim.dim)
+                witnesses.append(want)
+    # every coordinate of the witness varies over the cases
+    assert [len({w[k] for w in witnesses}) > 1 for k in range(3)] == [True] * 3
 
 
 def test_quotient_rerun_only_when_trace_kernel_exceeds_the_radical(artifacts, monkeypatch):
@@ -662,6 +673,10 @@ def _central_by_full_basis(alg, m):
     return np.array_equal((m @ tm) % p, (tm @ m) % p)
 
 
+def _ideal_check(alg, space):
+    assert_two_sided_ideal(alg, space, "candidate")
+
+
 def test_generator_ideal_test_matches_full_basis(artifacts, schemes):
     for name, s in schemes.items():
         for p in (2, 3):
@@ -669,24 +684,19 @@ def test_generator_ideal_test_matches_full_basis(artifacts, schemes):
             tal, n = art.talgebra, s.n
             for what, space in (("B0", art.b0), ("B1", art.b1),
                                 ("Rad", art.rad), ("Ann", art.ann)):
-                assert is_two_sided_ideal(tal, space), (name, p, what)
+                assert_two_sided_ideal(tal, space, what)
                 assert _ideal_by_full_basis(tal, space), (name, p, what)
             if s.d == 0:
                 continue
             # T E_0* is a left ideal; E_0* A_1 is outside it, so it is not a right ideal
             left = (tal.mats() @ art.ctx.Estar[0]) % p
             left_ideal = Subspace.span(art.field, left.reshape(-1, n * n), ambient_dim=n * n)
-            assert not is_two_sided_ideal(tal, left_ideal), (name, p)
+            assert not _passes(_ideal_check, tal, left_ideal), (name, p)
             assert not _ideal_by_full_basis(tal, left_ideal), (name, p)
             # the span of the A_i is closed under the A_i but not under the E_i*
             bose_mesner = Subspace.span(art.field, art.ctx.A.reshape(-1, n * n), ambient_dim=n * n)
-            assert not is_two_sided_ideal(tal, bose_mesner), (name, p)
+            assert not _passes(_ideal_check, tal, bose_mesner), (name, p)
             assert not _ideal_by_full_basis(tal, bose_mesner), (name, p)
-            # E_1* commutes with the E_i* only, J with the A_i only
-            for m in (art.ctx.Estar[1], np.ones((n, n), dtype=np.int64)):
-                assert not is_central(tal, m), (name, p)
-                assert not _central_by_full_basis(tal, m), (name, p)
-            assert is_central(tal, np.eye(n, dtype=np.int64)), (name, p)
 
 
 def test_trace_gram_reduces_before_int64_overflow():
