@@ -78,8 +78,16 @@ class FixtureInvalid(Error):
 class InternalInconsistency(Error):
     """A proven identity failed numerically; this flags an implementation bug.
 
-    `witness` names what failed: a certificate's name, or for an element
-    outside the grading (stage, basis index, block pairs it touches)."""
+    `witness` names what failed, as a tuple that starts with the check's
+    name and is followed by the offending indices, for example
+    ("nilpotency", k, dim V_k), ("flag", g, k, v), ("annihilator", i) and
+    ("quotient", dim) from the radical's certificate, ("containment", i)
+    for a claim outside the algebra, ("valencies", valencies, n),
+    ("triangle identity", (i, j, l)), ("strata", invariant) and
+    ("strata partition", count, d + 1) from `scheme`, or (stage, basis
+    index, block pairs it touches) for an element outside the grading.  A
+    few certificates name themselves with a bare string ("filtration",
+    "Ann_T(W0) dimension")."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

@@ -211,14 +211,17 @@ def validate_axioms(t: RelationTable) -> SchemeData:
 
     valencies = np.array([tensor[i, converse[i], 0] for i in range(d + 1)], dtype=np.int64)
     if (valencies <= 0).any() or int(valencies.sum()) != n:
-        raise InternalInconsistency(f"valencies {valencies.tolist()} do not sum to {n}")
+        raise InternalInconsistency(f"valencies {valencies.tolist()} do not sum to {n}",
+                                    witness=("valencies", tuple(valencies.tolist()), n))
 
     # k_l p_ij^l = k_i p_{l j'}^i = k_j p_{i' l}^j must hold on every validated table
     t1 = valencies[None, None, :] * tensor
     t2 = valencies[:, None, None] * np.transpose(tensor[:, converse, :], (2, 1, 0))
     t3 = valencies[None, :, None] * np.transpose(tensor[converse, :, :], (0, 2, 1))
-    if not (np.array_equal(t1, t2) and np.array_equal(t1, t3)):
-        raise InternalInconsistency("triangle identity failed on a validated table")
+    wrong = np.argwhere((t1 != t2) | (t1 != t3))
+    if wrong.size:
+        raise InternalInconsistency("triangle identity failed on a validated table",
+                                    witness=("triangle identity", tuple(wrong[0].tolist())))
 
     return SchemeData(t, converse, valencies, tensor)
 
@@ -251,10 +254,13 @@ def strata(s: SchemeData, f: FieldCtx) -> Strata:
         tuple(int(i) for i in np.nonzero(valuations == m)[0]) for m in range(eps + 1)
     )
     thin = tuple(int(i) for i in np.nonzero(s.valencies == 1)[0])
-    if not sets[-1] or 0 not in sets[0] or 0 not in thin:
-        raise InternalInconsistency("strata invariants failed")
+    for invariant, holds in (("top stratum nonempty", bool(sets[-1])), ("0 in S_0", 0 in sets[0]),
+                             ("0 thin", 0 in thin)):
+        if not holds:
+            raise InternalInconsistency("strata invariants failed", witness=("strata", invariant))
     if sum(len(t) for t in sets) != s.d + 1:
-        raise InternalInconsistency("strata do not partition the relation indices")
+        raise InternalInconsistency("strata do not partition the relation indices",
+                                    witness=("strata partition", sum(len(t) for t in sets), s.d + 1))
     return Strata(
         p=p,
         sets=sets,

@@ -57,9 +57,9 @@ class TalgContext:
     recurrence of `charpoly_coeffs`, and the independent products of
     `oracles` behind `verify --deep`) cannot overflow halfway through an
     analysis.  Products, including the residuals of `Subspace.reduce` and
-    the trace Gram of the quotient certificate (q^2 <= n^4 terms), run
-    through `matmul_mod`, which is exact at any contraction length by its
-    delayed reduction and needs only (p-1)^2 < 2^63, the bound
+    the trace Grams of the radical and of its certificate (n^2 terms each),
+    run through `matmul_mod`, which is exact at any contraction length by
+    its delayed reduction and needs only (p-1)^2 < 2^63, the bound
     `ffmat.rref_array` enforces as well.
     """
 
@@ -201,9 +201,8 @@ def _grades(basis_flat: np.ndarray, blocks: np.ndarray, stage) -> tuple[np.ndarr
     bases of its pieces, whose supports are disjoint, so each element is
     homogeneous: all its nonzero entries lie in one block pair.  An element
     that is not raises InternalInconsistency with the witness (stage,
-    basis index, block pairs it touches).  A claimed radical is rejected
-    soundly this way: J(T) is an ideal, so multiplying by e or by I - e
-    keeps it as in `_idempotent_blocks`, and it is graded too.
+    basis index, block pairs it touches).  Every candidate of the stage
+    iteration is graded (see `radical`).
     """
     nb = int(blocks.max()) + 1
     pair = (blocks[:, None] * nb + blocks[None, :]).reshape(-1)
@@ -371,9 +370,8 @@ def _stage_gram(basis_flat: np.ndarray, n: int, p: int, power: int,
     G[a, b] = coefficient index `power` of det(tI - B_a B_b) mod p.
 
     power = 1 is the ordinary trace form, one `matmul_mod` product of the
-    basis with its transposed matrices.  It sums n^2 terms, and for the
-    quotient certificate n is dim T/Rad, up to the square of the scheme's
-    n; the kernel's delayed reduction keeps it exact at any length.
+    basis with its transposed matrices.  It sums n^2 terms; the kernel's
+    delayed reduction keeps it exact at any length.
 
     Larger powers run the Berkowitz recurrence on the products the grading
     by `blocks` (one block when None) leaves nonzero.  Let B_a have grade
@@ -417,9 +415,10 @@ def radical(algebra: AlgebraBasis, *, _verify: bool = True) -> Subspace:
     c_m is the degree-(n-m) characteristic polynomial coefficient.  Over
     GF(p) each stage condition is linear in the coefficients of x.  The
     radical survives every stage (nilpotent products have vanishing
-    coefficients), and the verified postconditions (two-sided ideal,
-    nilpotency, semisimple quotient) certify the reverse containment on
-    every call.  Stages p^k beyond the largest block of the grading are
+    coefficients), and `check_radical_postconditions` certifies the result
+    on every call, on the flag it spans in GF(p)^n; that certificate runs
+    this function once more, unverified, on T's action on the factors of
+    the flag.  Stages p^k beyond the largest block of the grading are
     skipped: their Gram is zero (see `_stage_gram`).  Every candidate stays
     graded, because G[a, b] != 0 only for grades (i, j) and (j, i), so the
     kernel of G splits by grade.  The new basis (ker G) L has independent
@@ -447,104 +446,106 @@ def radical(algebra: AlgebraBasis, *, _verify: bool = True) -> Subspace:
 
 
 def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
-    """The runtime certificates for a claimed radical: graded (see
-    `_grades`), two-sided ideal, nilpotent (so the claim is contained in
-    the true radical), and semisimple quotient.
+    """Certify that the claim R = `rad` is the Jacobson radical J(T) of the
+    algebra T, on its Loewy flag in the standard module V = GF(p)^n: J(T) is
+    the annihilator of a flag of submodules with semisimple factors (Curtis
+    & Reiner, Methods of Representation Theory, section 5).  The claim is
+    never trusted, so this certifies any subspace, not only the output of
+    `radical`.
 
-    The quotient certificate first tries the stage-1 trace form
-    G[a, b] = Tr(B_a B_b) over the algebra's basis.  rad is a nilpotent
-    two-sided ideal lying in T (all checked before G is built), so rad
-    lies in J(T).
-    Every x in J(T) makes each product xy nilpotent, so Tr(xy) = 0 and
-    J(T) lies in ker G.  If dim ker G = dim rad, then rad = J(T) and T/rad
-    is semisimple; dim ker G = dim T - rank G needs no kernel basis.
-    Otherwise, as when the trace form is degenerate in
-    characteristic p and a later stage p^k > 1 of the radical shrank its
-    candidate, the radical is recomputed on the regular representation of
-    T/rad and must be zero.  The claim is never trusted, so this certifies
-    any subspace, not only the output of `radical`.
+    1. R lies in T.
+    2. The flag V_0 = V, V_(k+1) = R V_k reaches 0.  It decreases: V_1 lies
+       in V_0, and V_(k+1) = R V_k lies in R V_(k-1) = V_k.  So it stops at
+       the first V_(k+1) = V_k, and if that V_k is not 0, then R^j V_k = V_k
+       for every j and R is not nilpotent.
+    3. g V_k lies in V_k for every generator g, so every V_k is a
+       T-submodule ({t : t V_k in V_k} is a unital subalgebra that holds
+       the generators).  Phi sends t to its action on the factors
+       V_k / V_(k+1), each in the basis of the rows of V_k's echelon basis
+       whose pivots V_(k+1) lacks, and dim Phi(T) + dim R = dim T must hold.
+    4. The stage radical of Phi(T), an algebra of n x n matrices graded by
+       `_idempotent_blocks` of the images of the generators, is 0.
+
+    Soundness.  N = ker Phi = {t in T : t V_k in V_(k+1) for all k} is a
+    two-sided ideal, because the flag is invariant: for s in N and t in T,
+    t s V_k lies in t V_(k+1), inside V_(k+1), and s t V_k in s V_k.  With m
+    steps in the flag, N^m V lies in V_m = 0, and V is faithful, so N^m = 0
+    and N lies in J(T).  R lies in N by construction, as R V_k = V_(k+1),
+    and step 3 makes dim N = dim T - dim Phi(T) = dim R, so N = R.
+    Phi(T) is isomorphic to T/N.  The stage radical contains the radical of
+    the algebra it runs on (nilpotent products have vanishing coefficients),
+    so its zero result makes T/N semisimple; the image of J(T) there is a
+    nilpotent ideal, hence 0, and J(T) lies in N.  So R = N = J(T).
+
+    Completeness.  R = J(T) lies in T and is nilpotent.  It is an ideal, so
+    t R V_k lies in R V_k and every V_k is a submodule.  N is a nilpotent
+    ideal that contains R, so N = R, and Phi(T) = T/J(T) is semisimple, on
+    which the stage radical, exact by Cohen, Ivanyos & Wales (JPAA 1997),
+    returns 0.
+
+    Each V_k is invariant under the E_i*, hence the direct sum of its
+    pieces on the blocks, so its echelon rows are homogeneous and every
+    Phi(E_i*) is diagonal 0/1: Phi(T) has the blocks of T, with the same
+    sizes, and the stage loop stops where the one on T did.  For R = 0 the
+    flag is V > 0, whose one factor V has the identity as its echelon
+    basis, so Phi is the identity, step 3 holds, and step 4 runs on T.
+
+    A failure raises InternalInconsistency with the witness
+    ("containment", first basis index of R outside T),
+    ("nilpotency", k, dim V_k) for the V_k that R maps onto itself,
+    ("flag", g, k, v) for the first generator g, in order of k, then g,
+    then v, that sends basis vector v of V_k outside V_k,
+    ("annihilator", first basis index of N outside R), N being computed
+    only then, or ("quotient", dim of the stage radical of Phi(T)).
     """
-    _grades(rad.basis, algebra.blocks, "claimed radical")
-    assert_two_sided_ideal(algebra, rad, "radical")
-    _assert_nilpotent(algebra, rad)
-    if not algebra.space.contains(rad):
+    field, n, p = algebra.field, algebra.n, algebra.field.p
+    outside = algebra.space.outside(rad.basis)
+    if outside.size:
         raise InternalInconsistency("claimed radical is not contained in the algebra",
-                                    witness=("containment", int(algebra.space.outside(rad.basis)[0])))
-    gram = _stage_gram(algebra.space.basis, algebra.n, algebra.field.p, power=1)
-    if gram.shape[0] - rref_array(gram, algebra.field.p)[1] == rad.dim:
-        return
-    quotient = _quotient_regular_rep(algebra, rad)
-    if quotient is not None and quotient.dim > 0:
-        again = radical(quotient, _verify=False)
-        if again.dim != 0:
+                                    witness=("containment", int(outside[0])))
+    rmats = rad.basis.reshape(-1, n, n)
+    flag = [Subspace.span(field, np.eye(n, dtype=np.int64))]
+    while flag[-1].dim:
+        pushed = pairwise_mod(rmats, flag[-1].basis[:, :, None], p).reshape(-1, n)
+        below = Subspace.span(field, pushed, ambient_dim=n)
+        if below.dim == flag[-1].dim:
+            raise InternalInconsistency("claimed radical is not nilpotent",
+                                        witness=("nilpotency", len(flag) - 1, below.dim))
+        flag.append(below)
+    gens = algebra.generators
+    for k, vk in enumerate(flag[1:-1], start=1):
+        escaped = vk.outside(pairwise_mod(gens, vk.basis[:, :, None], p).reshape(-1, n))
+        if escaped.size:
+            g, v = divmod(int(escaped[0]), vk.dim)
+            raise InternalInconsistency(f"generator {g} does not preserve V_{k} of the radical's flag",
+                                        witness=("flag", g, k, v))
+    # R = 0 leaves the one factor V in its identity basis: Phi is the identity
+    nested = algebra
+    if rad.dim:
+        mats = np.concatenate([algebra.mats(), gens])
+        phi = np.zeros_like(mats)
+        start = 0
+        for upper, lower in zip(flag, flag[1:]):
+            top = ~np.isin(upper.pivots, lower.pivots)
+            rows, cols = upper.basis[top], np.array(upper.pivots)[top]
+            images = pairwise_mod(mats, rows[:, :, None], p).reshape(-1, n)
+            coords = lower.reduce(images)[1][:, cols].reshape(len(mats), len(rows), len(rows))
+            phi[:, start : start + len(rows), start : start + len(rows)] = coords.transpose(0, 2, 1)
+            start += len(rows)
+        image = phi[: algebra.dim].reshape(algebra.dim, n * n)
+        quotient = Subspace.span(field, image, ambient_dim=n * n)
+        if quotient.dim + rad.dim != algebra.dim:
+            kernel = matmul_mod(kernel_array(image.T, p), algebra.space.basis, p)
+            extra = rad.outside(Subspace.span(field, kernel, ambient_dim=n * n).basis)
             raise InternalInconsistency(
-                f"quotient by the radical still has a radical of dim {again.dim}",
-                witness="quotient",
-            )
-
-
-def _assert_nilpotent(algebra: AlgebraBasis, ideal: Subspace) -> None:
-    """The powers ideal^m, spanned by graded products, reach zero."""
-    if ideal.dim == 0:
-        return
-    n = algebra.n
-    p = algebra.field.p
-    imats = ideal.basis.reshape(-1, n, n)
-    irows, _ = _grades(ideal.basis, algebra.blocks, "nilpotency")
-    current = ideal
-    for _ in range(algebra.dim + 1):
-        if current.dim == 0:
-            return
-        _, ccols = _grades(current.basis, algebra.blocks, "nilpotency")
-        _, _, prods = _graded_products(current.basis.reshape(-1, n, n), ccols, imats, irows,
-                                       algebra.blocks, p)
-        nxt = Subspace.span(algebra.field, prods.reshape(-1, n * n), ambient_dim=n * n)
-        if nxt.dim >= current.dim:
-            break
-        current = nxt
-    if current.dim != 0:
-        raise InternalInconsistency("claimed radical is not nilpotent", witness="nilpotency")
-
-
-def _quotient_regular_rep(algebra: AlgebraBasis, ideal: Subspace) -> AlgebraBasis | None:
-    """Left regular representation of algebra/ideal (ideal must be a
-    two-sided ideal inside the algebra).
-
-    Returns None for the zero quotient.  Faithful because the algebra is
-    unital, so a zero radical here certifies semisimplicity of the quotient.
-    Coordinates modulo the ideal come from one product with its echelon
-    basis: that basis is fully reduced (zero at every other pivot), so
-    subtracting the pivot rows one at a time changes no pivot column still
-    to be used.  The ideal's coordinates in the algebra's basis are
-    independent, as its basis is, so their row reduction has no zero rows
-    (and is empty for the zero ideal).
-    """
-    field = algebra.field
-    p = field.p
-    n = algebra.n
-    k = algebra.dim
-    if ideal.dim == k:
-        return None
-    icoords, _, ipivots = rref_array(algebra.space.coords(ideal.basis), p)
-    comp = np.delete(np.arange(k), ipivots)
-    q = len(comp)
-    reps = algebra.space.basis[comp]
-    rows, cols = _grades(reps, algebra.blocks, "quotient")
-    reps = reps.reshape(q, n, n)
-    a, b, prods = _graded_products(reps, cols, reps, rows, algebra.blocks, p)
-    found = algebra.space.coords(prods.reshape(-1, n * n))
-    if found is None:
-        raise InternalInconsistency("algebra is not closed under products", witness="quotient")
-    coords = np.zeros((q * q, k), dtype=np.int64)
-    coords[a * q + b] = found
-    qcoords = (coords[:, comp] - matmul_mod(coords[:, ipivots], icoords[:, comp], p)) % p
-    # reg(a)[:, b] = quotient coordinates of rep_a rep_b
-    reg = qcoords.reshape(q, q, q).transpose(0, 2, 1)
-    space = Subspace.span(field, reg.reshape(q, q * q), ambient_dim=q * q)
-    if space.dim != q:
-        raise InternalInconsistency("regular representation of the quotient is not faithful",
-                                    witness="quotient")
-    return AlgebraBasis(field, q, space, space.basis.reshape(q, q, q))
+                f"the radical's flag is annihilated by dim {algebra.dim - quotient.dim}, not {rad.dim}",
+                witness=("annihilator", int(extra[0])))
+        phi_gens = phi[algebra.dim :]
+        nested = AlgebraBasis(field, n, quotient, phi_gens, blocks=_idempotent_blocks(phi_gens))
+    again = radical(nested, _verify=False)
+    if again.dim:
+        raise InternalInconsistency(f"quotient by the radical still has a radical of dim {again.dim}",
+                                    witness=("quotient", again.dim))
 
 
 def annihilator_W0(ctx: TalgContext, talgebra: AlgebraBasis, filt: list[Subspace]) -> Subspace:

@@ -286,7 +286,7 @@ def test_inconsistency_witness_is_printed(z5_file, tmp_path, capsys, monkeypatch
 
     assert main(["verify", "--scheme", str(z5_file), "--prime", "2",
                  "--inject-radical-fault"]) == 3
-    assert "witness=nilpotency" in capsys.readouterr().err
+    assert "witness=('nilpotency', 1, 3)" in capsys.readouterr().err
 
     from modtalg import analysis
     real_primary = analysis.build_primary

@@ -11,6 +11,7 @@ from modtalg.errors import (
     EmptyInput,
     FixtureInvalid,
     IndexOutOfRange,
+    InternalInconsistency,
     InvalidParameter,
     Malformed,
     OutOfRange,
@@ -18,7 +19,10 @@ from modtalg.errors import (
 from modtalg.ffmat import field_ctx
 from modtalg.fixtures import cyclic_group_table, load_order12_no21, s3_table
 from modtalg.oracles import axioms_brute, intersection_count, strata_brute
+from modtalg import scheme
 from modtalg.scheme import (
+    RelationTable,
+    SchemeData,
     gen_cyclic,
     gen_hamming,
     gen_thin,
@@ -320,3 +324,44 @@ def test_gen_thin_checks_associativity_in_quadratic_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n**3 // 10
+
+
+def test_point_count_the_valencies_miss_is_witnessed():
+    # a table whose n overstates its entries: the valencies sum to 5, not 6
+    t = gen_cyclic(5)
+    with pytest.raises(InternalInconsistency) as err:
+        validate_axioms(RelationTable(n=6, d=t.d, entries=t.entries))
+    assert err.value.witness == ("valencies", (1, 2, 2), 6)
+
+
+def test_triangle_identity_failure_is_witnessed(monkeypatch):
+    # the identity holds on every table that passes axiom III, so the
+    # tensor k_i p_(l j')^i is corrupted at (i, j, l) = (1, 2, 0) on its way in
+    class CorruptedTranspose:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def transpose(a, axes):
+            out = np.transpose(a, axes).copy()
+            out[1, 2, 0] += 1
+            return out
+
+    t = gen_cyclic(5)
+    monkeypatch.setattr(scheme, "np", CorruptedTranspose())
+    with pytest.raises(InternalInconsistency) as err:
+        validate_axioms(t)
+    assert err.value.witness == ("triangle identity", (1, 2, 0))
+
+
+@pytest.mark.parametrize("valencies, witness", [
+    ([2, 2, 2], ("strata", "0 in S_0")),
+    ([3, 2, 2], ("strata", "0 thin")),
+    ([1, 2, 2, 4], ("strata partition", 4, 3)),
+])
+def test_corrupted_valencies_break_a_strata_invariant(valencies, witness):
+    s = validate_axioms(gen_cyclic(5))
+    corrupted = SchemeData(s.table, s.converse, np.array(valencies), s.tensor)
+    with pytest.raises(InternalInconsistency) as err:
+        strata(corrupted, field_ctx(2))
+    assert err.value.witness == witness

@@ -13,7 +13,7 @@ from modtalg.errors import (
 )
 from modtalg.analysis import compute_artifacts
 from modtalg.characterize import b0_unit_element
-from modtalg.ffmat import Subspace, field_ctx, kernel_array, rref_array
+from modtalg.ffmat import Subspace, field_ctx, kernel_array, matmul_mod, rref_array
 from modtalg.oracles import word_closure_dim
 from modtalg.primary import build_primary, filtration
 from modtalg.scheme import (
@@ -28,8 +28,8 @@ from modtalg.scheme import (
 from modtalg import talg
 from modtalg.talg import (
     AlgebraBasis,
-    _assert_nilpotent,
-    _quotient_regular_rep,
+    _graded_products,
+    _grades,
     _stage_gram,
     algebra_closure,
     annihilator_W0,
@@ -397,8 +397,8 @@ def test_radical_postconditions_reject_corruption(artifacts):
 
 @pytest.mark.parametrize("name,p", [("cyclic-5", 2), ("hamming-3-2", 3)])
 def test_radical_postconditions_reject_deficient_candidates(artifacts, name, p):
-    # subspaces strictly inside the radical leave the trace kernel larger
-    # than themselves, so the short-cut cannot pass them
+    # subspaces strictly inside the radical: their flag is not invariant,
+    # or is annihilated by more than them, or leaves a non-semisimple quotient
     art = artifacts(name, p)
     without_last = Subspace.span(art.field, art.rad.basis[:-1], ambient_dim=art.ctx.n**2)
     for candidate in (Subspace.zero(art.field, art.ctx.n**2), without_last):
@@ -407,8 +407,8 @@ def test_radical_postconditions_reject_deficient_candidates(artifacts, name, p):
 
 
 def test_radical_postconditions_reject_candidates_outside_the_algebra():
-    # T = GF(2) I in 2 x 2 matrices: Tr(xy) = 2xy = 0, so ker G = T has
-    # dimension 1, like span{E_12}, a nilpotent subspace that I preserves
+    # T = GF(2) I in 2 x 2 matrices: span{E_12} is nilpotent, and I
+    # preserves its flag, but it does not lie in T
     scalars = algebra_closure(field_ctx(2), np.eye(2, dtype=np.int64)[None])
     outside = Subspace.span(scalars.field, [[0, 1, 0, 0]], ambient_dim=4)
     with pytest.raises(InternalInconsistency, match="not contained in the algebra") as err:
@@ -416,63 +416,110 @@ def test_radical_postconditions_reject_candidates_outside_the_algebra():
     assert err.value.witness == ("containment", 0)
 
 
-def _first_product_outside(alg, claim):
-    # reference: (side, g, b) of the first g b, then b g, outside the claim, one product at a time
+def _first_flag_escape(alg, claim):
+    # reference: the flag V_(k+1) = claim V_k from the products r v, one
+    # vector at a time, and the first (k, g, v) with generator g sending
+    # basis vector v of V_k outside V_k; None if the flag stalls above 0
+    # or every V_k is invariant
     n, p = alg.n, alg.field.p
-    for side in ("left", "right"):
+    flag = [Subspace.span(alg.field, np.eye(n, dtype=np.int64))]
+    while flag[-1].dim:
+        pushed = [r @ v % p for r in claim.basis.reshape(-1, n, n) for v in flag[-1].basis]
+        below = Subspace.span(alg.field, np.array(pushed).reshape(-1, n), ambient_dim=n)
+        if below.dim == flag[-1].dim:
+            return None
+        flag.append(below)
+    for k, vk in enumerate(flag):
         for g, gen in enumerate(alg.generators):
-            for b, elem in enumerate(claim.basis.reshape(-1, n, n)):
-                prod = gen @ elem if side == "left" else elem @ gen
-                if not claim.member((prod % p).reshape(-1)):
-                    return side, g, b
+            for v, vec in enumerate(vk.basis):
+                if not vk.member(gen @ vec % p):
+                    return "flag", g, k, v
     return None
 
 
-def test_non_ideal_radical_claim_is_witnessed(artifacts, schemes):
-    # graded claims, so the grading check passes: the left ideal T E_0*, and an
-    # ideal (Rad, B0, Ann) with T's last basis element outside it adjoined
+def test_non_ideal_radical_claim_is_witnessed(artifacts):
+    # nilpotent claims inside the radical (one basis element, every other
+    # one, all but the first, all but the last): the first that fails on
+    # its flag is named as the reference finds it, the others fail later
     witnesses = []
     for name in ("cyclic-5", "hamming-2-2", "as12-no21"):
         for p in (2, 3):
             art = artifacts(name, p)
-            tal, n = art.talgebra, art.ctx.n
-            claims = [(tal.mats() @ art.ctx.Estar[0] % p).reshape(-1, n * n)]
-            for ideal in (art.rad, art.b0, art.ann):
-                extra = tal.space.basis[ideal.outside(tal.space.basis)[-1]]
-                claims.append(np.vstack([ideal.basis, extra]))
-            for rows in claims:
-                claim = Subspace.span(tal.field, rows, ambient_dim=n * n)
-                want = _first_product_outside(tal, claim)
-                if want is None:
+            tal, n, rad = art.talgebra, art.ctx.n, art.rad.basis
+            for rows in (rad[:1], rad[-1:], rad[::2], rad[1:], rad[:-1]):
+                if len(rows) == 0 or len(rows) == len(rad):
                     continue
-                with pytest.raises(InternalInconsistency, match="^radical is not a two-sided ideal$") as err:
+                claim = Subspace.span(tal.field, rows, ambient_dim=n * n)
+                want = _first_flag_escape(tal, claim)
+                with pytest.raises(InternalInconsistency) as err:
                     check_radical_postconditions(tal, claim)
+                if want is None:
+                    assert err.value.witness[0] in ("annihilator", "quotient"), (name, p, err.value.witness)
+                    continue
                 assert err.value.witness == want, (name, p, claim.dim)
                 witnesses.append(want)
     # every coordinate of the witness varies over the cases
-    assert [len({w[k] for w in witnesses}) > 1 for k in range(3)] == [True] * 3
+    assert [len({w[k] for w in witnesses}) > 1 for k in range(1, 4)] == [True] * 3
 
 
-def test_quotient_rerun_only_when_trace_kernel_exceeds_the_radical(artifacts, monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("quotient re-run reached")
+@pytest.mark.parametrize("name,p", [("cyclic-5", 2), ("cyclic-6", 2), ("hamming-3-2", 3),
+                                    ("as12-no21", 2)])
+def test_claim_annihilating_less_than_its_flag_is_witnessed(artifacts, name, p):
+    # the radical less its first or its last basis element: a nilpotent
+    # claim with an invariant flag (checked by the reference), so the
+    # annihilator N of the flag lies in J(T), contains the claim and differs
+    # from it; N = J(T), whose first or last basis element is the witness
+    art = artifacts(name, p)
+    tal, n, rad = art.talgebra, art.ctx.n, art.rad.basis
+    for rows, index in ((rad[1:], 0), (rad[:-1], len(rad) - 1)):
+        claim = Subspace.span(tal.field, rows, ambient_dim=n * n)
+        assert _first_flag_escape(tal, claim) is None
+        with pytest.raises(InternalInconsistency) as err:
+            check_radical_postconditions(tal, claim)
+        assert err.value.witness == ("annihilator", index)
 
-    monkeypatch.setattr(talg, "_quotient_regular_rep", unreachable)
-    art = artifacts("cyclic-5", 3)
-    check_radical_postconditions(art.talgebra, art.rad)
-    full = _closure_of(field_ctx(2), [[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
-    check_radical_postconditions(full, radical(full))
 
+def test_square_of_the_radical_is_witnessed_by_its_annihilator():
+    # upper triangular 3 x 3 matrices: J^2 = span{E_13} has the flag
+    # V > span{e_1} > 0, annihilated by span{E_12, E_13}; E_12 is outside
+    for p in (2, 3, 5):
+        units = np.zeros((4, 3, 3), dtype=np.int64)
+        for u, (i, j) in enumerate(((0, 0), (1, 1), (0, 1), (1, 2))):
+            units[u, i, j] = 1
+        alg = _closure_of(field_ctx(p), units)
+        assert alg.dim == 6
+        claim = Subspace.span(alg.field, [[0, 0, 1, 0, 0, 0, 0, 0, 0]], ambient_dim=9)
+        with pytest.raises(InternalInconsistency) as err:
+            check_radical_postconditions(alg, claim)
+        assert err.value.witness == ("annihilator", 0)
+
+
+@pytest.mark.parametrize("name,p", [("cyclic-5", 2), ("hamming-3-2", 3), ("as12-no21", 2)])
+def test_zero_claim_on_a_non_semisimple_algebra_is_witnessed(artifacts, name, p):
+    # the zero claim has the flag V > 0, so Phi is T itself and the stage
+    # radical of the quotient is J(T)
+    art = artifacts(name, p)
+    assert art.rad.dim > 0
+    with pytest.raises(InternalInconsistency) as err:
+        check_radical_postconditions(art.talgebra, Subspace.zero(art.field, art.ctx.n ** 2))
+    assert err.value.witness == ("quotient", art.rad.dim)
+
+
+def test_quotient_rerun_is_on_n_by_n_matrices(artifacts, monkeypatch):
+    # the certificate runs the stage radical once more, unverified, on the
+    # action of T on the factors of the flag: matrices of T's own size
     calls = []
 
-    def recorded(*args):
-        calls.append(args)
-        return _quotient_regular_rep(*args)
+    def recorded(algebra, *, _verify=True):
+        calls.append((algebra.n, algebra.dim, _verify))
+        return radical(algebra, _verify=_verify)
 
-    monkeypatch.setattr(talg, "_quotient_regular_rep", recorded)
-    art = artifacts("cyclic-5", 2)
-    check_radical_postconditions(art.talgebra, art.rad)
-    assert len(calls) == 1
+    monkeypatch.setattr(talg, "radical", recorded)
+    for name, p in (("cyclic-5", 3), ("cyclic-5", 2), ("hamming-3-2", 3)):
+        art = artifacts(name, p)
+        calls.clear()
+        check_radical_postconditions(art.talgebra, art.rad)
+        assert calls == [(art.ctx.n, art.talgebra.dim - art.rad.dim, False)], (name, p)
 
 
 def _passes(check, alg, candidate):
@@ -483,8 +530,58 @@ def _passes(check, alg, candidate):
     return True
 
 
+def _assert_nilpotent(algebra, ideal):
+    # reference: the powers ideal^m, spanned by graded products, reach zero
+    if ideal.dim == 0:
+        return
+    n, p = algebra.n, algebra.field.p
+    imats = ideal.basis.reshape(-1, n, n)
+    irows, _ = _grades(ideal.basis, algebra.blocks, "nilpotency")
+    current = ideal
+    for _ in range(algebra.dim + 1):
+        if current.dim == 0:
+            return
+        _, ccols = _grades(current.basis, algebra.blocks, "nilpotency")
+        _, _, prods = _graded_products(current.basis.reshape(-1, n, n), ccols, imats, irows,
+                                       algebra.blocks, p)
+        nxt = Subspace.span(algebra.field, prods.reshape(-1, n * n), ambient_dim=n * n)
+        if nxt.dim >= current.dim:
+            break
+        current = nxt
+    if current.dim != 0:
+        raise InternalInconsistency("claimed radical is not nilpotent", witness="nilpotency")
+
+
+def _quotient_regular_rep(algebra, ideal):
+    # reference: the left regular representation of algebra/ideal (ideal a
+    # two-sided ideal inside the algebra), None for the zero quotient; the
+    # coordinates modulo the ideal come from one product with its fully
+    # reduced echelon basis
+    field, p, n, k = algebra.field, algebra.field.p, algebra.n, algebra.dim
+    if ideal.dim == k:
+        return None
+    icoords, _, ipivots = rref_array(algebra.space.coords(ideal.basis), p)
+    comp = np.delete(np.arange(k), ipivots)
+    q = len(comp)
+    reps = algebra.space.basis[comp]
+    rows, cols = _grades(reps, algebra.blocks, "quotient")
+    reps = reps.reshape(q, n, n)
+    a, b, prods = _graded_products(reps, cols, reps, rows, algebra.blocks, p)
+    found = algebra.space.coords(prods.reshape(-1, n * n))
+    assert found is not None
+    coords = np.zeros((q * q, k), dtype=np.int64)
+    coords[a * q + b] = found
+    qcoords = (coords[:, comp] - matmul_mod(coords[:, ipivots], icoords[:, comp], p)) % p
+    # reg(a)[:, b] = quotient coordinates of rep_a rep_b
+    reg = qcoords.reshape(q, q, q).transpose(0, 2, 1)
+    space = Subspace.span(field, reg.reshape(q, q * q), ambient_dim=q * q)
+    assert space.dim == q
+    return AlgebraBasis(field, q, space, space.basis.reshape(q, q, q))
+
+
 def _check_by_quotient_rerun(alg, candidate):
-    # the three certificates with the quotient always re-run
+    # reference: the certificate on the quotient's regular representation
+    # (two-sided ideal, nilpotent, and a zero stage radical of T/candidate)
     assert_two_sided_ideal(alg, candidate, "radical")
     _assert_nilpotent(alg, candidate)
     quotient = _quotient_regular_rep(alg, candidate)
@@ -494,15 +591,25 @@ def _check_by_quotient_rerun(alg, candidate):
 
 @settings(max_examples=40, deadline=None)
 @given(p=st.sampled_from([2, 3]), n=st.sampled_from([3, 4]), data=st.data())
-def test_trace_kernel_shortcut_agrees_with_quotient_rerun(p, n, data):
+def test_flag_certificate_agrees_with_quotient_rerun(p, n, data):
     count = data.draw(st.integers(2, 4))
     entries = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
     gens = np.array(data.draw(st.lists(entries, min_size=count, max_size=count)))
     gens = gens.reshape(count, n, n)
     if data.draw(st.booleans()):
         gens = np.triu(gens)  # closures with a radical, most of the time
+    if data.draw(st.booleans()):
+        supports = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        gens = np.concatenate([gens, [np.diag(d) for d in data.draw(st.lists(supports, min_size=1, max_size=2))]])
     alg = algebra_closure(field_ctx(p), gens)
-    for candidate in (radical(alg, _verify=False), Subspace.zero(alg.field, n * n)):
+    rad = radical(alg, _verify=False)
+    candidates = [rad, Subspace.zero(alg.field, n * n)]
+    if rad.dim:
+        candidates.append(Subspace.span(alg.field, rad.basis[1:], ambient_dim=n * n))
+    extra = rad.outside(alg.space.basis)
+    candidates.append(Subspace.span(alg.field, np.vstack([rad.basis, alg.space.basis[extra[-1:]]]),
+                                    ambient_dim=n * n))
+    for candidate in candidates:
         assert _passes(check_radical_postconditions, alg, candidate) == _passes(
             _check_by_quotient_rerun, alg, candidate
         )
@@ -783,10 +890,12 @@ def test_non_homogeneous_claim_is_rejected_with_its_witness(artifacts):
     ctx, blocks, n = art.ctx, art.talgebra.blocks, art.ctx.n
     mixed = (ctx.Estar[0] + ctx.Estar[1]).reshape(-1)
     want_pairs = sorted({(int(blocks[y]), int(blocks[y])) for y in np.flatnonzero(np.diagonal(mixed.reshape(n, n)))})
+    # the idempotent E_0* + E_1* maps V onto V_1 = E_0* V + E_1* V and V_1
+    # onto itself
     claim = Subspace.span(art.field, mixed, ambient_dim=n * n)
-    with pytest.raises(InternalInconsistency) as err:
+    with pytest.raises(InternalInconsistency, match="^claimed radical is not nilpotent$") as err:
         check_radical_postconditions(art.talgebra, claim)
-    assert err.value.witness == ("claimed radical", 0, want_pairs)
+    assert err.value.witness == ("nilpotency", 1, 1 + 2)
     # a stage candidate with a mixed element is rejected the same way
     basis = np.concatenate([art.rad.basis, mixed[None]])
     with pytest.raises(InternalInconsistency) as err:
