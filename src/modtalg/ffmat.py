@@ -121,7 +121,7 @@ def _reduce(x: np.ndarray, p: int) -> None:
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(a @ b) mod p exactly, as int64, for residues a (m x k), b (k x n)
-    in [0, p).
+    in [0, p), or item by item for stacks a (s x m x k), b (s x k x n).
 
     The path follows from k and p alone.  When k (p-1)^2 < 2^53 the product
     runs in float64 BLAS.  Every partial sum of the k products is then a
@@ -129,9 +129,9 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     an IEEE double; so each product, each addition and each fused
     multiply-add returns the exact integer, whatever the order of
     summation, the blocking or the number of BLAS threads.  The float64
-    temporaries are one copy of b and blocks of about `_BLOCK` entries of a
-    and of the result, converted and reduced into the int64 result one
-    block of rows at a time.
+    temporaries are one copy of b (of a block of its items, for stacks) and
+    blocks of about `_BLOCK` entries of a and of the result, converted and
+    reduced into the int64 result one block of rows, or of items, at a time.
 
     Otherwise the product runs in int64 with delayed reduction: chunks of
     c = floor((2^63 - 1) / (p-1)^2) terms sum to at most c (p-1)^2 < 2^63,
@@ -142,25 +142,28 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionMismatch("matmul_mod expects (m x k) @ (k x n)")
-    (m, k), n = a.shape, b.shape[1]
-    out = np.zeros((m, n), dtype=np.int64)
+    if (a.ndim not in (2, 3) or b.ndim != a.ndim or a.shape[-1] != b.shape[-2]
+            or a.shape[:-2] != b.shape[:-2]):
+        raise DimensionMismatch("matmul_mod expects (m x k) @ (k x n), or stacks of them")
+    k = a.shape[-1]
+    out = np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.int64)
     if k == 0:
         return out
     if k * (p - 1) ** 2 < 2**53:
-        fb = b.astype(np.float64)
-        rows = max(1, _BLOCK // max(1, k, n))
-        for r in range(0, m, rows):
-            block = out[r : r + rows]
-            block[...] = a[r : r + rows].astype(np.float64) @ fb
+        stacked = a.ndim == 3
+        fb = None if stacked else b.astype(np.float64)
+        step = max(1, _BLOCK * len(a) // max(1, a.size, out.size, b.size * stacked))
+        for r in range(0, len(a), step):
+            block = out[r : r + step]
+            block[...] = a[r : r + step].astype(np.float64) @ (
+                b[r : r + step].astype(np.float64) if stacked else fb)
             _reduce(block, p)
         return out
     chunk = (2**63 - 1) // (p - 1) ** 2
     if chunk == 0:
         raise PrimeTooLarge(f"p={p} is too large: (p-1)^2 >= 2^63 would overflow int64")
     for s in range(0, k, chunk):
-        part = a[:, s : s + chunk] @ b[s : s + chunk]
+        part = a[..., s : s + chunk] @ b[..., s : s + chunk, :]
         _reduce(part, p)
         out += part
         np.subtract(out, p, out=out, where=out >= p)

@@ -49,9 +49,11 @@ class TalgContext:
     read-only int64 array of shape (2(d+1), n, n); `A` and `Estar` are
     views into it, and row i of `u` is the 0/1 vector u_i = E_i* 1.
 
-    The defining identities (transposes, partitions of I and J, idempotent
-    orthogonality, nonvanishing of E_i* J E_j*, and J E_i* 1 = k_i 1) are
-    asserted eagerly at construction; a bad table fails here, not later.
+    The defining identities (transposes, partitions of I and J,
+    nonvanishing of E_i* J E_j*, and J E_i* 1 = k_i 1) are asserted eagerly
+    at construction; a bad table fails here, not later.  The dual
+    idempotents are symmetric and orthogonal by construction (see
+    `_assert_identities`).
     A prime with n^2 (p-1)^2 >= 2^63 is rejected before any arithmetic, so
     the int64 sums that do not go through `ffmat.matmul_mod` (the Berkowitz
     recurrence of `charpoly_coeffs`, and the independent products of
@@ -91,30 +93,29 @@ class TalgContext:
         self._assert_identities()
 
     def _assert_identities(self) -> None:
-        n, d, p = self.n, self.d, self.field.p
+        """Raise InternalInconsistency, with a witness, on a broken identity.
+
+        E_i* = diag(u_i) with u_i(y) = [tab(x, y) = i] is diagonal, hence
+        symmetric, with 0/1 entries, and no point has two relations to x, so
+        u_i u_j = delta_ij u_i entrywise: E_i* E_j* = delta_ij E_i* holds by
+        construction and is not checked.  The checked sum I puts every
+        point in exactly one support."""
+        d, p = self.d, self.field.p
         A, E = self.A, self.Estar
         for i in range(d + 1):
             if not np.array_equal(A[i].T, A[int(self.scheme.converse[i])]):
                 raise InternalInconsistency(f"A_{i}^t != A_(i')", witness=("A_i^t != A_(i')", i))
-            if not np.array_equal(E[i].T, E[i]):
-                raise InternalInconsistency(f"E_{i}* is not symmetric", witness=("E_i* is not symmetric", i))
-        for message, wrong in (("A_0 != I", A[0] != np.eye(n)),
-                               ("sum of dual idempotents != I", E.sum(axis=0) % p != np.eye(n)),
+        for message, wrong in (("A_0 != I", A[0] != np.eye(self.n)),
+                               ("sum of dual idempotents != I", E.sum(axis=0) % p != np.eye(self.n)),
                                ("sum of adjacency matrices != J", A.sum(axis=0) % p != 1)):
             if wrong.any():
                 raise InternalInconsistency(message, witness=(message, tuple(np.argwhere(wrong)[0].tolist())))
-        for i in range(d + 1):
-            prods = pairwise_mod(E[i : i + 1], E, p)[0]
-            prods[i] -= E[i]
-            wrong = np.flatnonzero(prods.any(axis=(1, 2)))
-            if wrong.size:
-                raise InternalInconsistency("dual idempotents not orthogonal",
-                                            witness=("dual idempotents not orthogonal", (i, int(wrong[0]))))
-            # E_i* J E_j* = u_i u_j^T, zero iff u_i or u_j is
-            vanished = np.flatnonzero(~(self.u[i].any() & self.u.any(axis=1)))
-            if vanished.size:
-                raise InternalInconsistency(f"E_{i}* J E_{vanished[0]}* vanished",
-                                            witness=("E_i* J E_j* vanished", (i, int(vanished[0]))))
+        # E_i* J E_j* = u_i u_j^T, zero iff u_i or u_j is
+        nonzero = self.u.any(axis=1)
+        vanished = np.argwhere(~(nonzero[:, None] & nonzero[None, :]))
+        if vanished.size:
+            i, j = (int(v) for v in vanished[0])
+            raise InternalInconsistency(f"E_{i}* J E_{j}* vanished", witness=("E_i* J E_j* vanished", (i, j)))
         # J E_i* 1 = (sum of the entries of u_i) 1
         wrong = np.flatnonzero(self.u.sum(axis=1) % p != self.scheme.valencies % p)
         if wrong.size:
@@ -140,15 +141,17 @@ def triple_product(ctx: TalgContext, i: int, j: int, l: int) -> np.ndarray:
 
 
 class AlgebraBasis:
-    """Echelonized basis of a unital algebra of n x n matrices over GF(p),
-    with the stack of matrices it was closed from (`generators`) and a
-    block label per point (`blocks`).
+    """The unital algebra T of n x n matrices over GF(p) generated by
+    `generators`: `space` holds the reduced row-echelon basis of T, each
+    element flattened row-major to length n^2, and `blocks` a label per
+    point.
 
-    The span is graded by the blocks: it is the direct sum of its pieces
-    supported on the rows of one block and the columns of another, so its
-    echelon basis consists of homogeneous elements (see `_grades`).
-    `algebra_closure` derives the labels from the generators; a single
-    block, the default, is the grading every algebra has.
+    The blocks must grade T: T is the direct sum of its pieces f_a T f_b,
+    f_a the indicator of block a, so its echelon basis consists of
+    homogeneous elements, each supported on the rows of one block and the
+    columns of another (see `_grades`).  `algebra_closure` uses the labels
+    of `_idempotent_blocks`, which grade T, and computes the basis piece by
+    piece; one block, the default, is the grading every algebra has.
     """
 
     __slots__ = ("field", "n", "space", "generators", "blocks")
@@ -264,41 +267,185 @@ def _generator_products(gens: np.ndarray, mats: np.ndarray, p: int) -> np.ndarra
     return out.reshape(2, g * b, n * n)
 
 
-def algebra_closure(field: FieldCtx, generators: np.ndarray) -> AlgebraBasis:
-    """Smallest product-closed span containing the generators and I.
+# Entries of one batched temporary of the closure.
+_CHUNK = 1_000_000
 
-    A worklist closure that multiplies each element once.  S_0 is the span
-    of the generators and I, and its echelon basis is the first frontier
-    F_0.  Round k forms g f for every generator g and every f in the
-    frontier F_k, and `Subspace.adjoin` reduces these products against the
-    basis of S_k; those outside S_k give the echelon block F_{k+1}, and
-    S_{k+1} = S_k + span F_{k+1}.  The loop stops at the first empty
-    frontier, when every product already lies in S = S_k.  Each nonempty
-    frontier raises the dimension, so there are at most n^2 rounds.
+# Blocks of at most this many points are padded to the largest of them and
+# multiplied in one batch; a padded product costs at most 8^3 multiply-adds.
+_SMALL = 8
 
-    S is the algebra.  Unrolled, S = span(F_0 + F_1 + ... + F_k), so an
-    s in S is a sum of elements f of the frontiers, and g s is a sum of the
-    g f, each formed in the round after f entered and lying in S.  So S is
-    closed under left multiplication by every generator.  It contains I,
-    hence by induction on the length every product g_1 g_2 ... g_m =
-    g_1 (g_2 ... g_m) of generators, and it holds nothing else, since every
-    element found is a combination of such products.  Products on the
-    right would find the same words again.  The reduced row-echelon basis
-    of a subspace is unique, so the basis does not depend on the order in
-    which the closure found it.  The result is graded by
-    `_idempotent_blocks`.
+
+def _echelon_by_piece(elems: np.ndarray, grade: np.ndarray, sizes: np.ndarray,
+                      p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced echelon bases, piece by piece, of the span of homogeneous
+    elements: elems[e] is the local matrix of piece grade[e] = a nb + b,
+    k_a x k_b with k = `sizes`, padded with zeros to K x K.
+
+    Returns (basis, grade, pivots), sorted by piece, with local pivots r K + c.
+    The pieces' local entries are laid side by side as the columns of one
+    `rref_array`; rows of different pieces share no nonzero column, so the
+    elimination never mixes them and yields the union of the per-piece
+    bases.  Consecutive pieces share one matrix while it stays within
+    `_CHUNK` entries.  Rows are sorted by leading column first, so input
+    that is reduced already, as disjoint 0/1 pieces are, takes the O(mn)
+    path of `rref_array`.
     """
-    gens = np.asarray(generators, dtype=np.int64) % field.p
+    nb, K = len(sizes), elems.shape[-1]
+    order = np.argsort(grade, kind="stable")
+    flat, grade = elems[order].reshape(len(order), K * K), grade[order]
+    pieces, first, count = np.unique(grade, return_index=True, return_counts=True)
+    width = sizes[pieces // nb] * sizes[pieces % nb]
+    out = [(elems[:0], grade[:0], grade[:0])]
+    lo, counts, widths = 0, count.tolist(), width.tolist()
+    while lo < len(pieces):
+        hi, rows, cols = lo + 1, counts[lo], widths[lo]
+        while hi < len(pieces) and (rows + counts[hi]) * (cols + widths[hi]) <= _CHUNK:
+            rows, cols, hi = rows + counts[hi], cols + widths[hi], hi + 1
+        owner = np.repeat(pieces[lo:hi], width[lo:hi])
+        t = np.arange(cols) - np.repeat(np.cumsum(width[lo:hi]) - width[lo:hi], width[lo:hi])
+        col = t // sizes[owner % nb] * K + t % sizes[owner % nb]
+        x = np.where(grade[first[lo] : first[lo] + rows, None] == owner, flat[first[lo] : first[lo] + rows][:, col], 0)
+        reduced, rank, piv = rref_array(x[np.argsort((x != 0).argmax(axis=1), kind="stable")], p)
+        basis = np.zeros((rank, K * K), dtype=np.int64)
+        r, c = np.nonzero(reduced[:rank])
+        basis[r, col[c]] = reduced[r, c]
+        out.append((basis.reshape(rank, K, K), owner[piv], col[piv]))
+        lo = hi
+    return tuple(np.concatenate(part) for part in zip(*out))
+
+
+def _reduced_products(mults: np.ndarray, mgrade: np.ndarray, elems: np.ndarray,
+                      egrade: np.ndarray, epiv: np.ndarray, frontier: np.ndarray,
+                      sizes: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero residuals, with their pieces, of every product m f of a
+    multiplier m of grade (i, j) and a frontier element f of grade (j, l),
+    reduced against the basis of piece (i, l) alone: r = v - c B with
+    c = v at B's pivots, as in `Subspace.reduce`.  Grades are a nb + b.
+
+    Products run through `matmul_mod` in batches of one padded shape
+    (P_i, P_j, P_l): a block of at most `_SMALL` points is padded to the
+    largest such block, a larger block keeps its size, and every batch,
+    with the piece bases it gathers, stays within `_CHUNK` entries.
+    """
+    nb, K = len(sizes), elems.shape[-1]
+    a, b = np.nonzero(mgrade[:, None] % nb == egrade[frontier] // nb)
+    b = frontier[b]
+    i, j, l = mgrade[a] // nb, mgrade[a] % nb, egrade[b] % nb
+    target = i * nb + l
+    # the rows of each piece's basis, padded with the index of a zero element
+    dims = np.bincount(egrade, minlength=nb * nb)
+    eo = np.argsort(egrade, kind="stable")
+    table = np.full((nb * nb, max(1, dims.max())), len(elems))
+    table[egrade[eo], np.arange(len(eo)) - np.repeat(np.cumsum(dims) - dims, dims)] = eo
+    ext = np.concatenate([elems, np.zeros((1, K, K), dtype=np.int64)])
+    pr, pc = np.divmod(np.append(epiv, 0), K)
+    pad = np.where(sizes <= _SMALL, sizes[sizes <= _SMALL].max(initial=1), sizes)
+    shapes = (pad[i] * (K + 1) + pad[j]) * (K + 1) + pad[l]
+    res, rgrade = [elems[:0]], [target[:0]]
+    for shape in np.unique(shapes).tolist():
+        sel = np.flatnonzero(shapes == shape)
+        Pi, Pj, Pl = shape // (K + 1) ** 2, shape // (K + 1) % (K + 1), shape % (K + 1)
+        dg = max(1, dims[target[sel]].max())
+        step = max(1, _CHUNK // (Pi * Pj + Pj * Pl + (dg + 2) * Pi * Pl))
+        for part in np.split(sel, np.arange(step, len(sel), step)):
+            prod = matmul_mod(mults[a[part], :Pi, :Pj], ext[b[part], :Pj, :Pl], p)
+            rows = table[target[part], :dg]
+            coef = prod[np.arange(len(part))[:, None], pr[rows], pc[rows]]
+            comb = matmul_mod(coef[:, None, :], ext[rows, :Pi, :Pl].reshape(len(part), dg, -1), p)
+            r = (prod - comb.reshape(prod.shape)) % p
+            keep = r.any(axis=(1, 2))
+            res.append(np.pad(r[keep], ((0, 0), (0, K - Pi), (0, K - Pl))))
+            rgrade.append(target[part][keep])
+    return np.concatenate(res), np.concatenate(rgrade)
+
+
+def algebra_closure(field: FieldCtx, generators: np.ndarray) -> AlgebraBasis:
+    """Smallest product-closed span T containing the generators and I,
+    closed piece by piece.
+
+    Pieces.  Let f_a be the indicators of the blocks of
+    `_idempotent_blocks`, of k_a points each.  T is the direct sum of its
+    pieces S_ab = f_a T f_b, and an element of S_ab is a k_a x k_b matrix in
+    local coordinates.  The seed P holds the nonzero pieces f_a g f_b of
+    every generator g and every f_a; all lie in T, and P generates T,
+    since g and I are sums of elements of P.  A homogeneous element is one
+    of a single piece; the product of grades (i, j) and (j', l) is 0 unless
+    j = j', and then has grade (i, l).  f_a times a homogeneous element is
+    the element itself or 0, so in a word in P every f_a can be dropped (or
+    the word is 0, or it is f_a alone): the words in P span the same space
+    as the f_a and the words in the multipliers M, the elements of P that
+    are not some f_a.
+
+    Worklist.  S_0 is the span of P, held as the reduced echelon bases of
+    its pieces, and the first frontier F_0 is that basis.  Round k forms
+    m f for every m in M of grade (i, j) and every f in F_k of grade
+    (j, l), reduces it against the basis of S_il only, and echelonizes the
+    nonzero residuals with the old bases of the pieces they hit, in one
+    batch (see `_echelon_by_piece`).  The elements whose pivots are new
+    form F_(k+1), and S_(k+1) = S_k + span F_(k+1): each is zero on the old
+    pivots, so none is a combination of the others plus an element of S_k,
+    and together they add the rank the residuals add.  The loop stops at
+    the first round without a nonzero residual, with S = S_k.  Every other
+    round raises the dimension, so there are at most n^2 rounds.
+
+    S = S_k is T.  S is graded, so it is closed under left multiplication
+    by every f_a.  An s in S is a sum of elements f of the frontiers, and
+    m s is a sum of the m f, each formed in the round after f entered (the
+    others are 0 by grade) and lying in S.  So S contains every f_a, and
+    by induction on the length every word m_1 m_2 ... m_r =
+    m_1 (m_2 ... m_r) in M, hence all of T; it holds nothing else, since
+    every element found is a combination of such words.
+
+    Output.  The pieces' supports in the flat n^2 order are disjoint, and
+    the local row-major order of a piece is the flat order restricted to
+    it.  So each local basis row keeps its leading 1 in the flat order,
+    and every other row, of its piece or of another, is zero at that
+    pivot: the union of the piece bases, sorted by pivot, is in reduced
+    row-echelon form.  That form of a subspace is unique, so the basis
+    does not depend on how the closure found it.
+    """
+    p = field.p
+    gens = np.asarray(generators, dtype=np.int64) % p
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
         raise InvalidParameter("generators must be a stack of square matrices")
     n = gens.shape[1]
-    seed = np.concatenate([gens.reshape(len(gens), -1), np.eye(n, dtype=np.int64).reshape(1, -1)])
-    space = Subspace.span(field, seed, ambient_dim=n * n)
-    frontier = space.basis
-    while len(frontier):
-        prods = pairwise_mod(gens, frontier.reshape(-1, n, n), field.p)
-        space, frontier = space.adjoin(prods.reshape(-1, n * n))
-    return AlgebraBasis(field, n, space, gens, blocks=_idempotent_blocks(gens))
+    blocks = _idempotent_blocks(gens)
+    sizes = np.bincount(blocks)
+    nb, K = len(sizes), int(sizes.max())
+    local = np.cumsum(blocks[:, None] == np.arange(nb), axis=0)[np.arange(n), blocks] - 1
+    g, r, c = np.nonzero(gens)
+    keys, which = np.unique((g * nb + blocks[r]) * nb + blocks[c], return_inverse=True)
+    pieces = np.zeros((len(keys), K, K), dtype=np.int64)
+    pieces[which, local[r], local[c]] = gens[g, r, c]
+    grade = keys % (nb * nb)
+    ident = np.zeros((nb, K, K), dtype=np.int64)
+    ident[blocks, local, local] = 1
+    unit = (grade // nb == grade % nb) & (pieces == ident[grade // nb]).all(axis=(1, 2))
+    mults, mgrade = pieces[~unit], grade[~unit]
+    elems, egrade, epiv = _echelon_by_piece(np.concatenate([mults, ident]),
+                                            np.append(mgrade, np.arange(nb) * (nb + 1)), sizes, p)
+    frontier = np.arange(len(elems))
+    while True:
+        res, rgrade = _reduced_products(mults, mgrade, elems, egrade, epiv, frontier, sizes, p)
+        if not len(res):
+            break
+        old = np.isin(egrade, rgrade)
+        new = _echelon_by_piece(np.concatenate([elems[old], res]), np.append(egrade[old], rgrade), sizes, p)
+        fresh = ~np.isin(new[1] * K * K + new[2], egrade[old] * K * K + epiv[old])
+        frontier = np.count_nonzero(~old) + np.flatnonzero(fresh)
+        elems, egrade, epiv = (np.concatenate([x[~old], y]) for x, y in zip((elems, egrade, epiv), new))
+    points = np.zeros((nb, K), dtype=np.int64)
+    points[blocks, local] = np.arange(n)
+    pos = (points[egrade // nb] * n)[:, :, None] + points[egrade % nb][:, None, :]
+    pivots = pos.reshape(len(pos), -1)[np.arange(len(pos)), epiv]
+    order = np.argsort(pivots)
+    elems, pos = elems[order], pos[order]
+    e, r, c = np.nonzero(elems)
+    basis = np.zeros((len(order), n * n), dtype=np.int64)
+    basis[e, pos[e, r, c]] = elems[e, r, c]
+    basis.setflags(write=False)
+    space = Subspace(field, n * n, basis, tuple(pivots[order].tolist()))
+    return AlgebraBasis(field, n, space, gens, blocks=blocks)
 
 
 def generate_algebra(ctx: TalgContext) -> AlgebraBasis:

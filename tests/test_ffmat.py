@@ -269,6 +269,20 @@ def test_matmul_mod_matches_python_integers(p, m, n, high, seed, data):
     assert np.array_equal(matmul_mod(a, b, p), _matmul_by_python_ints(a, b, p))
 
 
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(KERNEL_PRIMES), s=st.sampled_from([0, 1, 7]), m=st.sampled_from([0, 1, 3]),
+       n=st.sampled_from([0, 2]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_matmul_mod_multiplies_stacks_item_by_item(p, s, m, n, seed, data):
+    chunk = (2**63 - 1) // (p - 1) ** 2  # the int64 path sums chunks of this many terms
+    k = data.draw(st.one_of(st.integers(0, 40), st.sampled_from([min(chunk, 300), min(chunk + 1, 301)])))
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(max(0, p - 4), p, size=(s, m, k)), rng.integers(0, p, size=(s, k, n))
+    got = matmul_mod(a, b, p)
+    assert got.shape == (s, m, n)
+    for item in range(s):
+        assert np.array_equal(got[item], _matmul_by_python_ints(a[item], b[item], p))
+
+
 def test_matmul_mod_refuses_only_products_that_leave_int64():
     p = 3037000507
     one = np.ones((2, 1), dtype=np.int64)
@@ -277,6 +291,8 @@ def test_matmul_mod_refuses_only_products_that_leave_int64():
     assert matmul_mod(np.zeros((2, 0)), np.zeros((0, 3)), p).tolist() == [[0] * 3] * 2
     with pytest.raises(DimensionMismatch):
         matmul_mod(one, one, 2)
+    with pytest.raises(DimensionMismatch):
+        matmul_mod(np.ones((2, 1, 3)), np.ones((3, 3, 1)), 2)
 
 
 @pytest.mark.parametrize("shapes", [((0, 2, 3), (4, 3, 2)), ((3, 2, 3), (0, 3, 2)),

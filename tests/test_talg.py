@@ -13,7 +13,7 @@ from modtalg.errors import (
 )
 from modtalg.analysis import compute_artifacts
 from modtalg.characterize import b0_unit_element
-from modtalg.ffmat import Subspace, field_ctx, kernel_array, matmul_mod, rref_array
+from modtalg.ffmat import Subspace, field_ctx, kernel_array, matmul_mod, pairwise_mod, rref_array
 from modtalg.oracles import word_closure_dim
 from modtalg.primary import build_primary, filtration
 from modtalg.scheme import (
@@ -246,6 +246,74 @@ def test_worklist_closure_equals_the_full_round_fixpoint_on_the_corpus(schemes):
             for x in sorted({0, s.n - 1}):
                 ctx = build_context(s, field_ctx(p), x)
                 _assert_closure_matches_full_rounds(ctx.field, ctx.gens)
+
+
+def _flat_worklist_closure(f, gens):
+    # reference: the closure on flat n^2-long vectors.  Each round multiplies
+    # the new elements on the left by every generator and reduces the
+    # products against the whole span; `pairwise_mod` and `Subspace` keep it
+    # exact at every prime `rref_array` accepts
+    p, n = f.p, gens.shape[1]
+    gens = np.asarray(gens, dtype=np.int64) % p
+    seed = np.concatenate([gens.reshape(len(gens), -1), np.eye(n, dtype=np.int64).reshape(1, -1)])
+    space = Subspace.span(f, seed, ambient_dim=n * n)
+    frontier = space.basis
+    while len(frontier):
+        prods = pairwise_mod(gens, frontier.reshape(-1, n, n), p)
+        space, frontier = space.adjoin(prods.reshape(-1, n * n))
+    return space
+
+
+def _assert_closure_matches_flat_worklist(f, gens):
+    alg = algebra_closure(f, gens)
+    want = _flat_worklist_closure(f, gens)
+    assert alg.space.pivots == want.pivots
+    assert alg.space.basis.tobytes() == want.basis.tobytes()
+
+
+# 3037000493 is the largest prime with (p-1)^2 < 2^63, the bound of `rref_array`
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([2, 3, 3037000493]), data=st.data())
+def test_piece_closure_equals_the_flat_worklist_closure(p, data):
+    # diagonal 0/1 idempotents over a random partition whose blocks are not
+    # contiguous (or none at all), plus random matrices with random supports
+    if data.draw(st.booleans()):
+        sizes = [1, data.draw(st.integers(10, 12))] + data.draw(st.lists(st.integers(1, 2), max_size=2))
+    else:
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    labels = np.array(data.draw(st.permutations(np.repeat(np.arange(len(sizes)), sizes).tolist())))
+    n = len(labels)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    unions = data.draw(st.lists(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)),
+                                max_size=3))
+    idempotents = [np.diag(np.array(chosen)[labels].astype(np.int64)) for chosen in unions]
+    count = data.draw(st.integers(1, 3))
+    density = data.draw(st.sampled_from([0.05, 0.2, 1.0]))
+    mats = rng.integers(0, p, size=(count, n, n)) * (rng.random((count, n, n)) < density)
+    if data.draw(st.booleans()):
+        mats = np.triu(mats, 1)
+    gens = np.concatenate([np.zeros((0, n, n), dtype=np.int64), mats, *[[e] for e in idempotents]])
+    _assert_closure_matches_flat_worklist(field_ctx(p), gens)
+
+
+def test_piece_closure_at_the_largest_prime_rref_accepts():
+    p = 3037000493
+    f = field_ctx(p)
+    shift = np.eye(4, k=1, dtype=np.int64) * (p - 1)
+    # one block, no idempotent: I, N, N^2 and N^3, one round each
+    alg = algebra_closure(f, shift[None])
+    assert alg.dim == 4 and alg.blocks.tolist() == [0, 0, 0, 0]
+    _assert_closure_matches_flat_worklist(f, shift[None])
+    rng = np.random.default_rng(3)
+    high = rng.integers(p - 5, p, size=(2, 5, 5))
+    _assert_closure_matches_flat_worklist(f, np.concatenate([high, [np.diag([1, 0, 1, 0, 0])]]))
+
+
+def test_piece_closure_equals_the_flat_worklist_closure_on_stretch_inputs():
+    for s, p, x in ((gen_cyclic(16), 2, 1), (gen_cyclic(14), 3, 0), (gen_hamming(6, 2), 2, 0),
+                    (gen_hamming(4, 3), 3, 0)):
+        ctx = build_context(validate_axioms(s), field_ctx(p), x)
+        _assert_closure_matches_flat_worklist(ctx.field, ctx.gens)
 
 
 def test_algebra_contains_b0_lower_bound(artifacts, schemes):
