@@ -304,7 +304,8 @@ def _echelon_by_piece(elems: np.ndarray, grade: np.ndarray, sizes: np.ndarray,
         owner = np.repeat(pieces[lo:hi], width[lo:hi])
         t = np.arange(cols) - np.repeat(np.cumsum(width[lo:hi]) - width[lo:hi], width[lo:hi])
         col = t // sizes[owner % nb] * K + t % sizes[owner % nb]
-        x = np.where(grade[first[lo] : first[lo] + rows, None] == owner, flat[first[lo] : first[lo] + rows][:, col], 0)
+        span = slice(first[lo], first[lo] + rows)
+        x = np.where(grade[span, None] == owner, flat[span][:, col], 0)
         reduced, rank, piv = rref_array(x[np.argsort((x != 0).argmax(axis=1), kind="stable")], p)
         basis = np.zeros((rank, K * K), dtype=np.int64)
         r, c = np.nonzero(reduced[:rank])

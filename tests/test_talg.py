@@ -300,7 +300,7 @@ def test_piece_closure_at_the_largest_prime_rref_accepts():
     p = 3037000493
     f = field_ctx(p)
     shift = np.eye(4, k=1, dtype=np.int64) * (p - 1)
-    # one block, no idempotent: I, N, N^2 and N^3, one round each
+    # one block, no idempotent: the seed spans I and N, and N^2 and N^3 take a round each
     alg = algebra_closure(f, shift[None])
     assert alg.dim == 4 and alg.blocks.tolist() == [0, 0, 0, 0]
     _assert_closure_matches_flat_worklist(f, shift[None])
