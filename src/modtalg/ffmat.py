@@ -16,8 +16,9 @@ is too, with pivots P[piv(K)].  Since B[:, P] = I, (KB)[:, P] = K, so
 (KB)[:, P[piv(K)]] = K[:, piv(K)] = I.  Row i of K is zero left of
 l = piv(K)[i], and rows j >= l of B are zero left of P[j] >= P[l], so row
 i of KB is zero left of P[l] and 1 there.  So a kernel basis times a
-basis (`kernel_array` returns its basis reduced), as in `talg.radical`
-and `talg.annihilator_W0`, needs no elimination.
+basis (`kernel_array` returns its basis reduced) needs no elimination:
+`talg.annihilator_W0` passes it to the O(mn) test, and `talg.radical`
+forms (ker G) L in local coordinates and flattens it only at the end.
 """
 
 from __future__ import annotations

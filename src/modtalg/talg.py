@@ -59,10 +59,10 @@ class TalgContext:
     recurrence of `charpoly_coeffs`, and the independent products of
     `oracles` behind `verify --deep`) cannot overflow halfway through an
     analysis.  Products, including the residuals of `Subspace.reduce` and
-    the trace Grams of the radical and of its certificate (n^2 terms each),
-    run through `matmul_mod`, which is exact at any contraction length by
-    its delayed reduction and needs only (p-1)^2 < 2^63, the bound
-    `ffmat.rref_array` enforces as well.
+    the trace Grams of the radical (K^2 terms each, K the largest block of
+    T's grading), run through `matmul_mod`, which is exact at any
+    contraction length by its delayed reduction and needs only
+    (p-1)^2 < 2^63, the bound `ffmat.rref_array` enforces as well.
     """
 
     __slots__ = ("scheme", "field", "x", "n", "d", "gens", "A", "Estar", "u")
@@ -142,29 +142,32 @@ def triple_product(ctx: TalgContext, i: int, j: int, l: int) -> np.ndarray:
 
 class AlgebraBasis:
     """The unital algebra T of n x n matrices over GF(p) generated by
-    `generators`: `space` holds the reduced row-echelon basis of T, each
-    element flattened row-major to length n^2, and `blocks` a label per
-    point.
+    `generators`, held as its pieces.  `blocks` is a label per point; with
+    f_a the indicator of block a, of k_a points, T must be the direct sum of
+    its pieces f_a T f_b.  `pieces[e]` is a basis element of grade
+    `grades[e]` = a nb + b (nb blocks) as its local k_a x k_b matrix,
+    padded with zeros to K x K, K the largest block.  `space` holds the
+    same basis, row e being pieces[e] flattened row-major to length n^2.
 
-    The blocks must grade T: T is the direct sum of its pieces f_a T f_b,
-    f_a the indicator of block a, so its echelon basis consists of
-    homogeneous elements, each supported on the rows of one block and the
-    columns of another (see `_grades`).  `algebra_closure` uses the labels
-    of `_idempotent_blocks`, which grade T, and computes the basis piece by
-    piece; one block, the default, is the grading every algebra has.
+    The pieces given must be the reduced echelon bases of T's pieces; their
+    union, sorted by pivot, is then the reduced row-echelon basis of T (see
+    `algebra_closure`), which is what `space` holds and the order the
+    pieces are kept in.  One block, whose one piece is T, is the grading
+    every algebra has.
     """
 
-    __slots__ = ("field", "n", "space", "generators", "blocks")
+    __slots__ = ("field", "n", "generators", "blocks", "pieces", "grades", "space")
 
-    def __init__(self, field: FieldCtx, n: int, space: Subspace, generators: np.ndarray,
-                 blocks: np.ndarray | None = None):
-        if space.ambient_dim != n * n:
-            raise InvalidParameter("ambient dimension must be n^2")
+    def __init__(self, field: FieldCtx, generators: np.ndarray, blocks: np.ndarray,
+                 pieces: np.ndarray, grades: np.ndarray):
+        order, rows, leads = _flatten(pieces, grades, blocks)
+        rows.setflags(write=False)
         self.field = field
-        self.n = n
-        self.space = space
+        self.n = len(blocks)
         self.generators = generators
-        self.blocks = np.zeros(n, dtype=np.int64) if blocks is None else blocks
+        self.blocks = blocks
+        self.pieces, self.grades = pieces[order], grades[order]
+        self.space = Subspace(field, self.n ** 2, rows, tuple(leads.tolist()))
 
     @property
     def dim(self) -> int:
@@ -197,57 +200,32 @@ def _idempotent_blocks(gens: np.ndarray) -> np.ndarray:
     return labels.reshape(n).astype(np.int64)
 
 
-def _grades(basis_flat: np.ndarray, blocks: np.ndarray, stage) -> tuple[np.ndarray, np.ndarray]:
-    """(row block, column block) of every element of an echelon basis.
+def _local(blocks: np.ndarray) -> np.ndarray:
+    """The index of every point within its block, in point order."""
+    n = len(blocks)
+    return np.cumsum(blocks[:, None] == np.arange(blocks.max() + 1), axis=0)[np.arange(n), blocks] - 1
 
-    The echelon basis of a graded subspace is the union of the echelon
-    bases of its pieces, whose supports are disjoint, so each element is
-    homogeneous: all its nonzero entries lie in one block pair.  An element
-    that is not raises InternalInconsistency with the witness (stage,
-    basis index, block pairs it touches).  Every candidate of the stage
-    iteration is graded (see `radical`).
+
+def _flatten(pieces: np.ndarray, grade: np.ndarray,
+             blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, rows, leads): the homogeneous elements pieces[e] of grade
+    grade[e] (see `AlgebraBasis`) as n^2-long rows, row i being element
+    order[i], sorted by the flat positions `leads` of their leading entries.
+    The local row-major order of a piece is the flat order restricted to
+    it, so an element's leading entry is its first nonzero local entry.
     """
+    n, (m, K, _) = len(blocks), pieces.shape
     nb = int(blocks.max()) + 1
-    pair = (blocks[:, None] * nb + blocks[None, :]).reshape(-1)
-    nonzero = basis_flat != 0
-    low = np.where(nonzero, pair, nb * nb).min(axis=1, initial=nb * nb)
-    high = np.where(nonzero, pair, -1).max(axis=1, initial=-1)
-    bad = np.flatnonzero(low != high)
-    if bad.size:
-        idx = int(bad[0])
-        touched = sorted({divmod(int(c), nb) for c in pair[nonzero[idx]]})
-        raise InternalInconsistency(
-            f"basis element {idx} at stage {stage} is not homogeneous: blocks {touched}",
-            witness=(stage, idx, touched),
-        )
-    return np.divmod(low, nb)
-
-
-def _graded_products(left: np.ndarray, left_cols: np.ndarray, right: np.ndarray,
-                     right_rows: np.ndarray, blocks: np.ndarray,
-                     p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The products left[a] @ right[b] whose inner grades match, as
-    (a, b, products); left[a] is nonzero only in the columns of block
-    left_cols[a], right[b] only in the rows of block right_rows[b].
-
-    Every product left out is zero: when left_cols[a] != right_rows[b], no
-    point is both a nonzero column of left[a] and a nonzero row of
-    right[b].  The kept ones contract over the points of the shared block,
-    one `pairwise_mod` per block.
-    """
-    m, n = left.shape[1], right.shape[2]
-    a_parts = [np.zeros(0, dtype=np.int64)]
-    b_parts = [np.zeros(0, dtype=np.int64)]
-    prods = [np.zeros((0, m, n), dtype=np.int64)]
-    for j in np.intersect1d(left_cols, right_rows):
-        a = np.flatnonzero(left_cols == j)
-        b = np.flatnonzero(right_rows == j)
-        pts = np.flatnonzero(blocks == j)
-        part = pairwise_mod(left[a][:, :, pts], right[b][:, pts, :], p)
-        a_parts.append(np.repeat(a, len(b)))
-        b_parts.append(np.tile(b, len(a)))
-        prods.append(part.reshape(len(a) * len(b), m, n))
-    return np.concatenate(a_parts), np.concatenate(b_parts), np.concatenate(prods)
+    points = np.zeros((nb, K), dtype=np.int64)
+    points[blocks, _local(blocks)] = np.arange(n)
+    pos = ((points[grade // nb] * n)[:, :, None] + points[grade % nb][:, None, :]).reshape(m, K * K)
+    flat = pieces.reshape(m, K * K)
+    leads = pos[np.arange(m), (flat != 0).argmax(axis=1)]
+    order = np.argsort(leads)
+    e, c = np.nonzero(flat)
+    rows = np.zeros((m, n * n), dtype=np.int64)
+    rows[np.argsort(order)[e], pos[e, c]] = flat[e, c]
+    return order, rows, leads[order]
 
 
 def _generator_products(gens: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
@@ -267,7 +245,7 @@ def _generator_products(gens: np.ndarray, mats: np.ndarray, p: int) -> np.ndarra
     return out.reshape(2, g * b, n * n)
 
 
-# Entries of one batched temporary of the closure.
+# Entries of one batched temporary of the closure and of the stage Grams.
 _CHUNK = 1_000_000
 
 # Blocks of at most this many points are padded to the largest of them and
@@ -401,19 +379,18 @@ def algebra_closure(field: FieldCtx, generators: np.ndarray) -> AlgebraBasis:
     the local row-major order of a piece is the flat order restricted to
     it.  So each local basis row keeps its leading 1 in the flat order,
     and every other row, of its piece or of another, is zero at that
-    pivot: the union of the piece bases, sorted by pivot, is in reduced
-    row-echelon form.  That form of a subspace is unique, so the basis
+    pivot: the union of the piece bases, sorted by pivot as `AlgebraBasis`
+    keeps it, is in reduced row-echelon form.  That form of a subspace is unique, so the basis
     does not depend on how the closure found it.
     """
     p = field.p
     gens = np.asarray(generators, dtype=np.int64) % p
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
         raise InvalidParameter("generators must be a stack of square matrices")
-    n = gens.shape[1]
     blocks = _idempotent_blocks(gens)
     sizes = np.bincount(blocks)
     nb, K = len(sizes), int(sizes.max())
-    local = np.cumsum(blocks[:, None] == np.arange(nb), axis=0)[np.arange(n), blocks] - 1
+    local = _local(blocks)
     g, r, c = np.nonzero(gens)
     keys, which = np.unique((g * nb + blocks[r]) * nb + blocks[c], return_inverse=True)
     pieces = np.zeros((len(keys), K, K), dtype=np.int64)
@@ -435,18 +412,7 @@ def algebra_closure(field: FieldCtx, generators: np.ndarray) -> AlgebraBasis:
         fresh = ~np.isin(new[1] * K * K + new[2], egrade[old] * K * K + epiv[old])
         frontier = np.count_nonzero(~old) + np.flatnonzero(fresh)
         elems, egrade, epiv = (np.concatenate([x[~old], y]) for x, y in zip((elems, egrade, epiv), new))
-    points = np.zeros((nb, K), dtype=np.int64)
-    points[blocks, local] = np.arange(n)
-    pos = (points[egrade // nb] * n)[:, :, None] + points[egrade % nb][:, None, :]
-    pivots = pos.reshape(len(pos), -1)[np.arange(len(pos)), epiv]
-    order = np.argsort(pivots)
-    elems, pos = elems[order], pos[order]
-    e, r, c = np.nonzero(elems)
-    basis = np.zeros((len(order), n * n), dtype=np.int64)
-    basis[e, pos[e, r, c]] = elems[e, r, c]
-    basis.setflags(write=False)
-    space = Subspace(field, n * n, basis, tuple(pivots[order].tolist()))
-    return AlgebraBasis(field, n, space, gens, blocks=blocks)
+    return AlgebraBasis(field, gens, blocks, elems, egrade)
 
 
 def generate_algebra(ctx: TalgContext) -> AlgebraBasis:
@@ -512,46 +478,46 @@ def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis,
     return b0, Subspace.span(ctx.field, outer[pairs.reshape(-1)], ambient_dim=n * n)
 
 
-def _stage_gram(basis_flat: np.ndarray, n: int, p: int, power: int,
-                blocks: np.ndarray | None = None) -> np.ndarray:
+def _stage_gram(pieces: np.ndarray, grade: np.ndarray, sizes: np.ndarray, p: int,
+                power: int) -> np.ndarray:
     """Gram matrix G[a, b] of the stage function applied to products:
-    G[a, b] = coefficient index `power` of det(tI - B_a B_b) mod p.
+    G[a, b] = coefficient index `power` of det(tI - B_a B_b) mod p, for the
+    homogeneous n x n matrices B_a held as local pieces of grade grade[a]
+    over blocks of `sizes` points (see `AlgebraBasis`).
 
-    power = 1 is the ordinary trace form, one `matmul_mod` product of the
-    basis with its transposed matrices.  It sums n^2 terms; the kernel's
-    delayed reduction keeps it exact at any length.
+    Let B_a have grade (i, j) and B_b grade (l, m).  B_a B_b is zero unless
+    j = l, and then lies in the piece (i, m); for i != m its square is
+    zero, so it is nilpotent and G[a, b] = 0.  For i = m it is zero outside
+    the k_i x k_i diagonal block of the points of block i, which is the
+    product of the two local pieces, so det(tI - B_a B_b) is t^(n - k_i)
+    times that block's polynomial: G[a, b] is its coefficient `power`, zero
+    when power > k_i.  So G vanishes off the grade pairs (i, j), (j, i).
 
-    Larger powers run the Berkowitz recurrence on the products the grading
-    by `blocks` (one block when None) leaves nonzero.  Let B_a have grade
-    (i, j) and B_b grade (l, m).  B_a B_b is zero unless j = l, and then
-    lies in the piece (i, m); for i != m its square is zero, so it is
-    nilpotent and c_power(B_a B_b) = 0.  For i = m it is zero outside the
-    k_i x k_i diagonal block (B_a B_b)_ii of the k_i points of block i, so
-    det(tI - B_a B_b) = t^(n - k_i) det(tI - (B_a B_b)_ii): G[a, b] is
-    coefficient `power` of the block's polynomial, zero when power > k_i.
+    power = 1 is the trace form, the sum of B_a[r, c] B_b[c, r] over the
+    local entries: one `matmul_mod` product over the K^2 padded local
+    entries, K the largest block, masked to those pairs; the kernel's
+    delayed reduction keeps it exact at any length.  Larger powers form the
+    products of matching pieces in batches of one block size k_i, the inner
+    index padded to the largest block in the batch, and run the Berkowitz
+    recurrence once per batch, split only where a factor would pass
+    `_CHUNK` entries.
     """
-    kdim = basis_flat.shape[0]
-    mats = basis_flat.reshape(kdim, n, n)
+    nb, (m, K, _) = len(sizes), pieces.shape
+    row, col = np.divmod(grade, nb)
+    pairs = (row[:, None] == col) & (col[:, None] == row)
     if power == 1:
-        return matmul_mod(basis_flat, mats.transpose(0, 2, 1).reshape(kdim, n * n).T, p)
-    if blocks is None:
-        blocks = np.zeros(n, dtype=np.int64)
-    rows, cols = _grades(basis_flat, blocks, power)
-    gram = np.zeros((kdim, kdim), dtype=np.int64)
-    for i in np.flatnonzero(np.bincount(blocks) >= power):
-        pts = np.flatnonzero(blocks == i)
-        left_idx = np.flatnonzero(rows == i)
-        right_idx = np.flatnonzero(cols == i)
-        left = mats[left_idx][:, pts, :]
-        right = mats[right_idx][:, :, pts]
-        # chunk the pair batch so memory stays near 4M product entries
-        chunk = max(1, int(4_000_000 // max(1, len(right_idx) * len(pts) ** 2)))
-        for start in range(0, len(left_idx), chunk):
-            part = left_idx[start : start + chunk]
-            a, b, prods = _graded_products(left[start : start + chunk], cols[part], right,
-                                           rows[right_idx], blocks, p)
-            coeffs = charpoly_coeffs(prods, p, upto=power)
-            gram[part[a], right_idx[b]] = coeffs[:, power]
+        gram = matmul_mod(pieces.reshape(m, K * K), pieces.transpose(0, 2, 1).reshape(m, K * K).T, p)
+        return np.where(pairs, gram, 0)
+    gram = np.zeros((m, m), dtype=np.int64)
+    a, b = np.nonzero(pairs & (sizes[row] >= power)[:, None])
+    k = sizes[row[a]]
+    for size in np.unique(k).tolist():
+        sel = np.flatnonzero(k == size)
+        inner = int(sizes[col[a[sel]]].max())
+        step = max(1, _CHUNK // (size * inner))
+        for part in np.split(sel, np.arange(step, len(sel), step)):
+            prods = matmul_mod(pieces[a[part], :size, :inner], pieces[b[part], :inner, :size], p)
+            gram[a[part], b[part]] = charpoly_coeffs(prods, p, upto=power)[:, power]
     return gram
 
 
@@ -563,34 +529,68 @@ def radical(algebra: AlgebraBasis, *, _verify: bool = True) -> Subspace:
     c_m is the degree-(n-m) characteristic polynomial coefficient.  Over
     GF(p) each stage condition is linear in the coefficients of x.  The
     radical survives every stage (nilpotent products have vanishing
-    coefficients), and `check_radical_postconditions` certifies the result
-    on every call, on the flag it spans in GF(p)^n; that certificate runs
-    this function once more, unverified, on T's action on the factors of
-    the flag.  Stages p^k beyond the largest block of the grading are
-    skipped: their Gram is zero (see `_stage_gram`).  Every candidate stays
-    graded, because G[a, b] != 0 only for grades (i, j) and (j, i), so the
-    kernel of G splits by grade.  The new basis (ker G) L has independent
-    rows, both factors being reduced bases, and it is in reduced
-    row-echelon form already (see `ffmat`), so `rref_array` returns it
-    after its O(mn) test.
+    coefficients), and the iteration is exact (Cohen, Ivanyos & Wales,
+    JPAA 1997).  Stages p^k beyond the largest block of the grading are
+    skipped: their Gram is zero (see `_stage_gram`).
+
+    L is held as homogeneous elements in local coordinates, starting from
+    the pieces of T.  G[a, b] != 0 only for grades (i, j) and (j, i), so
+    the kernel of G is the direct sum of its parts on the grades, and its
+    reduced echelon basis, the union of theirs, has homogeneous rows; a row
+    that is not raises InternalInconsistency with the witness (p^k, row).
+    A row of the kernel combines elements of one piece, so (ker G) L is the
+    same combination of their local matrices, with the grade of the row's
+    pivot.  The rows of (ker G) L are independent, both factors being
+    reduced bases, and in flat coordinates they are in reduced row-echelon
+    form already, in order (see `ffmat`): the result, flattened, passes the
+    O(mn) test of `rref_array` in `Subspace.span`.
+
+    A nonzero result is certified by `check_radical_postconditions` on
+    every call, on the flag it spans in GF(p)^n; that certificate runs this
+    function once more, unverified, on T's action on the factors of the
+    flag.  A zero result needs no certificate: its steps 1-3 hold for R = 0
+    by construction (0 lies in T, the flag V > 0 reaches 0, is invariant,
+    and Phi is the identity), and its step 4, the stage radical of T, is
+    this computation, deterministic, which has just returned 0.
     """
-    field = algebra.field
-    p, n = field.p, algebra.n
-    if algebra.dim == 0:
-        return Subspace.zero(field, n * n)
-    basis = algebra.space.basis
-    largest = int(np.bincount(algebra.blocks).max())
+    field, p, n = algebra.field, algebra.field.p, algebra.n
+    sizes = np.bincount(algebra.blocks)
+    pieces, grade = algebra.pieces, algebra.grades
     power = 1
-    while power <= largest and basis.shape[0] > 0:
-        gram = _stage_gram(basis, n, p, power, algebra.blocks)
-        ker = kernel_array(gram.T, p)
-        if ker.shape[0] < basis.shape[0]:
-            basis = rref_array(matmul_mod(ker, basis, p), p)[0]
+    while power <= sizes.max() and len(pieces):
+        ker = kernel_array(_stage_gram(pieces, grade, sizes, p, power).T, p)
+        lead = (ker != 0).argmax(axis=1)
+        mixed = np.flatnonzero(((ker != 0) & (grade != grade[lead][:, None])).any(axis=1))
+        if mixed.size:
+            raise InternalInconsistency(f"kernel row {mixed[0]} at stage {power} is not homogeneous",
+                                        witness=(power, int(mixed[0])))
+        if len(ker) < len(pieces):
+            pieces = matmul_mod(ker, pieces.reshape(len(pieces), -1), p).reshape(-1, *pieces.shape[1:])
+            grade = grade[lead]
         power *= p
-    rad = Subspace.span(field, basis, ambient_dim=n * n)
+    if not len(pieces):
+        return Subspace.zero(field, n * n)
+    rad = Subspace.span(field, _flatten(pieces, grade, algebra.blocks)[1], ambient_dim=n * n)
     if _verify:
         check_radical_postconditions(algebra, rad)
     return rad
+
+
+def _factor_action(flag: list[Subspace], mats: np.ndarray, p: int) -> np.ndarray:
+    """The action of each n x n matrix of `mats` on the factors V_k / V_(k+1)
+    of an invariant flag, block diagonal, each factor in the basis of the
+    rows of V_k's echelon basis whose pivots V_(k+1) lacks."""
+    n = mats.shape[-1]
+    phi = np.zeros_like(mats)
+    start = 0
+    for upper, lower in zip(flag, flag[1:]):
+        top = ~np.isin(upper.pivots, lower.pivots)
+        rows, cols = upper.basis[top], np.array(upper.pivots)[top]
+        images = pairwise_mod(mats, rows[:, :, None], p).reshape(-1, n)
+        coords = lower.reduce(images)[1][:, cols].reshape(len(mats), len(rows), len(rows))
+        phi[:, start : start + len(rows), start : start + len(rows)] = coords.transpose(0, 2, 1)
+        start += len(rows)
+    return phi
 
 
 def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
@@ -610,9 +610,11 @@ def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
        T-submodule ({t : t V_k in V_k} is a unital subalgebra that holds
        the generators).  Phi sends t to its action on the factors
        V_k / V_(k+1), each in the basis of the rows of V_k's echelon basis
-       whose pivots V_(k+1) lacks, and dim Phi(T) + dim R = dim T must hold.
-    4. The stage radical of Phi(T), an algebra of n x n matrices graded by
-       `_idempotent_blocks` of the images of the generators, is 0.
+       whose pivots V_(k+1) lacks (see `_factor_action`).  With the flag
+       invariant, Phi is a unital homomorphism, so Phi(T) is the algebra
+       the Phi(g) generate, `algebra_closure` of them, and
+       dim Phi(T) + dim R = dim T must hold.
+    4. The stage radical of Phi(T) is 0.
 
     Soundness.  N = ker Phi = {t in T : t V_k in V_(k+1) for all k} is a
     two-sided ideal, because the flag is invariant: for s in N and t in T,
@@ -633,18 +635,20 @@ def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
 
     Each V_k is invariant under the E_i*, hence the direct sum of its
     pieces on the blocks, so its echelon rows are homogeneous and every
-    Phi(E_i*) is diagonal 0/1: Phi(T) has the blocks of T, with the same
-    sizes, and the stage loop stops where the one on T did.  For R = 0 the
-    flag is V > 0, whose one factor V has the identity as its echelon
-    basis, so Phi is the identity, step 3 holds, and step 4 runs on T.
+    Phi(E_i*) is diagonal 0/1: the closure of the Phi(g) finds the blocks
+    of T, with the same sizes, and the stage loop stops where the one on T
+    did.  For R = 0 the flag is V > 0, whose one factor V has the identity
+    as its echelon basis, so Phi is the identity, step 3 holds, and step 4
+    runs on T.
 
     A failure raises InternalInconsistency with the witness
     ("containment", first basis index of R outside T),
     ("nilpotency", k, dim V_k) for the V_k that R maps onto itself,
     ("flag", g, k, v) for the first generator g, in order of k, then g,
     then v, that sends basis vector v of V_k outside V_k,
-    ("annihilator", first basis index of N outside R), N being computed
-    only then, or ("quotient", dim of the stage radical of Phi(T)).
+    ("annihilator", first basis index of N outside R), N and the images of
+    T's basis being computed only then, or ("quotient", dim of the stage
+    radical of Phi(T)).
     """
     field, n, p = algebra.field, algebra.n, algebra.field.p
     outside = algebra.space.outside(rad.basis)
@@ -668,29 +672,17 @@ def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
             raise InternalInconsistency(f"generator {g} does not preserve V_{k} of the radical's flag",
                                         witness=("flag", g, k, v))
     # R = 0 leaves the one factor V in its identity basis: Phi is the identity
-    nested = algebra
+    quotient = algebra
     if rad.dim:
-        mats = np.concatenate([algebra.mats(), gens])
-        phi = np.zeros_like(mats)
-        start = 0
-        for upper, lower in zip(flag, flag[1:]):
-            top = ~np.isin(upper.pivots, lower.pivots)
-            rows, cols = upper.basis[top], np.array(upper.pivots)[top]
-            images = pairwise_mod(mats, rows[:, :, None], p).reshape(-1, n)
-            coords = lower.reduce(images)[1][:, cols].reshape(len(mats), len(rows), len(rows))
-            phi[:, start : start + len(rows), start : start + len(rows)] = coords.transpose(0, 2, 1)
-            start += len(rows)
-        image = phi[: algebra.dim].reshape(algebra.dim, n * n)
-        quotient = Subspace.span(field, image, ambient_dim=n * n)
+        quotient = algebra_closure(field, _factor_action(flag, gens, p))
         if quotient.dim + rad.dim != algebra.dim:
+            image = _factor_action(flag, algebra.mats(), p).reshape(algebra.dim, n * n)
             kernel = matmul_mod(kernel_array(image.T, p), algebra.space.basis, p)
             extra = rad.outside(Subspace.span(field, kernel, ambient_dim=n * n).basis)
             raise InternalInconsistency(
                 f"the radical's flag is annihilated by dim {algebra.dim - quotient.dim}, not {rad.dim}",
                 witness=("annihilator", int(extra[0])))
-        phi_gens = phi[algebra.dim :]
-        nested = AlgebraBasis(field, n, quotient, phi_gens, blocks=_idempotent_blocks(phi_gens))
-    again = radical(nested, _verify=False)
+    again = radical(quotient, _verify=False)
     if again.dim:
         raise InternalInconsistency(f"quotient by the radical still has a radical of dim {again.dim}",
                                     witness=("quotient", again.dim))

@@ -13,7 +13,15 @@ from modtalg.errors import (
 )
 from modtalg.analysis import compute_artifacts
 from modtalg.characterize import b0_unit_element
-from modtalg.ffmat import Subspace, field_ctx, kernel_array, matmul_mod, pairwise_mod, rref_array
+from modtalg.ffmat import (
+    Subspace,
+    charpoly_coeffs,
+    field_ctx,
+    kernel_array,
+    matmul_mod,
+    pairwise_mod,
+    rref_array,
+)
 from modtalg.oracles import word_closure_dim
 from modtalg.primary import build_primary, filtration
 from modtalg.scheme import (
@@ -28,8 +36,6 @@ from modtalg.scheme import (
 from modtalg import talg
 from modtalg.talg import (
     AlgebraBasis,
-    _graded_products,
-    _grades,
     _stage_gram,
     algebra_closure,
     annihilator_W0,
@@ -271,10 +277,7 @@ def _assert_closure_matches_flat_worklist(f, gens):
     assert alg.space.basis.tobytes() == want.basis.tobytes()
 
 
-# 3037000493 is the largest prime with (p-1)^2 < 2^63, the bound of `rref_array`
-@settings(max_examples=80, deadline=None)
-@given(p=st.sampled_from([2, 3, 3037000493]), data=st.data())
-def test_piece_closure_equals_the_flat_worklist_closure(p, data):
+def _graded_stack(p, data):
     # diagonal 0/1 idempotents over a random partition whose blocks are not
     # contiguous (or none at all), plus random matrices with random supports
     if data.draw(st.booleans()):
@@ -292,8 +295,14 @@ def test_piece_closure_equals_the_flat_worklist_closure(p, data):
     mats = rng.integers(0, p, size=(count, n, n)) * (rng.random((count, n, n)) < density)
     if data.draw(st.booleans()):
         mats = np.triu(mats, 1)
-    gens = np.concatenate([np.zeros((0, n, n), dtype=np.int64), mats, *[[e] for e in idempotents]])
-    _assert_closure_matches_flat_worklist(field_ctx(p), gens)
+    return np.concatenate([np.zeros((0, n, n), dtype=np.int64), mats, *[[e] for e in idempotents]])
+
+
+# 3037000493 is the largest prime with (p-1)^2 < 2^63, the bound of `rref_array`
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([2, 3, 3037000493]), data=st.data())
+def test_piece_closure_equals_the_flat_worklist_closure(p, data):
+    _assert_closure_matches_flat_worklist(field_ctx(p), _graded_stack(p, data))
 
 
 def test_piece_closure_at_the_largest_prime_rref_accepts():
@@ -599,19 +608,16 @@ def _passes(check, alg, candidate):
 
 
 def _assert_nilpotent(algebra, ideal):
-    # reference: the powers ideal^m, spanned by graded products, reach zero
+    # reference: the powers ideal^m, spanned by flat products, reach zero
     if ideal.dim == 0:
         return
     n, p = algebra.n, algebra.field.p
     imats = ideal.basis.reshape(-1, n, n)
-    irows, _ = _grades(ideal.basis, algebra.blocks, "nilpotency")
     current = ideal
     for _ in range(algebra.dim + 1):
         if current.dim == 0:
             return
-        _, ccols = _grades(current.basis, algebra.blocks, "nilpotency")
-        _, _, prods = _graded_products(current.basis.reshape(-1, n, n), ccols, imats, irows,
-                                       algebra.blocks, p)
+        prods = pairwise_mod(current.basis.reshape(-1, n, n), imats, p)
         nxt = Subspace.span(algebra.field, prods.reshape(-1, n * n), ambient_dim=n * n)
         if nxt.dim >= current.dim:
             break
@@ -631,20 +637,15 @@ def _quotient_regular_rep(algebra, ideal):
     icoords, _, ipivots = rref_array(algebra.space.coords(ideal.basis), p)
     comp = np.delete(np.arange(k), ipivots)
     q = len(comp)
-    reps = algebra.space.basis[comp]
-    rows, cols = _grades(reps, algebra.blocks, "quotient")
-    reps = reps.reshape(q, n, n)
-    a, b, prods = _graded_products(reps, cols, reps, rows, algebra.blocks, p)
-    found = algebra.space.coords(prods.reshape(-1, n * n))
-    assert found is not None
-    coords = np.zeros((q * q, k), dtype=np.int64)
-    coords[a * q + b] = found
+    reps = algebra.space.basis[comp].reshape(q, n, n)
+    coords = algebra.space.coords(pairwise_mod(reps, reps, p).reshape(q * q, n * n))
+    assert coords is not None
     qcoords = (coords[:, comp] - matmul_mod(coords[:, ipivots], icoords[:, comp], p)) % p
     # reg(a)[:, b] = quotient coordinates of rep_a rep_b
     reg = qcoords.reshape(q, q, q).transpose(0, 2, 1)
     space = Subspace.span(field, reg.reshape(q, q * q), ambient_dim=q * q)
     assert space.dim == q
-    return AlgebraBasis(field, q, space, space.basis.reshape(q, q, q))
+    return _one_block(field, space, space.basis.reshape(q, q, q))
 
 
 def _check_by_quotient_rerun(alg, candidate):
@@ -881,7 +882,8 @@ def test_trace_gram_reduces_before_int64_overflow():
     basis = rng.integers(p - 1000, p, size=(k, n * n))
     mats = basis.astype(object).reshape(k, n, n)
     want = np.array([[int(np.trace(a @ b)) % p for b in mats] for a in mats])
-    assert np.array_equal(_stage_gram(basis, n, p, 1), want)
+    assert np.array_equal(_stage_gram(basis.reshape(-1, n, n), np.zeros(len(basis), dtype=np.int64),
+                                      np.array([n]), p, 1), want)
 
 
 @pytest.mark.parametrize("p, n", [(3037000493, 3), (2147483647, 3), (1000000007, 5)])
@@ -892,7 +894,8 @@ def test_trace_gram_is_exact_when_one_sum_leaves_int64(p, n):
     basis = rng.integers(p - 50, p, size=(6, n * n))
     mats = basis.astype(object).reshape(-1, n, n)
     want = np.array([[int(np.trace(a @ b)) % p for b in mats] for a in mats])
-    assert np.array_equal(_stage_gram(basis, n, p, 1), want)
+    assert np.array_equal(_stage_gram(basis.reshape(-1, n, n), np.zeros(len(basis), dtype=np.int64),
+                                      np.array([n]), p, 1), want)
 
 
 def test_generator_products_peak_is_the_output_plus_one_megabyte():
@@ -908,9 +911,11 @@ def test_generator_products_peak_is_the_output_plus_one_megabyte():
     assert peak <= prods.nbytes + 2**20, (peak, prods.nbytes)
 
 
-def _one_block(alg):
-    # the same algebra with the trivial grading
-    return AlgebraBasis(alg.field, alg.n, alg.space, alg.generators)
+def _one_block(field, space, generators):
+    # the algebra with the trivial grading: its one piece is all of it
+    n = generators.shape[-1]
+    return AlgebraBasis(field, generators, np.zeros(n, dtype=np.int64), space.basis.reshape(-1, n, n),
+                        np.zeros(space.dim, dtype=np.int64))
 
 
 def test_derived_blocks_are_the_subconstituents(schemes):
@@ -924,19 +929,64 @@ def test_derived_blocks_are_the_subconstituents(schemes):
             assert derived == want, (name, x)
 
 
+def _flat_stage_gram(basis, n, p, power):
+    # reference: the stage Gram on flat n^2-long rows with no grading, the
+    # trace form for power 1, else Berkowitz on every full n x n product
+    # (a zero product has det(tI - 0) = t^n, so it is skipped)
+    k = len(basis)
+    mats = basis.reshape(k, n, n)
+    if power == 1:
+        return matmul_mod(basis, mats.transpose(0, 2, 1).reshape(k, n * n).T, p)
+    prods = pairwise_mod(mats, mats, p).reshape(k * k, n, n)
+    gram = np.zeros(k * k, dtype=np.int64)
+    nonzero = np.flatnonzero(prods.any(axis=(1, 2)))
+    gram[nonzero] = charpoly_coeffs(prods[nonzero], p, upto=power)[:, power]
+    return gram.reshape(k, k)
+
+
+def _radical_with_checked_grams(alg):
+    # the unverified radical, with the Gram of every stage compared with the
+    # flat reference on that stage's candidate; returns it and the powers
+    stage_gram, powers = talg._stage_gram, []
+
+    def checked(pieces, grade, sizes, p, power):
+        gram = stage_gram(pieces, grade, sizes, p, power)
+        order, rows, _ = talg._flatten(pieces, grade, alg.blocks)
+        want = _flat_stage_gram(rows, alg.n, p, power)
+        assert np.array_equal(gram[np.ix_(order, order)], want), power
+        powers.append(power)
+        return gram
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(talg, "_stage_gram", checked)
+        return radical(alg, _verify=False), powers
+
+
 def test_graded_stage_gram_equals_one_block_gram(artifacts, schemes):
-    # on T and on the candidate of every stage, for every p^k <= n
-    for name, s in schemes.items():
+    # every stage p^k up to the largest block, on T and on every candidate
+    for name in schemes:
         for p in PRIMES:
-            tal = artifacts(name, p).talgebra
-            n, basis, power = s.n, tal.space.basis, 1
-            while power <= n and basis.shape[0] > 0:
-                graded = _stage_gram(basis, n, p, power, tal.blocks)
-                assert np.array_equal(graded, _stage_gram(basis, n, p, power)), (name, p, power)
-                ker = kernel_array(graded.T, p)
-                reduced, rank, _ = rref_array((ker @ basis) % p, p)
-                basis, power = reduced[:rank], power * p
-            assert Subspace.span(tal.field, basis, ambient_dim=n * n) == artifacts(name, p).rad
+            art = artifacts(name, p)
+            rad, powers = _radical_with_checked_grams(art.talgebra)
+            assert rad == art.rad, (name, p)
+            assert powers and powers[0] == 1, (name, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3, 3037000493]), data=st.data())
+def test_stage_grams_equal_the_flat_grams_on_graded_stacks(p, data):
+    alg = algebra_closure(field_ctx(p), _graded_stack(p, data))
+    rad, _ = _radical_with_checked_grams(alg)
+    assert rad == radical(_one_block(alg.field, alg.space, alg.generators), _verify=False)
+
+
+def test_stage_grams_at_the_largest_prime_rref_accepts():
+    p = 3037000493
+    rng = np.random.default_rng(5)
+    upper = np.triu(rng.integers(p - 5, p, size=(2, 5, 5)), 1)
+    alg = algebra_closure(field_ctx(p), np.concatenate([upper, [np.diag([1, 0, 1, 0, 0])]]))
+    rad, powers = _radical_with_checked_grams(alg)
+    assert rad.dim > 0 and powers == [1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -950,25 +1000,55 @@ def test_radical_with_derived_blocks_equals_one_block(p, n, data):
     supports = st.lists(st.integers(0, 1), min_size=n, max_size=n)
     idempotents = [np.diag(d) for d in data.draw(st.lists(supports, min_size=1, max_size=3))]
     alg = algebra_closure(field_ctx(p), np.concatenate([gens, idempotents]))
-    assert radical(alg) == radical(_one_block(alg))
+    assert radical(alg) == radical(_one_block(alg.field, alg.space, alg.generators))
 
 
-def test_non_homogeneous_claim_is_rejected_with_its_witness(artifacts):
+def test_radical_certifies_only_a_nonzero_result(artifacts, monkeypatch):
+    # a zero result is the certificate's own step 4 on T, just computed
+    calls = []
+
+    def recorded(algebra, rad):
+        calls.append(rad.dim)
+        check_radical_postconditions(algebra, rad)
+
+    monkeypatch.setattr(talg, "check_radical_postconditions", recorded)
+    semisimple, graded = artifacts("cyclic-5", 3), artifacts("cyclic-5", 2)
+    assert radical(semisimple.talgebra).dim == 0 and calls == []
+    rad = radical(graded.talgebra)
+    assert rad.dim > 0 and calls == [rad.dim]
+
+
+def test_non_homogeneous_claim_is_rejected_with_its_witness(artifacts, monkeypatch):
     art = artifacts("cyclic-5", 2)
-    ctx, blocks, n = art.ctx, art.talgebra.blocks, art.ctx.n
+    ctx, n = art.ctx, art.ctx.n
     mixed = (ctx.Estar[0] + ctx.Estar[1]).reshape(-1)
-    want_pairs = sorted({(int(blocks[y]), int(blocks[y])) for y in np.flatnonzero(np.diagonal(mixed.reshape(n, n)))})
     # the idempotent E_0* + E_1* maps V onto V_1 = E_0* V + E_1* V and V_1
     # onto itself
     claim = Subspace.span(art.field, mixed, ambient_dim=n * n)
     with pytest.raises(InternalInconsistency, match="^claimed radical is not nilpotent$") as err:
         check_radical_postconditions(art.talgebra, claim)
     assert err.value.witness == ("nilpotency", 1, 1 + 2)
-    # a stage candidate with a mixed element is rejected the same way
-    basis = np.concatenate([art.rad.basis, mixed[None]])
-    with pytest.raises(InternalInconsistency) as err:
-        _stage_gram(basis, n, 2, 2, blocks)
-    assert err.value.witness == (2, len(art.rad.basis), want_pairs)
+    # a stage kernel row that mixes two grades is rejected with (p^k, row):
+    # at stage 2, a row joining the first candidate to one of another grade
+    stage_gram, grades = talg._stage_gram, []
+
+    def recorded(pieces, grade, sizes, p, power):
+        grades.append(grade)
+        return stage_gram(pieces, grade, sizes, p, power)
+
+    def mixing(a, p):
+        ker = kernel_array(a, p)
+        if len(grades) < 2:
+            return ker
+        row = np.zeros((1, a.shape[1]), dtype=np.int64)
+        row[0, [0, np.flatnonzero(grades[-1] != grades[-1][0])[0]]] = 1
+        return np.concatenate([ker[:1], row, ker[1:]])
+
+    monkeypatch.setattr(talg, "_stage_gram", recorded)
+    monkeypatch.setattr(talg, "kernel_array", mixing)
+    with pytest.raises(InternalInconsistency, match="^kernel row 1 at stage 2 is not homogeneous$") as err:
+        radical(art.talgebra)
+    assert err.value.witness == (2, 1)
 
 
 def _quotient_by_pivot_loop(algebra, ideal):
