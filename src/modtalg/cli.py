@@ -2,8 +2,8 @@
 
 Subcommands: analyze (one scheme, one prime), batch (directory sweep),
 gen (fixture generators), verify (brute-force oracle cross-checks).
-Exit codes: 0 success, 1 I/O or argument error, 2 input validation
-failure, 3 characterization-consistency or oracle failure.
+Exit codes: 0 success, 1 I/O or argument error or out of memory, 2 input
+validation failure, 3 characterization-consistency or oracle failure.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from traceback import walk_tb
 
 import numpy as np
 
@@ -153,9 +154,9 @@ def _batch_entry(task):
     except InternalInconsistency as exc:
         return {"scheme_id": name, "prime": prime, "status": "inconsistent",
                 "message": _with_witness(exc)}
-    except Error as exc:
+    except (Error, MemoryError) as exc:
         return {"scheme_id": name, "prime": prime, "status": "error",
-                "message": str(exc)}
+                "message": str(exc) or "out of memory"}
 
 
 def cmd_batch(args) -> int:
@@ -394,7 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; the exit code.  An --out that cannot be written
     is refused before any analysis, without opening (and so truncating)
-    it; `_emit` still reports a write that fails."""
+    it; `_emit` still reports a write that fails.  Running out of memory
+    (numpy's allocation failures are MemoryError too) exits 1 naming the
+    stage it happened in, the innermost frame of this package, not with a
+    traceback."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -404,7 +408,13 @@ def main(argv=None) -> int:
     if out.name and (out.is_dir() or not out.parent.is_dir() or not os.access(out.parent, os.W_OK)):
         print(f"error: cannot write {out}: not a file in a writable directory", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError as exc:
+        ours = [f for f, _ in walk_tb(exc.__traceback__) if f.f_globals.get("__package__") == __package__]
+        module = ours[-1].f_globals["__name__"].rpartition(".")[2]
+        print(f"error: out of memory in {module}.{ours[-1].f_code.co_name}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -17,8 +17,12 @@ is too, with pivots P[piv(K)].  Since B[:, P] = I, (KB)[:, P] = K, so
 l = piv(K)[i], and rows j >= l of B are zero left of P[j] >= P[l], so row
 i of KB is zero left of P[l] and 1 there.  So a kernel basis times a
 basis (`kernel_array` returns its basis reduced) needs no elimination:
-`talg.annihilator_W0` passes it to the O(mn) test, and `talg.radical`
-forms (ker G) L in local coordinates and flattens it only at the end.
+`talg.radical` and `talg.annihilator_W0` form (ker) L on the pieces of T
+and flatten it only at the end, where it passes the O(mn) test.
+
+`rref_array` and `kernel_array` also take a stack (s x m x n) and
+eliminate every item at once, one vectorized step per pivot of the item
+of largest rank, for the many small systems of a graded algebra.
 """
 
 from __future__ import annotations
@@ -200,13 +204,18 @@ def pairwise_mod(left: np.ndarray, right: np.ndarray, p: int,
     return out
 
 
-def rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
+def rref_array(a: np.ndarray, p: int):
     """Reduced row-echelon form of an integer matrix mod p.
 
     Returns (R, rank, pivot_columns).  R is always a new array: the input
     is not modified and never returned.  Raises PrimeTooLarge when
     (p-1)^2 >= 2^63; `kernel_array`, `solve_array` and `Subspace.span`
     inherit that bound.
+
+    A stack (s x m x n) is reduced item by item, all items at once (see
+    `_rref_stack`); rank is then an array of s ranks, and pivots an
+    s x min(m, n) array whose row i starts with item i's rank[i] pivot
+    columns and is n after them.
 
     Input already in reduced row-echelon form with full row rank is
     returned after one O(mn) test on its reduction mod p: the leading
@@ -236,10 +245,12 @@ def rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
     """
     _require_int64(1, p)
     a = np.array(a, dtype=np.int64)  # a new array: the input is never written
-    if a.ndim != 2:
-        raise DimensionMismatch("rref expects a two-dimensional array")
+    if a.ndim not in (2, 3):
+        raise DimensionMismatch("rref expects a matrix or a stack of matrices")
     if a.size and not 0 <= a.min() <= a.max() < p:  # residues skip the costly %
         a %= p
+    if a.ndim == 3:
+        return _rref_stack(a, p)
     m, n = a.shape
     if 0 < m <= n:
         lead = (a != 0).argmax(axis=1)
@@ -268,18 +279,73 @@ def rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, int, list[int]]:
     return a, r, pivots
 
 
-def kernel_array(a: np.ndarray, p: int) -> np.ndarray:
-    """Echelonized basis (rows) of the right null space {v : a v = 0} mod p."""
-    reduced, rank, pivots = rref_array(a, p)
-    n = reduced.shape[1]
-    free = np.delete(np.arange(n), pivots)
-    if not free.size:
-        return np.zeros((0, n), dtype=np.int64)
-    # row r: 1 at the free column free[r], -reduced[i, free[r]] at pivots[i]
-    vecs = np.zeros((len(free), n), dtype=np.int64)
-    vecs[np.arange(len(free)), free] = 1
-    vecs[:, pivots] = (-reduced[:rank, free].T) % p
-    return rref_array(vecs, p)[0]
+def _rref_stack(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`rref_array` of every item of a stack of residues a (s x m x n), in
+    place, as (a, rank, pivots).
+
+    Each step takes, in every item with a nonzero entry at or below its
+    rank r, the first column c that holds one, and the first row pr >= r
+    nonzero there.  Every row from r on is zero left of c, as in the
+    column-driven path, so the steps of one item visit its pivot columns
+    in order.  The step swaps rows r and pr, scales row r by the inverse
+    x^(p-2) of its entry x at c, taken by square and multiply (each product
+    is of two residues, below 2^63), and subtracts it from every row, so
+    that column c is zero off row r (row r, cleared too, is then written
+    back); row r is zero left of c, so earlier columns keep their values.
+    The loop runs as often as the largest rank.
+    """
+    s, m, n = a.shape
+    rank, pivots = np.zeros(s, dtype=np.int64), np.full((s, min(m, n)), n, dtype=np.int64)
+    while True:
+        live = (a != 0) & (np.arange(m)[:, None] >= rank[:, None, None])
+        cols = live.any(axis=1)
+        i = np.flatnonzero(cols.any(axis=1))
+        if not i.size:
+            return a, rank, pivots
+        c, r = cols[i].argmax(axis=1), rank[i]
+        pr = live[i, :, c].argmax(axis=1)
+        x, inv, e = a[i, pr, c], np.ones(len(i), dtype=np.int64), p - 2
+        while e:
+            inv, x, e = inv * x % p if e & 1 else inv, x * x % p, e >> 1
+        pivot = a[i, pr] * inv[:, None] % p
+        a[i, pr] = a[i, r]
+        a[i] = (a[i] - a[i, :, c][:, :, None] * pivot[:, None, :]) % p
+        a[i, r] = pivot
+        pivots[i, r], rank[i] = c, r + 1
+
+
+def kernel_array(a: np.ndarray, p: int, widths=None):
+    """Reduced row-echelon basis (rows) of the right null space
+    {v : a v = 0} mod p, from one elimination.
+
+    Let R be the reduced row-echelon form of a with its columns reversed.
+    Each column f of R without a pivot gives the null vector with 1 at f,
+    -R[i, f] at the pivot column of every row i, and 0 elsewhere; R[i, f]
+    is 0 for pivots right of f, so these entries all lie left of f.
+    Reversed back, the vector has its leading 1 at its own free column,
+    entries right of it only, and 0 at every other free column.  There are
+    n - rank of them, independent, so they span the null space; sorted by
+    their free columns they are in reduced row-echelon form, which is
+    unique: the kernel basis, with no second elimination.
+
+    A stack (s x m x n) is solved item by item in one stacked elimination,
+    and the result is (rows, item, rank): the kernel rows of all items, in
+    item order, item[r] naming the item of row r, and the items' ranks.
+    With `widths`, columns from widths[i] on in item i are zero padding,
+    and the rows of their free columns, unit vectors, are dropped.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    reduced, rank, pivots = rref_array(a[..., ::-1], p)
+    reduced, pivots = (reduced, pivots) if a.ndim == 3 else (reduced[None], np.array([pivots], dtype=int))
+    n, columns = reduced.shape[2], np.arange(reduced.shape[2])
+    # pivots in a's column order; a stack's padding n lands on column -1,
+    # past the end of the n columns kept, where rows beyond the rank write 0
+    lead = n - 1 - pivots
+    width = n if widths is None else np.asarray(widths)[:, None]
+    item, col = np.nonzero((columns != lead[:, :, None]).all(axis=1) & (columns < width))
+    vecs = (np.arange(n + 1) == col[:, None]).astype(np.int64)
+    vecs[np.arange(len(item))[:, None], lead[item]] = -reduced[item, : pivots.shape[1], n - 1 - col] % p
+    return vecs[:, :n] if a.ndim == 2 else (vecs[:, :n], item, rank)
 
 
 def solve_array(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
@@ -405,9 +471,6 @@ class Subspace:
         basis = np.concatenate([old, new.basis])[order]
         basis.setflags(write=False)
         return Subspace(self.field, self.ambient_dim, basis, tuple(pivots[order].tolist())), new.basis
-
-    def member(self, v) -> bool:
-        return self.outside([v]).size == 0
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)

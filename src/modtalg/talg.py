@@ -293,6 +293,31 @@ def _echelon_by_piece(elems: np.ndarray, grade: np.ndarray, sizes: np.ndarray,
     return tuple(np.concatenate(part) for part in zip(*out))
 
 
+def _piece_bases(elems: np.ndarray, egrade: np.ndarray, epiv: np.ndarray, nb: int):
+    """(dims, table, ext, pr, pc) for the reduced echelon bases of pieces,
+    elems[e] of grade egrade[e] with local pivot epiv[e] = r K + c: the
+    dimension of every piece, the rows of each piece's basis padded with
+    the index of a zero element, the elements with that zero element
+    appended, and the pivots' local rows and columns."""
+    dims = np.bincount(egrade, minlength=nb * nb)
+    eo = np.argsort(egrade, kind="stable")
+    table = np.full((nb * nb, max(1, dims.max())), len(elems))
+    table[egrade[eo], np.arange(len(eo)) - np.repeat(np.cumsum(dims) - dims, dims)] = eo
+    ext = np.concatenate([elems, np.zeros((1, *elems.shape[1:]), dtype=np.int64)])
+    return (dims, table, ext, *np.divmod(np.append(epiv, 0), elems.shape[-1]))
+
+
+def _residuals(vals: np.ndarray, rows: np.ndarray, ext: np.ndarray, pr: np.ndarray,
+               pc: np.ndarray, p: int) -> np.ndarray:
+    """r = v - c B for local matrices v = vals[t] (P x Q) and the basis B of
+    their piece, elements rows[t] of `_piece_bases`: c = v at B's pivots, as
+    in `Subspace.reduce`, so r = 0 exactly when v lies in the piece."""
+    k, P, Q = vals.shape
+    coef = vals[np.arange(k)[:, None], pr[rows], pc[rows]]
+    comb = matmul_mod(coef[:, None, :], ext[rows, :P, :Q].reshape(k, rows.shape[1], -1), p)
+    return (vals - comb.reshape(vals.shape)) % p
+
+
 def _reduced_products(mults: np.ndarray, mgrade: np.ndarray, elems: np.ndarray,
                       egrade: np.ndarray, epiv: np.ndarray, frontier: np.ndarray,
                       sizes: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -311,13 +336,7 @@ def _reduced_products(mults: np.ndarray, mgrade: np.ndarray, elems: np.ndarray,
     b = frontier[b]
     i, j, l = mgrade[a] // nb, mgrade[a] % nb, egrade[b] % nb
     target = i * nb + l
-    # the rows of each piece's basis, padded with the index of a zero element
-    dims = np.bincount(egrade, minlength=nb * nb)
-    eo = np.argsort(egrade, kind="stable")
-    table = np.full((nb * nb, max(1, dims.max())), len(elems))
-    table[egrade[eo], np.arange(len(eo)) - np.repeat(np.cumsum(dims) - dims, dims)] = eo
-    ext = np.concatenate([elems, np.zeros((1, K, K), dtype=np.int64)])
-    pr, pc = np.divmod(np.append(epiv, 0), K)
+    dims, table, ext, pr, pc = _piece_bases(elems, egrade, epiv, nb)
     pad = np.where(sizes <= _SMALL, sizes[sizes <= _SMALL].max(initial=1), sizes)
     shapes = (pad[i] * (K + 1) + pad[j]) * (K + 1) + pad[l]
     res, rgrade = [elems[:0]], [target[:0]]
@@ -328,10 +347,7 @@ def _reduced_products(mults: np.ndarray, mgrade: np.ndarray, elems: np.ndarray,
         step = max(1, _CHUNK // (Pi * Pj + Pj * Pl + (dg + 2) * Pi * Pl))
         for part in np.split(sel, np.arange(step, len(sel), step)):
             prod = matmul_mod(mults[a[part], :Pi, :Pj], ext[b[part], :Pj, :Pl], p)
-            rows = table[target[part], :dg]
-            coef = prod[np.arange(len(part))[:, None], pr[rows], pc[rows]]
-            comb = matmul_mod(coef[:, None, :], ext[rows, :Pi, :Pl].reshape(len(part), dg, -1), p)
-            r = (prod - comb.reshape(prod.shape)) % p
+            r = _residuals(prod, table[target[part], :dg], ext, pr, pc, p)
             keep = r.any(axis=(1, 2))
             res.append(np.pad(r[keep], ((0, 0), (0, K - Pi), (0, K - Pl))))
             rgrade.append(target[part][keep])
@@ -453,6 +469,17 @@ def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis,
     B1 = W_1 (x) W_0 + W_0 (x) W_1, closed the same way.  B0 lies in T
     (checked), hence so does B1.
 
+    B0 inside T is decided piece by piece: T is the direct sum of its
+    pieces f_a T f_b, so a matrix lies in T exactly when each of its pieces
+    lies in T's piece of the same grade.  The pieces of u_i u_j^T are the
+    local outer products of u_i on block a and u_j on block b (for T(x),
+    whose blocks are the supports of the u_i, it is the all-ones piece of
+    one grade), each reduced against the echelon basis of its own piece of
+    T at once (see `_residuals`).  The u_i u_j^T have disjoint 0/1
+    supports, so sorted by leading column they are in reduced row-echelon
+    form, and `Subspace.span` takes its O(mn) path whatever the order of
+    the points.
+
     A failed check raises InternalInconsistency with the witness
     (check, (i, j)): for the dimension, the first pair whose E_i* J E_j*
     lies in the span of the pairs before it (the first non-pivot column of
@@ -465,17 +492,27 @@ def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis,
     if filt[:2] != [Subspace.span(ctx.field, w, ambient_dim=n) for w in (u, u[divisible])]:
         raise InternalInconsistency("W_0, W_1 are not spanned by their E_i* 1", witness="filtration")
     outer = (u[:, None, :, None] * u[None, :, None, :]).reshape(-1, n * n)
-    b0 = Subspace.span(ctx.field, outer, ambient_dim=n * n)
+    order = np.argsort((outer != 0).argmax(axis=1), kind="stable")
+    b0 = Subspace.span(ctx.field, outer[order], ambient_dim=n * n)
     if b0.dim != len(outer):
         k = next(k for k, c in enumerate(rref_array(outer.T, p)[2] + [-1]) if k != c)
         raise InternalInconsistency(f"dim B0 = {b0.dim}, expected {len(outer)}",
                                     witness=("dim B0", divmod(k, d + 1)))
-    if not talgebra.space.contains(b0):
-        outside = int(talgebra.space.outside(outer)[0])
+    pieces, nb = talgebra.pieces, int(talgebra.blocks.max()) + 1
+    local = np.zeros((d + 1, nb, pieces.shape[-1]), dtype=np.int64)
+    local[:, talgebra.blocks, _local(talgebra.blocks)] = u
+    i, a = np.nonzero(local.any(axis=2))
+    x, y = np.divmod(np.arange(len(i) ** 2), len(i))
+    _, table, ext, pr, pc = _piece_bases(pieces, talgebra.grades,
+                                         (pieces.reshape(len(pieces), -1) != 0).argmax(axis=1), nb)
+    res = _residuals(local[i[x], a[x], :, None] * local[i[y], a[y], None, :],
+                     table[a[x] * nb + a[y]], ext, pr, pc, p)
+    outside = (i[x] * (d + 1) + i[y])[res.any(axis=(1, 2))]
+    if outside.size:
         raise InternalInconsistency("B0 not contained in T",
-                                    witness=("B0 not contained in T", divmod(outside, d + 1)))
-    pairs = divisible[:, None] | divisible[None, :]
-    return b0, Subspace.span(ctx.field, outer[pairs.reshape(-1)], ambient_dim=n * n)
+                                    witness=("B0 not contained in T", divmod(int(outside.min()), d + 1)))
+    pairs = (divisible[:, None] | divisible[None, :]).reshape(-1)
+    return b0, Subspace.span(ctx.field, outer[order][pairs[order]], ambient_dim=n * n)
 
 
 def _stage_gram(pieces: np.ndarray, grade: np.ndarray, sizes: np.ndarray, p: int,
@@ -521,6 +558,40 @@ def _stage_gram(pieces: np.ndarray, grade: np.ndarray, sizes: np.ndarray, p: int
     return gram
 
 
+def _graded_kernel(images: np.ndarray, grade: np.ndarray, p: int,
+                   elements: bool = False) -> tuple[np.ndarray, int]:
+    """(ker, rank): the reduced echelon basis of the left kernel
+    {c : c images = 0} and the rank of `images`, where images[e] is the
+    image of element e of grade grade[e] in coordinates that only the
+    elements of its grade use.  With `elements` the coordinates are
+    themselves elements, of one grade for each grade of rows, and are
+    numbered among the elements of their grade.
+
+    The images of different grades lie in independent coordinates, so the
+    left kernel is the direct sum over the grades g of the left kernels of
+    the blocks images[g], and the rank the sum of their ranks.  All blocks
+    are solved in one stacked `kernel_array`, block g transposed as item g
+    (a grade without elements gives an empty item), with the elements of g
+    as its columns in index order.  Scattered back to those elements, a
+    kernel row keeps its leading 1 and the other rows of g stay zero there;
+    rows of other grades are zero on g.  So the rows, sorted by leading
+    column, are in reduced row-echelon form, which is unique: the basis one
+    elimination of the whole system would give.
+    """
+    order = np.argsort(grade, kind="stable")
+    counts = np.bincount(grade)
+    start = np.cumsum(counts) - counts
+    pos, width = np.argsort(order) - start[grade], counts.max(initial=0)
+    e, j = np.nonzero(images)
+    stack = np.zeros((len(counts), width if elements else images.shape[1], width), dtype=np.int64)
+    stack[grade[e], pos[j] if elements else j, pos[e]] = images[e, j]
+    rows, which, rank = kernel_array(stack, p, counts)
+    r, c = np.nonzero(rows)
+    ker = np.zeros((len(rows), len(grade)), dtype=np.int64)
+    ker[r, order[start[which[r]] + c]] = rows[r, c]
+    return ker[np.argsort(order[start[which] + (rows != 0).argmax(axis=1)])], int(rank.sum())
+
+
 def radical(algebra: AlgebraBasis, *, _verify: bool = True) -> Subspace:
     """Jacobson radical of a unital matrix algebra over GF(p).
 
@@ -535,15 +606,19 @@ def radical(algebra: AlgebraBasis, *, _verify: bool = True) -> Subspace:
 
     L is held as homogeneous elements in local coordinates, starting from
     the pieces of T.  G[a, b] != 0 only for grades (i, j) and (j, i), so
-    the kernel of G is the direct sum of its parts on the grades, and its
-    reduced echelon basis, the union of theirs, has homogeneous rows; a row
-    that is not raises InternalInconsistency with the witness (p^k, row).
-    A row of the kernel combines elements of one piece, so (ker G) L is the
-    same combination of their local matrices, with the grade of the row's
-    pivot.  The rows of (ker G) L are independent, both factors being
-    reduced bases, and in flat coordinates they are in reduced row-echelon
-    form already, in order (see `ffmat`): the result, flattened, passes the
-    O(mn) test of `rref_array` in `Subspace.span`.
+    row a of G lies in the coordinates of the elements of the transposed
+    grade of a, and ker G^T, the left kernel of G, is the direct sum over
+    the grades g of the left kernels of the blocks G[g, g^T], solved in one
+    stacked elimination (see `_graded_kernel`).  Its reduced echelon basis,
+    the union of theirs sorted by lead, has homogeneous rows; the assembled
+    rows are checked, and a row that is not homogeneous raises
+    InternalInconsistency with the witness (p^k, row).  A row of the kernel
+    combines elements of one piece, so (ker G) L is the same combination of
+    their local matrices, with the grade of the row's pivot.  The rows of
+    (ker G) L are independent, both factors being reduced bases, and in
+    flat coordinates they are in reduced row-echelon form already, in order
+    (see `ffmat`): the result, flattened, passes the O(mn) test of
+    `rref_array` in `Subspace.span`.
 
     A nonzero result is certified by `check_radical_postconditions` on
     every call, on the flag it spans in GF(p)^n; that certificate runs this
@@ -558,7 +633,7 @@ def radical(algebra: AlgebraBasis, *, _verify: bool = True) -> Subspace:
     pieces, grade = algebra.pieces, algebra.grades
     power = 1
     while power <= sizes.max() and len(pieces):
-        ker = kernel_array(_stage_gram(pieces, grade, sizes, p, power).T, p)
+        ker = _graded_kernel(_stage_gram(pieces, grade, sizes, p, power), grade, p, elements=True)[0]
         lead = (ker != 0).argmax(axis=1)
         mixed = np.flatnonzero(((ker != 0) & (grade != grade[lead][:, None])).any(axis=1))
         if mixed.size:
@@ -689,29 +764,44 @@ def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
 
 
 def annihilator_W0(ctx: TalgContext, talgebra: AlgebraBasis, filt: list[Subspace]) -> Subspace:
-    """Ann_T(W_0): kernel of Z -> (Z w)_w over the basis of W_0 = filt[0],
-    as a subspace of n x n matrices.
+    """Ann_T(W_0): the elements of T that kill W_0 = filt[0], spanned by the
+    u_v = E_v* 1 (`b0_b1` checks that), as a subspace of n x n matrices.
 
     It is an ideal of T because `filtration` checked W_0 invariant: for s
-    in Ann and t in T, ts W_0 = 0 and st W_0 lies in s W_0 = 0.  The
-    computed kernel is certified: its basis kills W_0's (so it lies in Ann,
-    being made from T's basis), and dim Ann + rank of the images = dim T
-    (so it is all of Ann).
+    in Ann and t in T, ts W_0 = 0 and st W_0 lies in s W_0 = 0.
+
+    Solved on T's pieces.  The blocks of T must be the supports of the u_v,
+    one block each, as they are for T(x), whose generators include every
+    E_v*; otherwise InternalInconsistency is raised with the witness
+    ("Ann_T(W0) blocks", block, point) of a point where the block and the
+    support of the u_v at its first point differ.  Then an element x of
+    grade (a, b) sends the u_v of block b to its local row sums on block a
+    and every other u_v to 0.  Elements of different grades so map into
+    independent coordinates (block a, u_v), and Ann, in the coordinates of
+    T's basis, is the direct sum of the left kernels of the row sums, one
+    per grade, solved in one stacked elimination (see `_graded_kernel`).
+
+    The computed kernel is certified: its basis kills W_0's (so it lies in
+    Ann, being made from T's basis), and dim Ann + rank of the images =
+    dim T, the rank read off the same elimination (so it is all of Ann).
     """
     n, p = ctx.n, ctx.field.p
+    blocks, pieces, grade = talgebra.blocks, talgebra.pieces, talgebra.grades
+    owner = ctx.u[:, np.unique(blocks, return_index=True)[1]].argmax(axis=0)
+    wrong = np.argwhere(ctx.u[owner] != (blocks == np.arange(len(owner))[:, None]))
+    if wrong.size:
+        raise InternalInconsistency("the blocks of T are not the supports of the E_v* 1",
+                                    witness=("Ann_T(W0) blocks", *wrong[0].tolist()))
+    ker, rank = _graded_kernel(pieces.sum(axis=2) % p, grade, p)
+    mats = matmul_mod(ker, pieces.reshape(len(pieces), -1), p).reshape(-1, *pieces.shape[1:])
+    ann = Subspace.span(ctx.field, _flatten(mats, grade[(ker != 0).argmax(axis=1)], blocks)[1])
     w0t = filt[0].basis.T
-    nv = w0t.shape[1]
-    # images[b, (i, v)] = (B_b w_v)_i
-    images = matmul_mod(talgebra.space.basis.reshape(-1, n), w0t, p).reshape(talgebra.dim, n * nv)
-    ker = kernel_array(images.T, p)
-    ann = Subspace.span(ctx.field, matmul_mod(ker, talgebra.space.basis, p), ambient_dim=n * n)
-    kills = matmul_mod(ann.basis.reshape(-1, n), w0t, p).reshape(ann.dim, n, nv)
+    kills = matmul_mod(ann.basis.reshape(-1, n), w0t, p).reshape(ann.dim, n, w0t.shape[1])
     bad = np.argwhere(kills.any(axis=1))
     if bad.size:
         a, v = (int(i) for i in bad[0])
         raise InternalInconsistency(f"Ann_T(W0) element {a} does not kill basis vector {v} of W_0",
                                     witness=("Ann_T(W0)", a, v))
-    rank = rref_array(images.T, p)[1]
     if ann.dim + rank != talgebra.dim:
         raise InternalInconsistency(f"dim Ann_T(W0) = {ann.dim}, but dim T - rank = "
                                     f"{talgebra.dim - rank}", witness="Ann_T(W0) dimension")

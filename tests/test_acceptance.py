@@ -69,7 +69,7 @@ def test_criterion_3_order5_no2_p3():
     elapsed = time.perf_counter() - start
     ok = (
         z.any()
-        and art.ann.member(z.reshape(-1))
+        and not art.ann.outside([z.reshape(-1)]).size
         and art.rad.dim == 0
         and art.ann.dim > art.rad.dim
         and elapsed < 1.0

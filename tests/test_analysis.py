@@ -46,8 +46,8 @@ def test_W1_beyond_the_radical_image_is_witnessed(artifacts):
     assert str(err) == "Rad(T) W_0 != W_1"
     check, i = err.witness
     assert check == "W_1 in Rad(T) W_0"
-    assert not art.filt[1].member(art.filt[0].basis[i])
-    assert all(art.filt[1].member(v) for v in art.filt[0].basis[:i])
+    assert art.filt[1].outside([art.filt[0].basis[i]]).size
+    assert not art.filt[1].outside(art.filt[0].basis[:i]).size
 
 
 def test_B1_outside_the_radical_is_witnessed(artifacts):
@@ -56,8 +56,8 @@ def test_B1_outside_the_radical_is_witnessed(artifacts):
     assert str(err) == "B1 escapes the radical"
     check, i = err.witness
     assert check == "B1 in Rad(T)"
-    assert not art.rad.member(art.b0.basis[i])
-    assert all(art.rad.member(v) for v in art.b0.basis[:i])
+    assert art.rad.outside([art.b0.basis[i]]).size
+    assert not art.rad.outside(art.b0.basis[:i]).size
 
 
 def test_radical_outside_the_annihilator_is_witnessed(artifacts):

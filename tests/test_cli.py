@@ -315,6 +315,23 @@ def test_inconsistency_witness_is_printed(z5_file, tmp_path, capsys, monkeypatch
     assert "witness=(2, 7, [(0, 1), (1, 1)])" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_1_with_its_stage(z5_file, tmp_path, capsys, monkeypatch):
+    from modtalg import talg
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(talg, "_stage_gram", exhausted)
+    for command in ("analyze", "verify"):
+        assert main([command, "--scheme", str(z5_file), "--prime", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: out of memory in talg.radical\n" and "Traceback" not in err
+    out = tmp_path / "out.json"
+    assert main(["batch", "--dir", str(z5_file.parent), "--primes", "2", "--out", str(out)]) == 1
+    [entry] = json.loads(out.read_text())["entries"]
+    assert (entry["status"], entry["message"]) == ("error", "out of memory")
+
+
 def test_verify_rejects_broken_scheme(tmp_path):
     bad = tmp_path / "broken.scheme"
     bad.write_text("2\n0 1\n")

@@ -429,7 +429,7 @@ def test_radical_upper_triangular():
         assert alg.dim == 3
         rad = radical(alg)
         assert rad.dim == 1
-        assert rad.member(np.array([0, 1, 0, 0]))
+        assert not rad.outside([[0, 1, 0, 0]]).size
 
 
 def test_radical_full_matrix_algebra():
@@ -453,7 +453,7 @@ def test_radical_group_algebra_c2_mod2():
     assert alg.dim == 2
     rad = radical(alg)
     assert rad.dim == 1
-    assert rad.member((np.eye(2, dtype=np.int64) + ctx.A[1]).reshape(-1) % 2)
+    assert not rad.outside([(np.eye(2, dtype=np.int64) + ctx.A[1]).reshape(-1) % 2]).size
 
 
 def test_radical_cyclic5_p3_is_zero(artifacts):
@@ -462,7 +462,7 @@ def test_radical_cyclic5_p3_is_zero(artifacts):
 
 def test_radical_postconditions_reject_corruption(artifacts):
     art = artifacts("cyclic-5", 2)
-    extra = next(row for row in art.talgebra.space.basis if not art.rad.member(row))
+    extra = next(row for row in art.talgebra.space.basis if art.rad.outside([row]).size)
     corrupted = Subspace.span(
         art.field,
         np.concatenate([art.rad.basis, extra[None, :]]),
@@ -509,7 +509,7 @@ def _first_flag_escape(alg, claim):
     for k, vk in enumerate(flag):
         for g, gen in enumerate(alg.generators):
             for v, vec in enumerate(vk.basis):
-                if not vk.member(gen @ vec % p):
+                if vk.outside([gen @ vec % p]).size:
                     return "flag", g, k, v
     return None
 
@@ -752,15 +752,105 @@ def test_annihilator_one_point():
     assert annihilator_W0(ctx, t, _filtration(ctx)).dim == 0
 
 
+def _flat_stage_kernels(alg):
+    # reference: every stage kernel ker G^T solved as one system as wide as
+    # the candidate, the stage loop of the radical before its graded solve
+    p, sizes = alg.field.p, np.bincount(alg.blocks)
+    pieces, grade, kers, power = alg.pieces, alg.grades, [], 1
+    while power <= sizes.max() and len(pieces):
+        ker = kernel_array(_stage_gram(pieces, grade, sizes, p, power).T, p)
+        kers.append(ker)
+        if len(ker) < len(pieces):
+            pieces = matmul_mod(ker, pieces.reshape(len(pieces), -1), p).reshape(-1, *pieces.shape[1:])
+            grade = grade[(ker != 0).argmax(axis=1)]
+        power *= p
+    return kers
+
+
+def _flat_annihilator(ctx, alg, filt):
+    # reference: the kernel of Z -> (Z w)_w over all of T's basis, with the
+    # rank of the images from a second elimination
+    n, p = ctx.n, ctx.field.p
+    images = matmul_mod(alg.space.basis.reshape(-1, n), filt[0].basis.T, p).reshape(alg.dim, -1)
+    ker = kernel_array(images.T, p)
+    ann = Subspace.span(ctx.field, matmul_mod(ker, alg.space.basis, p), ambient_dim=n * n)
+    return ker, rref_array(images.T, p)[1], ann
+
+
+def _graded_solves(call):
+    # the result of call() and every (ker, rank) its graded solves return
+    graded_kernel, solved = talg._graded_kernel, []
+
+    def recorded(images, grade, p, elements=False):
+        solved.append(graded_kernel(images, grade, p, elements))
+        return solved[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(talg, "_graded_kernel", recorded)
+        return call(), solved
+
+
+def _assert_graded_solves_are_the_flat_ones(alg, ctx=None):
+    _, solved = _graded_solves(lambda: radical(alg, _verify=False))
+    flat = _flat_stage_kernels(alg)
+    assert len(solved) == len(flat)
+    for (ker, _), want in zip(solved, flat):
+        assert ker.dtype == want.dtype and ker.tobytes() == want.tobytes() and ker.shape == want.shape
+    if ctx is not None:
+        filt = _filtration(ctx)
+        ann, [(ker, rank)] = _graded_solves(lambda: annihilator_W0(ctx, alg, filt))
+        want_ker, want_rank, want_ann = _flat_annihilator(ctx, alg, filt)
+        assert ker.shape == want_ker.shape and ker.tobytes() == want_ker.tobytes()
+        assert rank == want_rank and ann.basis.tobytes() == want_ann.basis.tobytes() and ann == want_ann
+
+
+def test_graded_solves_equal_the_flat_solves_on_the_corpus(schemes):
+    for name, s in schemes.items():
+        for p in PRIMES:
+            for x in range(s.n):
+                ctx = build_context(s, field_ctx(p), x)
+                _assert_graded_solves_are_the_flat_ones(generate_algebra(ctx), ctx)
+
+
+@pytest.mark.parametrize("s", [gen_cyclic(16), gen_hamming(4, 3)], ids=["cyclic-16", "hamming-4-3"])
+def test_graded_solves_equal_the_flat_solves_at_p3(s):
+    ctx = build_context(validate_axioms(s), field_ctx(3), 0)
+    _assert_graded_solves_are_the_flat_ones(generate_algebra(ctx), ctx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3, 3037000493]), data=st.data())
+def test_graded_stage_kernels_equal_the_flat_ones_on_graded_stacks(p, data):
+    _assert_graded_solves_are_the_flat_ones(algebra_closure(field_ctx(p), _graded_stack(p, data)))
+
+
+def test_annihilator_needs_the_blocks_to_be_the_supports():
+    # the Bose-Mesner algebra has one block; u_0 = e_x covers only point 0 of it
+    ctx, _ = _cyclic5_p3()
+    bose_mesner = algebra_closure(ctx.field, ctx.A)
+    with pytest.raises(InternalInconsistency, match="^the blocks of T are not the supports") as err:
+        annihilator_W0(ctx, bose_mesner, _filtration(ctx))
+    assert err.value.witness == ("Ann_T(W0) blocks", 0, 1)
+
+
+# the annihilator solves its grades in one stacked kernel_array, which
+# returns (rows, item, rank); the corruptions act on that result
+
+
 def _drop_a_row(kernel):
-    return lambda a, p: kernel(a, p)[:-1]
+    def corrupted(a, p, widths):
+        rows, item, rank = kernel(a, p, widths)
+        return rows[:-1], item[:-1], rank
+    return corrupted
 
 
 def _add_a_non_kernel_row(kernel):
-    def corrupted(a, p):
-        extra = np.zeros((1, a.shape[1]), dtype=np.int64)
-        extra[0, np.flatnonzero(a.any(axis=0))[0]] = 1
-        return np.concatenate([kernel(a, p), extra])
+    def corrupted(a, p, widths):
+        rows, item, rank = kernel(a, p, widths)
+        i, _, c = np.argwhere(a)[0]
+        extra = np.zeros((1, a.shape[2]), dtype=np.int64)
+        extra[0, c] = 1
+        return np.concatenate([rows, extra]), np.append(item, i), rank
     return corrupted
 
 
@@ -781,7 +871,7 @@ def test_annihilator_cyclic5_p3_contains_difference(artifacts):
     art = artifacts("cyclic-5", 3)
     z = (triple_product(art.ctx, 1, 1, 2) - triple_product(art.ctx, 1, 2, 2)) % 3
     assert z.any()
-    assert art.ann.member(z.reshape(-1))
+    assert not art.ann.outside([z.reshape(-1)]).size
     # radical is zero here, so Ann is strictly larger than Rad
     assert art.rad.dim == 0 and art.ann.dim > 0
 
@@ -1029,23 +1119,25 @@ def test_non_homogeneous_claim_is_rejected_with_its_witness(artifacts, monkeypat
         check_radical_postconditions(art.talgebra, claim)
     assert err.value.witness == ("nilpotency", 1, 1 + 2)
     # a stage kernel row that mixes two grades is rejected with (p^k, row):
-    # at stage 2, a row joining the first candidate to one of another grade
+    # at stage 2, a row joining the first candidate to one of another grade,
+    # added to the rows the stacked graded solve assembled
     stage_gram, grades = talg._stage_gram, []
+    graded_kernel = talg._graded_kernel
 
     def recorded(pieces, grade, sizes, p, power):
         grades.append(grade)
         return stage_gram(pieces, grade, sizes, p, power)
 
-    def mixing(a, p):
-        ker = kernel_array(a, p)
+    def mixing(images, grade, p, elements=False):
+        ker, rank = graded_kernel(images, grade, p, elements)
         if len(grades) < 2:
-            return ker
-        row = np.zeros((1, a.shape[1]), dtype=np.int64)
+            return ker, rank
+        row = np.zeros((1, ker.shape[1]), dtype=np.int64)
         row[0, [0, np.flatnonzero(grades[-1] != grades[-1][0])[0]]] = 1
-        return np.concatenate([ker[:1], row, ker[1:]])
+        return np.concatenate([ker[:1], row, ker[1:]]), rank
 
     monkeypatch.setattr(talg, "_stage_gram", recorded)
-    monkeypatch.setattr(talg, "kernel_array", mixing)
+    monkeypatch.setattr(talg, "_graded_kernel", mixing)
     with pytest.raises(InternalInconsistency, match="^kernel row 1 at stage 2 is not homogeneous$") as err:
         radical(art.talgebra)
     assert err.value.witness == (2, 1)
