@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .characterize import CharReport, CorollaryReport, check_corollary, check_equivalences
 from .errors import InternalInconsistency
-from .ffmat import FieldCtx, Subspace, pairwise_mod
+from .ffmat import FieldCtx, Subspace
 from .primary import (
     ClosureDigraph,
     CompositionReport,
@@ -22,6 +22,7 @@ from .primary import (
     closure_digraph,
     composition_factors,
     filtration,
+    radical_layers,
     selfcontra_W0,
     uniserial_check,
 )
@@ -33,6 +34,8 @@ from .talg import (
     b0_b1,
     build_context,
     generate_algebra,
+    graded_outside,
+    push,
     radical,
 )
 
@@ -55,6 +58,7 @@ class Artifacts:
     ann: Subspace
     module: PrimaryModule
     filt: list[Subspace]
+    rad_layers: list[Subspace]
     digraph: ClosureDigraph
     comp: CompositionReport
     uniserial: bool
@@ -73,7 +77,8 @@ def compute_artifacts(s: SchemeData, f: FieldCtx, x: int = 0) -> Artifacts:
     ann = annihilator_W0(ctx, talgebra, filt)
     digraph = closure_digraph(s, f)
     comp = composition_factors(ctx, strata_, digraph, module)
-    uniserial = uniserial_check(ctx, comp, rad, filt)
+    rad_layers = radical_layers(talgebra, rad, filt)
+    uniserial = uniserial_check(comp, rad_layers, filt)
     w0sc = selfcontra_W0(module, strata_)
     art = Artifacts(
         scheme=s,
@@ -88,6 +93,7 @@ def compute_artifacts(s: SchemeData, f: FieldCtx, x: int = 0) -> Artifacts:
         ann=ann,
         module=module,
         filt=filt,
+        rad_layers=rad_layers,
         digraph=digraph,
         comp=comp,
         uniserial=uniserial,
@@ -100,25 +106,30 @@ def compute_artifacts(s: SchemeData, f: FieldCtx, x: int = 0) -> Artifacts:
 def _cross_checks(art: Artifacts) -> None:
     """Provable identities tying independent artifacts together.
 
+    Rad(T) W_0 is the radical of the module, which is exactly W_1; it is
+    `rad_layers[0]`, computed once from the radical's pieces and shared
+    with `uniserial_check`.  B1 lies in Rad(T), decided piece by piece
+    against the radical's pieces: its echelon rows are homogeneous, as the
+    certificate of `radical` has checked (see `talg.graded_outside`).  When
+    W_0 is irreducible, Rad(T) kills it.
+
     A failure names the check and the offending basis element in its
     witness: (check, r, b) when Rad(T) basis element r sends W_0 basis
-    vector b outside W_1, otherwise (check, i) for basis element i of the
-    space that should lie in the other."""
-    n = art.ctx.n
-    w0, w1 = art.filt[0], art.filt[1]
-    # Rad(T) W_0 is the radical of the module, which is exactly W_1
-    images = pairwise_mod(art.rad.basis.reshape(-1, n, n), w0.basis[:, :, None], art.field.p)
-    images = images.reshape(-1, n)
-    pushed = Subspace.span(art.field, images, ambient_dim=n)
+    vector b outside W_1, the products recomputed only then, otherwise
+    (check, i) for basis element i of the space that should lie in the
+    other."""
+    w0, w1, pushed = art.filt[0], art.filt[1], art.rad_layers[0]
     if pushed != w1:
         if not w1.contains(pushed):
-            witness = ("Rad(T) W_0 in W_1", *divmod(int(w1.outside(images)[0]), w0.dim))
+            images, r, b = push(art.talgebra, art.rad, w0.basis)
+            i = int(w1.outside(images)[0])
+            witness = ("Rad(T) W_0 in W_1", int(r[i]), int(b[i]))
         else:
             witness = ("W_1 in Rad(T) W_0", int(pushed.outside(w1.basis)[0]))
         raise InternalInconsistency("Rad(T) W_0 != W_1", witness=witness)
-    if not art.rad.contains(art.b1):
-        raise InternalInconsistency("B1 escapes the radical",
-                                    witness=("B1 in Rad(T)", int(art.rad.outside(art.b1.basis)[0])))
+    outside = graded_outside(art.talgebra, art.rad, art.b1.basis)
+    if outside.size:
+        raise InternalInconsistency("B1 escapes the radical", witness=("B1 in Rad(T)", int(outside[0])))
     if art.strata.p_prime_valenced and not art.ann.contains(art.rad):
         raise InternalInconsistency(
             "irreducible W_0 but Rad(T) not inside Ann(W_0)",

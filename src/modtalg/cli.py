@@ -38,6 +38,7 @@ from .primary import (
     filtration,
     hom_space,
     is_selfcontragredient,
+    radical_layers,
     uniserial_check,
     verify_Ml_iso,
 )
@@ -160,6 +161,9 @@ def _batch_entry(task):
 
 
 def cmd_batch(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, not {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
     root = Path(args.dir)
     if not root.is_dir():
         print(f"error: {args.dir} is not a directory", file=sys.stderr)
@@ -177,8 +181,8 @@ def cmd_batch(args) -> int:
         print(f"error: no .scheme files in {args.dir}", file=sys.stderr)
         return EXIT_USAGE
     tasks = [(f, p) for f in files for p in primes]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if (workers := min(args.jobs, len(tasks))) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_batch_entry, tasks))
     else:
         entries = [_batch_entry(t) for t in tasks]
@@ -339,7 +343,7 @@ def cmd_verify(args) -> int:
         if subcount <= 5000:
             filt = filtration(ctx, st, module)
             comp = composition_factors(ctx, st, closure_digraph(s, f), module)
-            uni = uniserial_check(ctx, comp, rad, filt)
+            uni = uniserial_check(comp, radical_layers(talgebra, rad, filt), filt)
             fast = (comp.composition_length, sorted(fac.dim for fac in comp.factors), uni)
             brute = oracles.module_lattice_analysis(module.action.all_mats(), f.p)
             if brute != fast:

@@ -390,8 +390,9 @@ class Subspace:
             return cls.zero(field, ambient_dim)
         if ambient_dim is not None and arr.shape[1] != ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
+        # `rref_array` returns a new array: copy only to drop its zero rows
         reduced, rank, pivots = rref_array(arr, field.p)
-        basis = reduced[:rank].copy()
+        basis = reduced if rank == len(reduced) else reduced[:rank].copy()
         basis.setflags(write=False)
         return cls(field, arr.shape[1], basis, tuple(pivots))
 
@@ -502,8 +503,10 @@ def charpoly_coeffs(mats: np.ndarray, p: int, upto: int | None = None) -> np.nda
     Returns v of shape (batch, t+1) with det(tI - M) = sum_m v[:, m] t^(n-m)
     truncated to the first t+1 coefficients, t = upto (default n).  Uses the
     division-free Berkowitz recurrence, valid in any characteristic; all the
-    Toeplitz factors are lower triangular, so truncation is exact.  Raises
-    PrimeTooLarge when (n+1) (p-1)^2 >= 2^63.
+    Toeplitz factors are lower triangular, so truncation is exact, and each
+    multiplies the coefficients so far in one product over the batch.
+    Raises PrimeTooLarge when (n+1) (p-1)^2 >= 2^63, which keeps every sum
+    of the recurrence, at most n products of residues, exact in int64.
     """
     mats = np.asarray(mats, dtype=np.int64)
     if mats.ndim == 2:
@@ -514,8 +517,7 @@ def charpoly_coeffs(mats: np.ndarray, p: int, upto: int | None = None) -> np.nda
     _require_int64(n + 1, p)
     mats = mats % p
     t = n if upto is None else max(0, min(int(upto), n))
-    v = np.zeros((b, t + 1), dtype=np.int64)
-    v[:, 0] = 1
+    v = np.ones((b, 1), dtype=np.int64)
     for i in range(1, n + 1):
         kmax = min(i, t)
         s = np.zeros((b, kmax + 1), dtype=np.int64)
@@ -530,13 +532,9 @@ def charpoly_coeffs(mats: np.ndarray, p: int, upto: int | None = None) -> np.nda
                 s[:, j] = (-np.einsum("bk,bk->b", r, w)) % p
                 if j < kmax:
                     w = np.einsum("bkl,bl->bk", blk, w) % p
-        old_len = min(i - 1, t)
-        vnew = np.zeros((b, t + 1), dtype=np.int64)
-        for m in range(kmax + 1):
-            acc = np.zeros(b, dtype=np.int64)
-            for j in range(0, m + 1):
-                if j <= kmax and (m - j) <= old_len:
-                    acc = acc + s[:, j] * v[:, m - j]
-            vnew[:, m] = acc % p
-        v = vnew
+        # the new v[m], m <= kmax, is sum_j s[j] v[m - j]: one product of the
+        # lower triangular Toeplitz matrix of s and v, whose sums of at most
+        # n products of residues the bound above keeps within int64
+        shift = np.arange(kmax + 1)[:, None] - np.arange(v.shape[1])
+        v = (np.where(shift >= 0, s[:, np.maximum(shift, 0)], 0) @ v[:, :, None])[:, :, 0] % p
     return v

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import IndexOutOfRange, InternalInconsistency, InvalidParameter
 from .ffmat import FieldCtx, Subspace, kernel_array, matmul_mod, pairwise_mod, rref_array
 from .scheme import SchemeData, Strata
-from .talg import TalgContext
+from .talg import AlgebraBasis, TalgContext, push
 
 __all__ = [
     "GeneratorAction",
@@ -29,6 +29,7 @@ __all__ = [
     "CompositionReport",
     "composition_factors",
     "factor_action",
+    "radical_layers",
     "uniserial_check",
     "verify_Ml_iso",
     "hom_space",
@@ -306,34 +307,25 @@ def composition_factors(
     )
 
 
-def uniserial_check(
-    ctx: TalgContext,
-    report: CompositionReport,
-    rad: Subspace,
-    filt: list[Subspace],
-) -> bool:
+def radical_layers(talgebra: AlgebraBasis, rad: Subspace, filt: list[Subspace]) -> list[Subspace]:
+    """Rad(T) W_m for every level m = 0..epsilon of the filtration `filt`
+    (its last entry is 0), from the pieces of the radical's basis acting on
+    the bases of all levels at once (see `talg.push`)."""
+    images, _, vector = push(talgebra, rad, np.concatenate([w.basis for w in filt]))
+    level = np.repeat(np.arange(len(filt)), [w.dim for w in filt])[vector]
+    return [Subspace.span(talgebra.field, images[level == m], talgebra.n) for m in range(len(filt) - 1)]
+
+
+def uniserial_check(report: CompositionReport, layers: list[Subspace], filt: list[Subspace]) -> bool:
     """W_0 has a totally ordered submodule lattice iff every nontrivial
     filtration step has a single class and the radical pushes each W_n onto
-    exactly W_{n+1}."""
-    p = ctx.field.p
-    n = ctx.n
-    rad_mats = rad.basis.reshape(-1, n, n)
-    result = True
+    exactly W_{n+1}; layers[n] is Rad(T) W_n (see `radical_layers`)."""
     for level in range(report.epsilon + 1):
         if filt[level].dim == filt[level + 1].dim:
             continue
-        if len(report.qn[level]) != 1:
-            result = False
-            break
-        if rad.dim == 0 or filt[level].dim == 0:
-            pushed = Subspace.zero(ctx.field, n)
-        else:
-            images = pairwise_mod(rad_mats, filt[level].basis[:, :, None], p)
-            pushed = Subspace.span(ctx.field, images.reshape(-1, n), ambient_dim=n)
-        if pushed != filt[level + 1]:
-            result = False
-            break
-    return result
+        if len(report.qn[level]) != 1 or layers[level] != filt[level + 1]:
+            return False
+    return True
 
 
 def verify_Ml_iso(ctx: TalgContext, l: int, module: PrimaryModule) -> bool:

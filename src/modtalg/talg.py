@@ -38,6 +38,8 @@ __all__ = [
     "b0_b1",
     "radical",
     "check_radical_postconditions",
+    "push",
+    "graded_outside",
     "annihilator_W0",
 ]
 
@@ -153,7 +155,7 @@ class AlgebraBasis:
     union, sorted by pivot, is then the reduced row-echelon basis of T (see
     `algebra_closure`), which is what `space` holds and the order the
     pieces are kept in.  One block, whose one piece is T, is the grading
-    every algebra has.
+    every algebra has.  Without `generators` the basis stands for them.
     """
 
     __slots__ = ("field", "n", "generators", "blocks", "pieces", "grades", "space")
@@ -164,10 +166,10 @@ class AlgebraBasis:
         rows.setflags(write=False)
         self.field = field
         self.n = len(blocks)
-        self.generators = generators
         self.blocks = blocks
         self.pieces, self.grades = pieces[order], grades[order]
         self.space = Subspace(field, self.n ** 2, rows, tuple(leads.tolist()))
+        self.generators = self.mats() if generators is None else generators
 
     @property
     def dim(self) -> int:
@@ -226,6 +228,22 @@ def _flatten(pieces: np.ndarray, grade: np.ndarray,
     rows = np.zeros((m, n * n), dtype=np.int64)
     rows[np.argsort(order)[e], pos[e, c]] = flat[e, c]
     return order, rows, leads[order]
+
+
+def _cut(mats: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, grade, pieces), the inverse of `_flatten`: the nonzero pieces
+    f_a m f_b of every n x n matrix m = mats[e], as local matrices padded to
+    K x K (see `AlgebraBasis`), each with its owner e and grade a nb + b,
+    sorted by owner, then grade.  A homogeneous m has one piece; the
+    pieces of a reduced echelon basis whose rows are all homogeneous are
+    the reduced echelon bases of its pieces (see `algebra_closure`)."""
+    sizes = np.bincount(blocks)
+    nb, local = len(sizes), _local(blocks)
+    e, r, c = np.unravel_index(np.flatnonzero(mats != 0), mats.shape)  # faster than np.nonzero in 3-D
+    keys, which = np.unique((e * nb + blocks[r]) * nb + blocks[c], return_inverse=True)
+    pieces = np.zeros((len(keys), sizes.max(), sizes.max()), dtype=np.int64)
+    pieces[which, local[r], local[c]] = mats[e, r, c]
+    return keys // (nb * nb), keys % (nb * nb), pieces
 
 
 def _generator_products(gens: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
@@ -314,8 +332,32 @@ def _residuals(vals: np.ndarray, rows: np.ndarray, ext: np.ndarray, pr: np.ndarr
     in `Subspace.reduce`, so r = 0 exactly when v lies in the piece."""
     k, P, Q = vals.shape
     coef = vals[np.arange(k)[:, None], pr[rows], pc[rows]]
-    comb = matmul_mod(coef[:, None, :], ext[rows, :P, :Q].reshape(k, rows.shape[1], -1), p)
+    comb = matmul_mod(coef[:, None, :], ext[rows, :P, :Q].reshape(k, rows.shape[1], P * Q), p)
     return (vals - comb.reshape(vals.shape)) % p
+
+
+def _outside(basis: np.ndarray, bgrade: np.ndarray, pieces: np.ndarray, grade: np.ndarray,
+             owner: np.ndarray, nb: int, p: int) -> np.ndarray:
+    """The owners, increasing, of the pieces (pieces[e] of grade grade[e],
+    padded K x K) that lie outside a graded space given by the reduced
+    echelon bases of its pieces, basis[e] of grade bgrade[e].  A matrix
+    lies in the space exactly when each of its pieces lies in the space's
+    piece of the same grade, which `_residuals` decides for all at once."""
+    leads = (basis.reshape(len(basis), basis.shape[1] ** 2) != 0).argmax(axis=1)
+    _, table, ext, pr, pc = _piece_bases(basis, bgrade, leads, nb)
+    return np.unique(owner[_residuals(pieces, table[grade], ext, pr, pc, p).any(axis=(1, 2))])
+
+
+def _grouped_rref(rows: np.ndarray, item: np.ndarray, count: int, p: int, height: int = 0):
+    """`rref_array` of the rows of each item 0..count-1 (row r belongs to
+    item[r]), in one stacked elimination of as many rows per item as the
+    largest item has, and at least `height`: (reduced, rank, pivots) as for
+    a stack."""
+    order = np.argsort(item, kind="stable")
+    per = np.bincount(item, minlength=count)
+    stack = np.zeros((count, max(per.max(initial=0), height), rows.shape[1]), dtype=np.int64)
+    stack[item[order], np.arange(len(item)) - np.repeat(np.cumsum(per) - per, per)] = rows[order]
+    return rref_array(stack, p)
 
 
 def _reduced_products(mults: np.ndarray, mgrade: np.ndarray, elems: np.ndarray,
@@ -406,14 +448,8 @@ def algebra_closure(field: FieldCtx, generators: np.ndarray) -> AlgebraBasis:
     blocks = _idempotent_blocks(gens)
     sizes = np.bincount(blocks)
     nb, K = len(sizes), int(sizes.max())
-    local = _local(blocks)
-    g, r, c = np.nonzero(gens)
-    keys, which = np.unique((g * nb + blocks[r]) * nb + blocks[c], return_inverse=True)
-    pieces = np.zeros((len(keys), K, K), dtype=np.int64)
-    pieces[which, local[r], local[c]] = gens[g, r, c]
-    grade = keys % (nb * nb)
-    ident = np.zeros((nb, K, K), dtype=np.int64)
-    ident[blocks, local, local] = 1
+    _, grade, pieces = _cut(gens, blocks)
+    ident = (np.arange(K) < sizes[:, None])[:, :, None] * np.eye(K, dtype=np.int64)
     unit = (grade // nb == grade % nb) & (pieces == ident[grade // nb]).all(axis=(1, 2))
     mults, mgrade = pieces[~unit], grade[~unit]
     elems, egrade, epiv = _echelon_by_piece(np.concatenate([mults, ident]),
@@ -475,7 +511,7 @@ def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis,
     local outer products of u_i on block a and u_j on block b (for T(x),
     whose blocks are the supports of the u_i, it is the all-ones piece of
     one grade), each reduced against the echelon basis of its own piece of
-    T at once (see `_residuals`).  The u_i u_j^T have disjoint 0/1
+    T at once (see `_outside`).  The u_i u_j^T have disjoint 0/1
     supports, so sorted by leading column they are in reduced row-echelon
     form, and `Subspace.span` takes its O(mn) path whatever the order of
     the points.
@@ -503,14 +539,11 @@ def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis,
     local[:, talgebra.blocks, _local(talgebra.blocks)] = u
     i, a = np.nonzero(local.any(axis=2))
     x, y = np.divmod(np.arange(len(i) ** 2), len(i))
-    _, table, ext, pr, pc = _piece_bases(pieces, talgebra.grades,
-                                         (pieces.reshape(len(pieces), -1) != 0).argmax(axis=1), nb)
-    res = _residuals(local[i[x], a[x], :, None] * local[i[y], a[y], None, :],
-                     table[a[x] * nb + a[y]], ext, pr, pc, p)
-    outside = (i[x] * (d + 1) + i[y])[res.any(axis=(1, 2))]
+    outside = _outside(pieces, talgebra.grades, local[i[x], a[x], :, None] * local[i[y], a[y], None, :],
+                       a[x] * nb + a[y], i[x] * (d + 1) + i[y], nb, p)
     if outside.size:
         raise InternalInconsistency("B0 not contained in T",
-                                    witness=("B0 not contained in T", divmod(int(outside.min()), d + 1)))
+                                    witness=("B0 not contained in T", divmod(int(outside[0]), d + 1)))
     pairs = (divisible[:, None] | divisible[None, :]).reshape(-1)
     return b0, Subspace.span(ctx.field, outer[order][pairs[order]], ambient_dim=n * n)
 
@@ -621,9 +654,11 @@ def radical(algebra: AlgebraBasis, *, _verify: bool = True) -> Subspace:
     `rref_array` in `Subspace.span`.
 
     A nonzero result is certified by `check_radical_postconditions` on
-    every call, on the flag it spans in GF(p)^n; that certificate runs this
-    function once more, unverified, on T's action on the factors of the
-    flag.  A zero result needs no certificate: its steps 1-3 hold for R = 0
+    every call, on the flag it spans in GF(p)^n, built block by block from
+    the result's pieces; that certificate runs this function once more,
+    unverified, on Phi(T), T's action on the factors of the flag, which has
+    T's blocks and is read off one stacked elimination, not a second
+    closure.  A zero result needs no certificate: its steps 1-3 hold for R = 0
     by construction (0 lies in T, the flag V > 0 reaches 0, is invariant,
     and Phi is the identity), and its step 4, the stage radical of T, is
     this computation, deterministic, which has just returned 0.
@@ -651,21 +686,49 @@ def radical(algebra: AlgebraBasis, *, _verify: bool = True) -> Subspace:
     return rad
 
 
-def _factor_action(flag: list[Subspace], mats: np.ndarray, p: int) -> np.ndarray:
-    """The action of each n x n matrix of `mats` on the factors V_k / V_(k+1)
-    of an invariant flag, block diagonal, each factor in the basis of the
-    rows of V_k's echelon basis whose pivots V_(k+1) lacks."""
-    n = mats.shape[-1]
-    phi = np.zeros_like(mats)
-    start = 0
-    for upper, lower in zip(flag, flag[1:]):
-        top = ~np.isin(upper.pivots, lower.pivots)
-        rows, cols = upper.basis[top], np.array(upper.pivots)[top]
-        images = pairwise_mod(mats, rows[:, :, None], p).reshape(-1, n)
-        coords = lower.reduce(images)[1][:, cols].reshape(len(mats), len(rows), len(rows))
-        phi[:, start : start + len(rows), start : start + len(rows)] = coords.transpose(0, 2, 1)
-        start += len(rows)
-    return phi
+def _loewy_flag(pieces: np.ndarray, grade: np.ndarray, sizes: np.ndarray, p: int):
+    """(levels, adapted, inverse, level): the flag V_0 = GF(p)^n,
+    V_(k+1) = R V_k, block by block, of a claim R given by the pieces of its
+    echelon rows, all homogeneous: pieces[e] of grade grade[e] = a nb + b,
+    over blocks of `sizes` points.
+
+    levels[k] = (basis, pivots) for every nonzero V_k: basis[a] is the
+    reduced echelon basis of V_k^a = f_a V_k in local coordinates, its rows
+    padded with zeros to K x K, and pivots[a] their local pivots, K past
+    the rank.  V_0 is graded, and if V_k is, so is V_(k+1), with
+    V_(k+1)^a = sum_b R_ab V_k^b: an x of grade (a, b) sends V_k^b into
+    block a and kills every other V_k^c.  So the pieces of V_(k+1) are the
+    echelon forms, per block a, of the nonzero products x v of the x of
+    grade (a, b) and the rows v of V_k^b, all blocks in one stacked
+    elimination.  Raises InternalInconsistency with the witness
+    ("nilpotency", k, dim V_k) when R maps V_k onto itself.
+
+    adapted[a] is the flag-adapted basis B_a: as its columns, the rows of
+    V_k^a whose pivots V_(k+1)^a lacks, in order of k, each of level
+    level[a, column] = k; they complement V_(k+1)^a in V_k^a, so the k_a of
+    them are a basis of the block.  The identity fills the padding, where
+    level is -1, and inverse[a] is B_a^-1.
+    """
+    nb, K = len(sizes), pieces.shape[-1]
+    live, eye = np.arange(K) < sizes[:, None], np.eye(K, dtype=np.int64)
+    basis, pivots = live[:, :, None] * eye, np.where(live, np.arange(K), K)
+    adapted, level = eye - basis, np.full((nb, K), -1)
+    levels, (a, b) = [], np.divmod(grade, nb)
+    while (pivots < K).any():
+        levels.append((basis, pivots))
+        prods = matmul_mod(basis[b], pieces.transpose(0, 2, 1), p).reshape(-1, K)
+        keep = prods.any(axis=1)
+        reduced, rank, piv = _grouped_rref(prods[keep], np.repeat(a, K)[keep], nb, p, K)
+        if rank.sum() == (pivots < K).sum():
+            raise InternalInconsistency("claimed radical is not nilpotent",
+                                        witness=("nilpotency", len(levels) - 1, int(rank.sum())))
+        # after the k_a - dim V_k^a columns of the levels above
+        x, j = np.nonzero((pivots < K) & ~(pivots[:, :, None] == piv[:, None, :]).any(axis=2))
+        col = sizes[x] - (pivots < K).sum(axis=1)[x] + np.arange(len(x)) - np.searchsorted(x, x)
+        adapted[x, :, col], level[x, col] = basis[x, j], len(levels) - 1
+        basis, pivots = reduced[:, :K], piv
+    inverse = rref_array(np.concatenate([adapted, np.tile(eye, (nb, 1, 1))], axis=2), p)[0][..., K:]
+    return levels, adapted, inverse, level
 
 
 def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
@@ -674,21 +737,45 @@ def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
     the annihilator of a flag of submodules with semisimple factors (Curtis
     & Reiner, Methods of Representation Theory, section 5).  The claim is
     never trusted, so this certifies any subspace, not only the output of
-    `radical`.
+    `radical`.  Every step runs on the pieces of T's grading (see
+    `AlgebraBasis`; f_a is the indicator of block a, S_ab = f_a T f_b).
 
-    1. R lies in T.
+    1. R lies in T: each piece of each row of R lies in T's piece of its
+       grade (see `_outside`).  Every row of R's reduced echelon basis is
+       homogeneous: J(T) is a two-sided ideal and every f_a lies in T, so
+       J(T) is the direct sum of its pieces f_a J(T) f_b, and the reduced
+       echelon rows of such a graded space are homogeneous (see
+       `algebra_closure`).  A claim with a row that is not is not J(T), and
+       rejecting it loses no valid claim.  R is then the direct sum of the
+       R_ab, its rows of grade (a, b) being their echelon bases.
     2. The flag V_0 = V, V_(k+1) = R V_k reaches 0.  It decreases: V_1 lies
        in V_0, and V_(k+1) = R V_k lies in R V_(k-1) = V_k.  So it stops at
        the first V_(k+1) = V_k, and if that V_k is not 0, then R^j V_k = V_k
-       for every j and R is not nilpotent.
+       for every j and R is not nilpotent.  Every V_k is graded, and is
+       built block by block (see `_loewy_flag`).
     3. g V_k lies in V_k for every generator g, so every V_k is a
        T-submodule ({t : t V_k in V_k} is a unital subalgebra that holds
-       the generators).  Phi sends t to its action on the factors
-       V_k / V_(k+1), each in the basis of the rows of V_k's echelon basis
-       whose pivots V_(k+1) lacks (see `_factor_action`).  With the flag
-       invariant, Phi is a unital homomorphism, so Phi(T) is the algebra
-       the Phi(g) generate, `algebra_closure` of them, and
-       dim Phi(T) + dim R = dim T must hold.
+       the generators).  For each block a, the rows of V_k^a whose pivots
+       V_(k+1)^a lacks complement V_(k+1)^a in V_k^a, so taken in order of
+       k they are the columns of an invertible k_a x k_a matrix B_a, and
+       V_k^a is spanned by its columns of level k and beyond (see
+       `_loewy_flag`).  V_k is graded, so g v for v in V_k^b lies in V_k
+       exactly when each piece f_a g f_b v lies in V_k^a, that is, when its
+       coordinates B_a^-1 f_a g f_b v vanish on the levels below k.  Phi
+       sends t to its action on the factors V_k / V_(k+1); with the flag
+       invariant it is a unital homomorphism, and dim Phi(T) + dim R =
+       dim T must hold.  Phi(T) is found without a second closure.  A t in
+       S_ab maps V_k^b into V_k^a, so B_a^-1 t B_b is block lower
+       triangular by level, and Phi(t) is its level-diagonal part, in the
+       points of blocks a and b: Phi(T) has T's blocks, and
+       Phi(f_a) = f_a.  The rows C of T's echelon basis whose pivots R
+       lacks complement R in T: R in T gives leads(R) in leads(T), |C| =
+       dim T - dim R, and a nonzero combination of C's rows leads at a
+       pivot of C, which no element of R does.  R lies in N = ker Phi
+       (R V_k = V_(k+1)), so Phi(T) = span Phi(C), and dim N = dim R
+       exactly when rank Phi(C) = |C|.  One stacked elimination over the
+       grades of C (Phi is graded) gives that rank and the reduced echelon
+       bases of Phi(T)'s pieces.
     4. The stage radical of Phi(T) is 0.
 
     Soundness.  N = ker Phi = {t in T : t V_k in V_(k+1) for all k} is a
@@ -702,65 +789,118 @@ def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
     so its zero result makes T/N semisimple; the image of J(T) there is a
     nilpotent ideal, hence 0, and J(T) lies in N.  So R = N = J(T).
 
-    Completeness.  R = J(T) lies in T and is nilpotent.  It is an ideal, so
-    t R V_k lies in R V_k and every V_k is a submodule.  N is a nilpotent
-    ideal that contains R, so N = R, and Phi(T) = T/J(T) is semisimple, on
-    which the stage radical, exact by Cohen, Ivanyos & Wales (JPAA 1997),
-    returns 0.
+    Completeness.  R = J(T) lies in T, is graded and is nilpotent.  It is an
+    ideal, so t R V_k lies in R V_k and every V_k is a submodule.  N is a
+    nilpotent ideal that contains R, so N = R, and Phi(T) = T/J(T) is
+    semisimple, on which the stage radical, exact by Cohen, Ivanyos & Wales
+    (JPAA 1997), returns 0.
 
-    Each V_k is invariant under the E_i*, hence the direct sum of its
-    pieces on the blocks, so its echelon rows are homogeneous and every
-    Phi(E_i*) is diagonal 0/1: the closure of the Phi(g) finds the blocks
-    of T, with the same sizes, and the stage loop stops where the one on T
-    did.  For R = 0 the flag is V > 0, whose one factor V has the identity
-    as its echelon basis, so Phi is the identity, step 3 holds, and step 4
-    runs on T.
+    Phi(T) has T's blocks, with the same sizes, so the stage loop on it
+    stops where the one on T did.  For R = 0 the flag is V > 0, whose one
+    factor V has the identity as its adapted basis, so Phi is the identity,
+    step 3 holds, and step 4 runs on T.
 
     A failure raises InternalInconsistency with the witness
     ("containment", first basis index of R outside T),
+    ("graded", first basis index of R that is not homogeneous),
     ("nilpotency", k, dim V_k) for the V_k that R maps onto itself,
     ("flag", g, k, v) for the first generator g, in order of k, then g,
     then v, that sends basis vector v of V_k outside V_k,
-    ("annihilator", first basis index of N outside R), N and the images of
-    T's basis being computed only then, or ("quotient", dim of the stage
-    radical of Phi(T)).
+    ("annihilator", first basis index of N outside R), N being computed
+    only then, as R plus the kernel of Phi on C, or ("quotient", dim of the
+    stage radical of Phi(T)).
     """
-    field, n, p = algebra.field, algebra.n, algebra.field.p
-    outside = algebra.space.outside(rad.basis)
-    if outside.size:
-        raise InternalInconsistency("claimed radical is not contained in the algebra",
-                                    witness=("containment", int(outside[0])))
-    rmats = rad.basis.reshape(-1, n, n)
-    flag = [Subspace.span(field, np.eye(n, dtype=np.int64))]
-    while flag[-1].dim:
-        pushed = pairwise_mod(rmats, flag[-1].basis[:, :, None], p).reshape(-1, n)
-        below = Subspace.span(field, pushed, ambient_dim=n)
-        if below.dim == flag[-1].dim:
-            raise InternalInconsistency("claimed radical is not nilpotent",
-                                        witness=("nilpotency", len(flag) - 1, below.dim))
-        flag.append(below)
-    gens = algebra.generators
-    for k, vk in enumerate(flag[1:-1], start=1):
-        escaped = vk.outside(pairwise_mod(gens, vk.basis[:, :, None], p).reshape(-1, n))
-        if escaped.size:
-            g, v = divmod(int(escaped[0]), vk.dim)
-            raise InternalInconsistency(f"generator {g} does not preserve V_{k} of the radical's flag",
-                                        witness=("flag", g, k, v))
-    # R = 0 leaves the one factor V in its identity basis: Phi is the identity
     quotient = algebra
     if rad.dim:
-        quotient = algebra_closure(field, _factor_action(flag, gens, p))
-        if quotient.dim + rad.dim != algebra.dim:
-            image = _factor_action(flag, algebra.mats(), p).reshape(algebra.dim, n * n)
-            kernel = matmul_mod(kernel_array(image.T, p), algebra.space.basis, p)
-            extra = rad.outside(Subspace.span(field, kernel, ambient_dim=n * n).basis)
+        field, n, p, blocks = algebra.field, algebra.n, algebra.field.p, algebra.blocks
+        nb, K = int(blocks.max()) + 1, algebra.pieces.shape[-1]
+        owner, grade, pieces = _cut(rad.basis.reshape(rad.dim, n, n), blocks)
+        outside = _outside(algebra.pieces, algebra.grades, pieces, grade, owner, nb, p)
+        if outside.size:
+            raise InternalInconsistency("claimed radical is not contained in the algebra",
+                                        witness=("containment", int(outside[0])))
+        mixed = owner[1:][np.diff(owner) == 0]
+        if mixed.size:
+            raise InternalInconsistency(f"row {mixed[0]} of the claimed radical is not homogeneous",
+                                        witness=("graded", int(mixed[0])))
+        levels, adapted, inverse, level = _loewy_flag(pieces, grade, np.bincount(blocks), p)
+        # step 3; v numbers V_k's flat echelon basis, every block's rows at
+        # their points, sorted by pivot
+        owner, grade, pieces = _cut(algebra.generators, blocks)
+        a, b = np.divmod(grade, nb)
+        points = np.full((nb, K + 1), n)
+        points[blocks, _local(blocks)] = np.arange(n)
+        for k, (basis, pivots) in enumerate(levels[1:], start=1):
+            coords = matmul_mod(inverse[a], matmul_mod(pieces, basis[b].transpose(0, 2, 1), p), p)
+            e, j = np.nonzero(((coords != 0) & (level[a] < k)[:, :, None]).any(axis=1))
+            if e.size:
+                leads = points[np.arange(nb)[:, None], pivots]
+                v = np.searchsorted(np.sort(leads[leads < n]), leads[b[e], j])
+                g, v = min(zip(owner[e].tolist(), v.tolist()))
+                raise InternalInconsistency(f"generator {g} does not preserve V_{k} of the radical's flag",
+                                            witness=("flag", g, k, v))
+        # Phi(C), C the rows of T's basis whose pivots R lacks: the
+        # level-diagonal part of B_a^-1 t B_b for t of grade (a, b)
+        comp = ~np.isin(algebra.space.pivots, rad.pivots)
+        c, cgrade = algebra.pieces[comp], algebra.grades[comp]
+        ca, cb = np.divmod(cgrade, nb)
+        phi = matmul_mod(matmul_mod(inverse[ca], c, p), adapted[cb], p)
+        phi = (phi * (level[ca][:, :, None] == level[cb][:, None, :])).reshape(len(c), K * K)
+        keys, item = np.unique(cgrade, return_inverse=True)
+        reduced, rank, _ = _grouped_rref(phi, item, len(keys), p)
+        if rank.sum() < len(c):
+            kernel = matmul_mod(_graded_kernel(phi, cgrade, p)[0], algebra.space.basis[comp], p)
+            extra = rad.outside(Subspace.span(field, np.concatenate([rad.basis, kernel])).basis)
             raise InternalInconsistency(
-                f"the radical's flag is annihilated by dim {algebra.dim - quotient.dim}, not {rad.dim}",
+                f"the radical's flag is annihilated by dim {algebra.dim - int(rank.sum())}, not {rad.dim}",
                 witness=("annihilator", int(extra[0])))
+        e, r = np.nonzero(np.arange(reduced.shape[1]) < rank[:, None])
+        quotient = AlgebraBasis(field, None, blocks, reduced[e, r].reshape(-1, K, K), keys[e])
     again = radical(quotient, _verify=False)
     if again.dim:
         raise InternalInconsistency(f"quotient by the radical still has a radical of dim {again.dim}",
                                     witness=("quotient", again.dim))
+
+
+def push(algebra: AlgebraBasis, sub: Subspace, vectors: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(images, element, vector): the nonzero products s v, as rows of
+    length n, of the basis elements s = sub.basis[element] of a subspace of
+    T whose echelon rows are homogeneous, as the radical's are (see
+    `check_radical_postconditions`, step 1), and the rows v =
+    vectors[vector], in order of (element, vector).
+
+    An s of grade (a, b) sends v to s (v on block b), placed on block a: a
+    product of local matrices of at most K points a side, instead of an
+    n x n product.
+    """
+    n, p, blocks = algebra.n, algebra.field.p, algebra.blocks
+    if not sub.dim:
+        return np.zeros((0, n), dtype=np.int64), *np.zeros((2, 0), dtype=np.int64)
+    nb, K, local = int(blocks.max()) + 1, algebra.pieces.shape[-1], _local(blocks)
+    owner, grade, pieces = _cut(sub.basis.reshape(sub.dim, n, n), blocks)
+    onblocks = np.zeros((len(vectors), nb, K), dtype=np.int64)
+    onblocks[:, blocks, local] = vectors
+    placed = np.zeros((sub.dim, nb, K, len(vectors)), dtype=np.int64)
+    placed[owner, grade // nb] = matmul_mod(pieces, onblocks[:, grade % nb].transpose(1, 2, 0), p)
+    images = placed[:, blocks, local].transpose(0, 2, 1).reshape(-1, n)
+    keep = np.flatnonzero(images.any(axis=1))
+    return images[keep], *np.divmod(keep, len(vectors))
+
+
+def graded_outside(algebra: AlgebraBasis, sub: Subspace, rows: np.ndarray) -> np.ndarray:
+    """Indices, increasing, of the n^2-long rows outside `sub`, a subspace
+    of T whose echelon rows are homogeneous, as the radical's are (see
+    `check_radical_postconditions`, step 1).  Then sub's rows of grade
+    (a, b) are the reduced echelon basis of its piece f_a sub f_b, and a
+    row lies in sub exactly when each of its pieces lies in sub's piece of
+    its grade (see `_outside`)."""
+    if not sub.dim or not len(rows):
+        return np.flatnonzero(rows.any(axis=1))
+    mats = np.concatenate([sub.basis, rows]).reshape(-1, algebra.n, algebra.n)
+    owner, grade, pieces = _cut(mats, algebra.blocks)
+    ours = owner < sub.dim
+    return _outside(pieces[ours], grade[ours], pieces[~ours], grade[~ours], owner[~ours] - sub.dim,
+                    int(algebra.blocks.max()) + 1, algebra.field.p)
 
 
 def annihilator_W0(ctx: TalgContext, talgebra: AlgebraBasis, filt: list[Subspace]) -> Subspace:

@@ -236,6 +236,58 @@ def test_batch_parallel_matches_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+class _RecordedPool:
+    # stands in for ProcessPoolExecutor: records max_workers and maps in
+    # this process, so no worker process starts
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_batch_jobs_below_one_exit_1_before_any_analysis(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    from modtalg import cli
+    from modtalg.scheme import gen_cyclic, serialize_scheme
+
+    (tmp_path / "z5.scheme").write_text(serialize_scheme(gen_cyclic(5)))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordedPool)
+    monkeypatch.setattr(cli, "_batch_entry", lambda task: pytest.fail("analysis ran"))
+    _RecordedPool.workers = []
+    for jobs in ("0", "-3"):
+        out = tmp_path / f"jobs{jobs}.json"
+        assert main(["batch", "--dir", str(tmp_path), "--primes", "2", "--out", str(out),
+                     "--jobs", jobs]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+    assert _RecordedPool.workers == []
+
+
+def test_batch_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    from modtalg.scheme import gen_cyclic, serialize_scheme
+
+    (tmp_path / "z5.scheme").write_text(serialize_scheme(gen_cyclic(5)))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordedPool)
+    _RecordedPool.workers = []
+    # 1 task runs in this process, 3 tasks in at most 3 workers
+    for primes, jobs in (("2", "4"), ("2,3,5", "8"), ("2,3,5", "2")):
+        assert main(["batch", "--dir", str(tmp_path), "--primes", primes, "--out",
+                     str(tmp_path / "report.json"), "--jobs", jobs]) == 0
+    assert _RecordedPool.workers == [3, 2]
+
+
 def test_verify_z5(z5_file, capsys):
     assert main(["verify", "--scheme", str(z5_file), "--prime", "2", "--deep"]) == 0
     assert main(["verify", "--scheme", str(z5_file), "--prime", "3"]) == 0

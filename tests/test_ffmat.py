@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -450,6 +452,26 @@ def test_grassmann_identity_random(p, data):
     assert len(meet) == p ** (a.dim + b.dim - a.sum(b).dim)
 
 
+def test_span_of_reduced_rows_keeps_one_copy():
+    # rows in reduced row-echelon form: the copy `rref_array` makes is the
+    # basis, with no second copy; a rank-deficient span copies only its rows
+    f = field_ctx(3)
+    rows = np.zeros((40, 25_000), dtype=np.int64)
+    rows[np.arange(40), np.arange(40) * 600] = 1
+    rows[:, -1] = 2
+    tracemalloc.start()
+    try:
+        space = Subspace.span(f, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * rows.nbytes
+    deficient = Subspace.span(f, np.concatenate([rows, rows[:1]]))
+    for s in (space, deficient):
+        assert np.array_equal(s.basis, rows) and s.basis.base is None
+        assert not s.basis.flags.writeable and not np.shares_memory(s.basis, rows)
+
+
 def test_subspace_contains_and_equality():
     f = field_ctx(5)
     big = Subspace.span(f, [[1, 0, 0], [0, 1, 0]])
@@ -477,6 +499,20 @@ def test_charpoly_against_leibniz_oracle():
             m = rng.integers(0, p, size=(n, n))
             fast = charpoly_coeffs(m[None], p)[0]
             assert fast.tolist() == charpoly_leibniz(m, p)
+
+
+def test_charpoly_at_the_largest_prime_it_accepts():
+    # 1358187913 is the largest prime with 5 (p-1)^2 < 2^63, the bound for
+    # 4 x 4 matrices, 1358187923 the next; entries near p make every product
+    # of the recurrence and of its Toeplitz factors as large as it can be
+    p = 1358187913
+    rng = np.random.default_rng(21)
+    mats = np.concatenate([rng.integers(p - 4, p, size=(3, 4, 4)), rng.integers(0, p, size=(3, 4, 4))])
+    coeffs = charpoly_coeffs(mats, p)
+    assert [row.tolist() for row in coeffs] == [charpoly_leibniz(m, p) for m in mats]
+    assert np.array_equal(charpoly_coeffs(mats, p, upto=2), coeffs[:, :3])
+    with pytest.raises(PrimeTooLarge):
+        charpoly_coeffs(mats, 1358187923)
 
 
 def test_charpoly_truncation_is_prefix():

@@ -658,6 +658,116 @@ def _check_by_quotient_rerun(alg, candidate):
         raise InternalInconsistency("quotient has a nonzero radical")
 
 
+def _flat_factor_action(flag, mats, p):
+    # the action of each n x n matrix on the factors V_k / V_(k+1) of an
+    # invariant flag, block diagonal, each factor in the basis of the rows
+    # of V_k's echelon basis whose pivots V_(k+1) lacks
+    n = mats.shape[-1]
+    phi = np.zeros_like(mats)
+    start = 0
+    for upper, lower in zip(flag, flag[1:]):
+        top = ~np.isin(upper.pivots, lower.pivots)
+        rows, cols = upper.basis[top], np.array(upper.pivots)[top]
+        images = pairwise_mod(mats, rows[:, :, None], p).reshape(-1, n)
+        coords = lower.reduce(images)[1][:, cols].reshape(len(mats), len(rows), len(rows))
+        phi[:, start : start + len(rows), start : start + len(rows)] = coords.transpose(0, 2, 1)
+        start += len(rows)
+    return phi
+
+
+def _flat_flag_certificate(algebra, rad):
+    # reference: the Loewy-flag certificate on flat vectors of length n,
+    # Phi(T) from a second closure of the Phi(g); the witness of the first
+    # step that fails, None when the claim passes
+    field, n, p = algebra.field, algebra.n, algebra.field.p
+    outside = algebra.space.outside(rad.basis)
+    if outside.size:
+        return "containment", int(outside[0])
+    rmats = rad.basis.reshape(-1, n, n)
+    flag = [Subspace.span(field, np.eye(n, dtype=np.int64))]
+    while flag[-1].dim:
+        pushed = pairwise_mod(rmats, flag[-1].basis[:, :, None], p).reshape(-1, n)
+        below = Subspace.span(field, pushed, ambient_dim=n)
+        if below.dim == flag[-1].dim:
+            return "nilpotency", len(flag) - 1, below.dim
+        flag.append(below)
+    gens = algebra.generators
+    for k, vk in enumerate(flag[1:-1], start=1):
+        escaped = vk.outside(pairwise_mod(gens, vk.basis[:, :, None], p).reshape(-1, n))
+        if escaped.size:
+            g, v = divmod(int(escaped[0]), vk.dim)
+            return "flag", g, k, v
+    quotient = algebra
+    if rad.dim:
+        quotient = algebra_closure(field, _flat_factor_action(flag, gens, p))
+        if quotient.dim + rad.dim != algebra.dim:
+            image = _flat_factor_action(flag, algebra.mats(), p).reshape(algebra.dim, n * n)
+            kernel = matmul_mod(kernel_array(image.T, p), algebra.space.basis, p)
+            return "annihilator", int(rad.outside(Subspace.span(field, kernel, ambient_dim=n * n).basis)[0])
+    again = radical(quotient, _verify=False)
+    return ("quotient", again.dim) if again.dim else None
+
+
+def _witness(alg, claim):
+    try:
+        check_radical_postconditions(alg, claim)
+    except InternalInconsistency as err:
+        return err.witness
+    return None
+
+
+def _assert_certificates_agree(alg):
+    # the radical, 0, the radical less its first or its last row, and the
+    # radical plus the first row of T outside it: the same verdict and the
+    # same witness on pieces as on flat vectors
+    field, n = alg.field, alg.n
+    rad = radical(alg, _verify=False)
+    extra = alg.space.basis[rad.outside(alg.space.basis)[:1]]
+    claims = [rad, Subspace.zero(field, n * n)] + [
+        Subspace.span(field, rows, ambient_dim=n * n)
+        for rows in (rad.basis[1:], rad.basis[:-1], np.concatenate([rad.basis, extra]))]
+    for claim in claims:
+        assert _witness(alg, claim) == _flat_flag_certificate(alg, claim), claim.dim
+    assert _witness(alg, rad) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 3037000493]), data=st.data())
+def test_piece_certificate_equals_the_flat_certificate(p, data):
+    _assert_certificates_agree(algebra_closure(field_ctx(p), _graded_stack(p, data)))
+
+
+def test_piece_certificate_equals_the_flat_certificate_on_the_corpus(schemes):
+    for name, s in schemes.items():
+        for p in (2, 3):
+            _assert_certificates_agree(generate_algebra(build_context(s, field_ctx(p), 0)))
+
+
+def test_claim_with_a_row_of_two_grades_is_witnessed(artifacts):
+    # inside the radical, so in T and nilpotent, but its echelon row i joins
+    # radical rows i < j of different grades: J(T) is graded, so the claim
+    # is rejected at once, and the flat certificate rejects it too
+    rows = []
+    for name, p in (("cyclic-5", 2), ("hamming-2-2", 2), ("hamming-3-2", 3), ("as12-no21", 2)):
+        art = artifacts(name, p)
+        tal, rad, n = art.talgebra, art.rad.basis, art.ctx.n
+        blocks = tal.blocks
+        grades = [{(int(blocks[r]), int(blocks[c])) for r, c in zip(*np.nonzero(row.reshape(n, n)))}
+                  for row in rad]
+        assert all(len(g) == 1 for g in grades)
+        i, j = max((i, j) for i in range(len(rad)) for j in range(i + 1, len(rad)) if grades[i] != grades[j])
+        rows.append(i)
+        mixed = np.concatenate([rad[:i], [(rad[i] + rad[j]) % p]])
+        claim = Subspace.span(tal.field, mixed, ambient_dim=n * n)
+        assert np.array_equal(claim.basis, mixed)
+        message = f"^row {i} of the claimed radical is not homogeneous$"
+        with pytest.raises(InternalInconsistency, match=message) as err:
+            check_radical_postconditions(tal, claim)
+        assert err.value.witness == ("graded", i)
+        assert _flat_flag_certificate(tal, claim) is not None
+    assert len(set(rows)) > 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(p=st.sampled_from([2, 3]), n=st.sampled_from([3, 4]), data=st.data())
 def test_flag_certificate_agrees_with_quotient_rerun(p, n, data):
@@ -1112,12 +1222,15 @@ def test_non_homogeneous_claim_is_rejected_with_its_witness(artifacts, monkeypat
     art = artifacts("cyclic-5", 2)
     ctx, n = art.ctx, art.ctx.n
     mixed = (ctx.Estar[0] + ctx.Estar[1]).reshape(-1)
-    # the idempotent E_0* + E_1* maps V onto V_1 = E_0* V + E_1* V and V_1
-    # onto itself
+    # the idempotent E_0* + E_1* has pieces of grades (0, 0) and (1, 1): it
+    # is rejected as not homogeneous before its flag is built (the flat
+    # certificate found that flag stalling at V_1 = E_0* V + E_1* V)
     claim = Subspace.span(art.field, mixed, ambient_dim=n * n)
-    with pytest.raises(InternalInconsistency, match="^claimed radical is not nilpotent$") as err:
+    message = "^row 0 of the claimed radical is not homogeneous$"
+    with pytest.raises(InternalInconsistency, match=message) as err:
         check_radical_postconditions(art.talgebra, claim)
-    assert err.value.witness == ("nilpotency", 1, 1 + 2)
+    assert err.value.witness == ("graded", 0)
+    assert _flat_flag_certificate(art.talgebra, claim) == ("nilpotency", 1, 1 + 2)
     # a stage kernel row that mixes two grades is rejected with (p^k, row):
     # at stage 2, a row joining the first candidate to one of another grade,
     # added to the rows the stacked graded solve assembled
