@@ -34,7 +34,6 @@ from .talg import (
     b0_b1,
     build_context,
     generate_algebra,
-    graded_outside,
     push,
     radical,
 )
@@ -52,10 +51,10 @@ class Artifacts:
     strata: Strata
     ctx: TalgContext
     talgebra: AlgebraBasis
-    b0: Subspace
-    b1: Subspace
-    rad: Subspace
-    ann: Subspace
+    b0: AlgebraBasis
+    b1: AlgebraBasis
+    rad: AlgebraBasis
+    ann: AlgebraBasis
     module: PrimaryModule
     filt: list[Subspace]
     rad_layers: list[Subspace]
@@ -74,10 +73,10 @@ def compute_artifacts(s: SchemeData, f: FieldCtx, x: int = 0) -> Artifacts:
     filt = filtration(ctx, strata_, module)
     b0, b1 = b0_b1(ctx, talgebra, filt)
     rad = radical(talgebra)
-    ann = annihilator_W0(ctx, talgebra, filt)
+    ann = annihilator_W0(ctx, talgebra)
     digraph = closure_digraph(s, f)
     comp = composition_factors(ctx, strata_, digraph, module)
-    rad_layers = radical_layers(talgebra, rad, filt)
+    rad_layers = radical_layers(rad, filt)
     uniserial = uniserial_check(comp, rad_layers, filt)
     w0sc = selfcontra_W0(module, strata_)
     art = Artifacts(
@@ -108,10 +107,10 @@ def _cross_checks(art: Artifacts) -> None:
 
     Rad(T) W_0 is the radical of the module, which is exactly W_1; it is
     `rad_layers[0]`, computed once from the radical's pieces and shared
-    with `uniserial_check`.  B1 lies in Rad(T), decided piece by piece
-    against the radical's pieces: its echelon rows are homogeneous, as the
-    certificate of `radical` has checked (see `talg.graded_outside`).  When
-    W_0 is irreducible, Rad(T) kills it.
+    with `uniserial_check`.  B1 lies in Rad(T).  When W_0 is irreducible,
+    Rad(T) kills it, so it lies in Ann_T(W_0).  All four spaces are graded
+    over T's blocks, so each containment is decided piece by piece (see
+    `AlgebraBasis.outside`).
 
     A failure names the check and the offending basis element in its
     witness: (check, r, b) when Rad(T) basis element r sends W_0 basis
@@ -121,20 +120,18 @@ def _cross_checks(art: Artifacts) -> None:
     w0, w1, pushed = art.filt[0], art.filt[1], art.rad_layers[0]
     if pushed != w1:
         if not w1.contains(pushed):
-            images, r, b = push(art.talgebra, art.rad, w0.basis)
+            images, r, b = push(art.rad, w0.basis)
             i = int(w1.outside(images)[0])
             witness = ("Rad(T) W_0 in W_1", int(r[i]), int(b[i]))
         else:
             witness = ("W_1 in Rad(T) W_0", int(pushed.outside(w1.basis)[0]))
         raise InternalInconsistency("Rad(T) W_0 != W_1", witness=witness)
-    outside = graded_outside(art.talgebra, art.rad, art.b1.basis)
+    outside = art.rad.outside(art.b1)
     if outside.size:
         raise InternalInconsistency("B1 escapes the radical", witness=("B1 in Rad(T)", int(outside[0])))
-    if art.strata.p_prime_valenced and not art.ann.contains(art.rad):
-        raise InternalInconsistency(
-            "irreducible W_0 but Rad(T) not inside Ann(W_0)",
-            witness=("Rad(T) in Ann(W_0)", int(art.ann.outside(art.rad.basis)[0])),
-        )
+    if art.strata.p_prime_valenced and (outside := art.ann.outside(art.rad)).size:
+        raise InternalInconsistency("irreducible W_0 but Rad(T) not inside Ann(W_0)",
+                                    witness=("Rad(T) in Ann(W_0)", int(outside[0])))
 
 
 @dataclass(eq=False)

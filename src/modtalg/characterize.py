@@ -6,10 +6,10 @@ checked at run time; the remaining three (Krull-Schmidt counts and the
 quantifications over all irreducible modules) are reported as implied by
 item (i).  Computed booleans must agree on every input; divergence raises
 InternalInconsistency because the statements are provably equivalent.
-Items (ii) and (iii) rest on B0's unit, which comes from K^-1: its
-centrality follows from B0 being an ideal (see `check_equivalences`), and
-the complement (I - e) T is compared with the certified annihilator
-Ann_T(W_0) instead of being tested as an ideal again.
+Item (ii) rests on B0's unit, which comes from K^-1: its centrality
+follows from B0 being an ideal (see `check_equivalences`).  Item (iii) is
+decided as T = B0 (+) Ann_T(W_0) on the pieces of the certified ideals,
+which also checks the unit that (ii) found (see `_complement_ideal`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistency
-from .ffmat import Subspace, matmul_mod, pairwise_mod, rref_array
+from .ffmat import matmul_mod, rref_array
+from .talg import AlgebraBasis, block_relations
 
 __all__ = ["CharReport", "CorollaryReport", "b0_unit_element", "check_equivalences", "check_corollary"]
 
@@ -88,46 +89,43 @@ def b0_unit_element(artifacts) -> np.ndarray | None:
     return matmul_mod(matmul_mod(u.T, reduced[:, m:], p), u, p)
 
 
-def _thin_kills(artifacts, space: Subspace) -> bool:
+def _thin_kills(artifacts, space: AlgebraBasis) -> bool:
     """E_i* Z = Z E_i* = 0 for every Z in the space and every thin i.
 
-    E_i* = diag(u_i) with u_i = E_i* 1 a 0/1 vector, so E_i* Z keeps the
-    rows of Z in the support of u_i and Z E_i* its columns."""
-    ctx = artifacts.ctx
-    mats = space.basis.reshape(-1, ctx.n, ctx.n)
-    for i in artifacts.strata.thin:
-        pts = np.flatnonzero(ctx.u[i])
-        if mats[:, pts].any() or mats[:, :, pts].any():
-            return False
-    return True
+    The space is graded over T's blocks, which are the supports of the
+    u_i = E_i* 1 (see `talg.block_relations`), so E_i* is the indicator of
+    the block of i.  An element of grade (a, b) is its one nonzero piece,
+    which E_i* keeps on the left when a is the block of i and on the right
+    when b is, and kills otherwise: the condition holds exactly when no
+    element has a grade with a thin block on either side."""
+    thin = np.isin(block_relations(artifacts.ctx, artifacts.talgebra), artifacts.strata.thin)
+    a, b = np.divmod(space.grades, len(thin))
+    return not (thin[a] | thin[b]).any()
 
 
 def _complement_ideal(artifacts, unit: np.ndarray | None) -> bool:
-    """T = B0 + D with D = (I - e) T a two-sided ideal meeting B0 in 0,
-    decided as dim D + dim B0 = dim T and D = Ann_T(W_0).
+    """Item (iii), T = B0 + D with D a two-sided ideal meeting B0 in 0,
+    decided as T = B0 (+) Ann_T(W_0): no E_i* J E_j* lies in Ann's piece of
+    its grade, dim B0 + dim Ann = dim T, and B0's unit e, if
+    `b0_unit_element` found one, fixes every u_l = E_l* 1.
 
-    Let e = u^T K^-1 u be B0's unit from `b0_unit_element`.  On the basis
-    u_l of W_0, e u_l = sum_i (K^-1 K)_il u_i = u_l, so e acts on W_0 as the
-    identity; t W_0 lies in W_0, so (I - e) t kills W_0 and D is inside Ann.
-    The map t -> (I - e) t has kernel B0: e b = b on B0, and t = e t lies
-    in the ideal B0.  So dim D = dim T - dim B0.  With K invertible, B0
-    acts faithfully on W_0: b = u^T X u sends u_l to sum_i (X K)_il u_i,
-    which is 0 for every l only when X = 0.  So Ann meets B0 in 0, and
-    dim Ann <= dim T - dim B0 = dim D; hence D = Ann, the ideal certified
-    by `annihilator_W0`.  T = B0 + D because t = e t + (I - e) t, and the
-    sum is direct by dimension.  Conversely, a pass makes D that ideal; it
-    meets B0 in 0 by the faithfulness (a unit exists only when K is
-    invertible) and has the complementary dimension."""
-    if unit is None:
+    B0 n Ann is graded, as B0 and Ann are (f_a x f_b lies in both for x in
+    both), and its piece (a, b) is span{E_i* J E_j*} n Ann, i and j the
+    relations of blocks a and b: the first condition is B0 n Ann = 0.
+    b = sum_ij X_ij u_i u_j^T sends u_l to sum_i (X K)_il u_i, K = u u^T,
+    so B0 n Ann = 0 exactly when X K = 0 forces X = 0, that is, when K is
+    invertible and B0's unit e = u^T K^-1 u exists.  Then e u_l = u_l, so
+    (I - e) t kills W_0 for t in T (t W_0 lies in W_0), and t -> (I - e) t
+    has kernel B0 (e b = b, and t = e t lies in the ideal B0): D = (I - e) T
+    lies in Ann and has dim T - dim B0 >= dim Ann.  So D = Ann, the
+    certified ideal, and every condition holds; without the unit the first
+    fails.  Conversely, T = B0 (+) D for an ideal D makes B0 = T / D
+    unital.  The e of `b0_unit_element` is u^T X u, in B0, and e u^T =
+    u^T X K is u^T exactly when X K = I: a wrong unit fails (iii) alone."""
+    b0, ann, u, p = artifacts.b0, artifacts.ann, artifacts.ctx.u, artifacts.field.p
+    if unit is not None and not np.array_equal(matmul_mod(unit, u.T, p), u.T):
         return False
-    ctx = artifacts.ctx
-    p = ctx.field.p
-    n = ctx.n
-    tal = artifacts.talgebra
-    proj = (np.eye(n, dtype=np.int64) - unit) % p
-    dvecs = pairwise_mod(proj[None], tal.mats(), p).reshape(tal.dim, n * n)
-    dspace = Subspace.span(ctx.field, dvecs, ambient_dim=n * n)
-    return dspace.dim + artifacts.b0.dim == tal.dim and dspace == artifacts.ann
+    return b0.dim + ann.dim == artifacts.talgebra.dim and len(ann.outside(b0)) == b0.dim
 
 
 def check_equivalences(artifacts) -> CharReport:

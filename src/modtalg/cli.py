@@ -293,9 +293,9 @@ def cmd_verify(args) -> int:
 
     rad = radical(talgebra, _verify=False)
     if args.inject_radical_fault:
-        extra = talgebra.space.basis[rad.outside(talgebra.space.basis)[0]]
+        extra = talgebra.expand().basis[rad.outside(talgebra)[0]]
         corrupted = Subspace.span(
-            f, np.concatenate([rad.basis, extra[None, :]]), ambient_dim=ctx.n * ctx.n
+            f, np.concatenate([rad.expand().basis, extra[None, :]]), ambient_dim=ctx.n * ctx.n
         )
         try:
             check_radical_postconditions(talgebra, corrupted)
@@ -343,7 +343,7 @@ def cmd_verify(args) -> int:
         if subcount <= 5000:
             filt = filtration(ctx, st, module)
             comp = composition_factors(ctx, st, closure_digraph(s, f), module)
-            uni = uniserial_check(comp, radical_layers(talgebra, rad, filt), filt)
+            uni = uniserial_check(comp, radical_layers(rad, filt), filt)
             fast = (comp.composition_length, sorted(fac.dim for fac in comp.factors), uni)
             brute = oracles.module_lattice_analysis(module.action.all_mats(), f.p)
             if brute != fast:

@@ -17,8 +17,8 @@ is too, with pivots P[piv(K)].  Since B[:, P] = I, (KB)[:, P] = K, so
 l = piv(K)[i], and rows j >= l of B are zero left of P[j] >= P[l], so row
 i of KB is zero left of P[l] and 1 there.  So a kernel basis times a
 basis (`kernel_array` returns its basis reduced) needs no elimination:
-`talg.radical` and `talg.annihilator_W0` form (ker) L on the pieces of T
-and flatten it only at the end, where it passes the O(mn) test.
+`talg.radical` and `talg.annihilator_W0` form (ker) L on the pieces of T,
+and it is the reduced echelon basis of each piece as it stands.
 
 `rref_array` and `kernel_array` also take a stack (s x m x n) and
 eliminate every item at once, one vectorized step per pivot of the item

@@ -291,8 +291,8 @@ def radical_brute(algebra) -> Subspace:
     n = algebra.n
     if p**k > 100_000:
         raise ValueError("algebra too large for exhaustive radical search")
-    basis = algebra.space.basis
-    amats = algebra.mats()
+    basis = algebra.expand().basis
+    amats = basis.reshape(-1, n, n)
     nilpotent_vectors = []
     for coeffs in enumerate_subspaces(p, k):
         if coeffs.shape[0] == 0:

@@ -307,13 +307,13 @@ def composition_factors(
     )
 
 
-def radical_layers(talgebra: AlgebraBasis, rad: Subspace, filt: list[Subspace]) -> list[Subspace]:
+def radical_layers(rad: AlgebraBasis, filt: list[Subspace]) -> list[Subspace]:
     """Rad(T) W_m for every level m = 0..epsilon of the filtration `filt`
     (its last entry is 0), from the pieces of the radical's basis acting on
     the bases of all levels at once (see `talg.push`)."""
-    images, _, vector = push(talgebra, rad, np.concatenate([w.basis for w in filt]))
+    images, _, vector = push(rad, np.concatenate([w.basis for w in filt]))
     level = np.repeat(np.arange(len(filt)), [w.dim for w in filt])[vector]
-    return [Subspace.span(talgebra.field, images[level == m], talgebra.n) for m in range(len(filt) - 1)]
+    return [Subspace.span(rad.field, images[level == m], rad.n) for m in range(len(filt) - 1)]
 
 
 def uniserial_check(report: CompositionReport, layers: list[Subspace], filt: list[Subspace]) -> bool:

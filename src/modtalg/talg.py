@@ -3,7 +3,9 @@
 Builds the adjacency matrices A_i and dual idempotents E_i*(x), generates
 the algebra T(x) by span closure, computes the ideal pair B0/B1 spanned by
 the blocks E_i* J E_j*, the Jacobson radical, and the annihilator of the
-primary module.
+primary module.  Each is held as its pieces under the dual idempotents
+(see `AlgebraBasis`), never as n^2-long rows; `AlgebraBasis.expand` gives
+those rows to the oracles and tests that want them.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ __all__ = [
     "radical",
     "check_radical_postconditions",
     "push",
-    "graded_outside",
+    "block_relations",
     "annihilator_W0",
 ]
 
@@ -143,40 +145,60 @@ def triple_product(ctx: TalgContext, i: int, j: int, l: int) -> np.ndarray:
 
 
 class AlgebraBasis:
-    """The unital algebra T of n x n matrices over GF(p) generated by
-    `generators`, held as its pieces.  `blocks` is a label per point; with
-    f_a the indicator of block a, of k_a points, T must be the direct sum of
-    its pieces f_a T f_b.  `pieces[e]` is a basis element of grade
-    `grades[e]` = a nb + b (nb blocks) as its local k_a x k_b matrix,
-    padded with zeros to K x K, K the largest block.  `space` holds the
-    same basis, row e being pieces[e] flattened row-major to length n^2.
+    """A graded space S of n x n matrices over GF(p), held as its pieces:
+    T(x) and the spaces built from it, B0, B1, Rad(T), Ann_T(W_0) and the
+    Phi(T) of the radical's certificate.  `blocks` is a label per point;
+    with f_a the indicator of block a, of k_a points, S must be the direct
+    sum of its pieces f_a S f_b.  `pieces[e]` is a basis element of grade
+    `grades[e]` = a nb + b (nb blocks) as its local k_a x k_b matrix, padded
+    with zeros to K x K, K the largest block, and `pivots[e]` the position
+    of its leading entry in the row-major order of n x n matrices.
 
-    The pieces given must be the reduced echelon bases of T's pieces; their
-    union, sorted by pivot, is then the reduced row-echelon basis of T (see
-    `algebra_closure`), which is what `space` holds and the order the
-    pieces are kept in.  One block, whose one piece is T, is the grading
-    every algebra has.  Without `generators` the basis stands for them.
+    The pieces given must be the reduced echelon bases of S's pieces; their
+    union, sorted by pivot, is then the reduced row-echelon basis of S (see
+    `algebra_closure`), the order the elements are kept in, and `expand`
+    gives it as n^2-long rows.  One block, whose one piece is S, is the
+    grading every space has.  `generators` is None except for the algebras
+    `algebra_closure` returns, T(x) among them.
     """
 
-    __slots__ = ("field", "n", "generators", "blocks", "pieces", "grades", "space")
+    __slots__ = ("field", "n", "generators", "blocks", "pieces", "grades", "pivots")
 
-    def __init__(self, field: FieldCtx, generators: np.ndarray, blocks: np.ndarray,
+    def __init__(self, field: FieldCtx, generators: np.ndarray | None, blocks: np.ndarray,
                  pieces: np.ndarray, grades: np.ndarray):
-        order, rows, leads = _flatten(pieces, grades, blocks)
-        rows.setflags(write=False)
-        self.field = field
-        self.n = len(blocks)
-        self.blocks = blocks
-        self.pieces, self.grades = pieces[order], grades[order]
-        self.space = Subspace(field, self.n ** 2, rows, tuple(leads.tolist()))
-        self.generators = self.mats() if generators is None else generators
+        n, nb, K = len(blocks), int(blocks.max()) + 1, pieces.shape[-1]
+        points = _points(blocks, K)
+        r, c = np.divmod((pieces.reshape(len(pieces), K * K) != 0).argmax(axis=1), K)
+        leads = points[grades // nb, r] * n + points[grades % nb, c]
+        order = np.argsort(leads)
+        self.field, self.n, self.generators, self.blocks = field, n, generators, blocks
+        self.pieces, self.grades, self.pivots = pieces[order], grades[order], leads[order]
 
     @property
     def dim(self) -> int:
-        return self.space.dim
+        return len(self.pieces)
 
-    def mats(self) -> np.ndarray:
-        return self.space.basis.reshape(-1, self.n, self.n)
+    def outside(self, other: "AlgebraBasis") -> np.ndarray:
+        """Indices, increasing, of the elements of `other`, graded over the
+        same blocks, that lie outside this space: an element lies in it
+        exactly when its one piece lies in this space's piece of the same
+        grade (see `_outside`); every element lies outside 0."""
+        if not self.dim or not other.dim:
+            return np.arange(other.dim)
+        return np.flatnonzero(_outside(self.pieces, self.grades, other.pieces, other.grades,
+                                       int(self.blocks.max()) + 1, self.field.p))
+
+    def expand(self) -> Subspace:
+        """The reduced row-echelon basis as n^2-long rows, for the oracles,
+        `verify` and the tests; `analyze` never calls it."""
+        n, nb = self.n, int(self.blocks.max()) + 1
+        points = _points(self.blocks, self.pieces.shape[-1])
+        e, r, c = np.nonzero(self.pieces)
+        a, b = np.divmod(self.grades[e], nb)
+        rows = np.zeros((self.dim, n * n), dtype=np.int64)
+        rows[e, points[a, r] * n + points[b, c]] = self.pieces[e, r, c]
+        rows.setflags(write=False)
+        return Subspace(self.field, n * n, rows, tuple(self.pivots.tolist()))
 
     def __repr__(self):
         return f"AlgebraBasis(p={self.field.p}, n={self.n}, dim={self.dim})"
@@ -208,32 +230,17 @@ def _local(blocks: np.ndarray) -> np.ndarray:
     return np.cumsum(blocks[:, None] == np.arange(blocks.max() + 1), axis=0)[np.arange(n), blocks] - 1
 
 
-def _flatten(pieces: np.ndarray, grade: np.ndarray,
-             blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, rows, leads): the homogeneous elements pieces[e] of grade
-    grade[e] (see `AlgebraBasis`) as n^2-long rows, row i being element
-    order[i], sorted by the flat positions `leads` of their leading entries.
-    The local row-major order of a piece is the flat order restricted to
-    it, so an element's leading entry is its first nonzero local entry.
-    """
-    n, (m, K, _) = len(blocks), pieces.shape
-    nb = int(blocks.max()) + 1
-    points = np.zeros((nb, K), dtype=np.int64)
-    points[blocks, _local(blocks)] = np.arange(n)
-    pos = ((points[grade // nb] * n)[:, :, None] + points[grade % nb][:, None, :]).reshape(m, K * K)
-    flat = pieces.reshape(m, K * K)
-    leads = pos[np.arange(m), (flat != 0).argmax(axis=1)]
-    order = np.argsort(leads)
-    e, c = np.nonzero(flat)
-    rows = np.zeros((m, n * n), dtype=np.int64)
-    rows[np.argsort(order)[e], pos[e, c]] = flat[e, c]
-    return order, rows, leads[order]
+def _points(blocks: np.ndarray, width: int) -> np.ndarray:
+    """points[a, i]: the i-th point of block a, n past its end, for i < width."""
+    points = np.full((int(blocks.max()) + 1, width), len(blocks))
+    points[blocks, _local(blocks)] = np.arange(len(blocks))
+    return points
 
 
 def _cut(mats: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(owner, grade, pieces), the inverse of `_flatten`: the nonzero pieces
-    f_a m f_b of every n x n matrix m = mats[e], as local matrices padded to
-    K x K (see `AlgebraBasis`), each with its owner e and grade a nb + b,
+    """(owner, grade, pieces), the inverse of `AlgebraBasis.expand`: the
+    nonzero pieces f_a m f_b of every n x n matrix m = mats[e], as local
+    matrices padded to K x K, each with its owner e and grade a nb + b,
     sorted by owner, then grade.  A homogeneous m has one piece; the
     pieces of a reduced echelon basis whose rows are all homogeneous are
     the reduced echelon bases of its pieces (see `algebra_closure`)."""
@@ -337,15 +344,15 @@ def _residuals(vals: np.ndarray, rows: np.ndarray, ext: np.ndarray, pr: np.ndarr
 
 
 def _outside(basis: np.ndarray, bgrade: np.ndarray, pieces: np.ndarray, grade: np.ndarray,
-             owner: np.ndarray, nb: int, p: int) -> np.ndarray:
-    """The owners, increasing, of the pieces (pieces[e] of grade grade[e],
-    padded K x K) that lie outside a graded space given by the reduced
-    echelon bases of its pieces, basis[e] of grade bgrade[e].  A matrix
-    lies in the space exactly when each of its pieces lies in the space's
-    piece of the same grade, which `_residuals` decides for all at once."""
+             nb: int, p: int) -> np.ndarray:
+    """Which pieces (pieces[e] of grade grade[e], padded K x K) lie outside
+    a graded space given by the reduced echelon bases of its pieces,
+    basis[e] of grade bgrade[e], as a boolean per piece.  A matrix lies in
+    the space exactly when each of its pieces lies in the space's piece of
+    the same grade, which `_residuals` decides for all at once."""
     leads = (basis.reshape(len(basis), basis.shape[1] ** 2) != 0).argmax(axis=1)
     _, table, ext, pr, pc = _piece_bases(basis, bgrade, leads, nb)
-    return np.unique(owner[_residuals(pieces, table[grade], ext, pr, pc, p).any(axis=(1, 2))])
+    return _residuals(pieces, table[grade], ext, pr, pc, p).any(axis=(1, 2))
 
 
 def _grouped_rref(rows: np.ndarray, item: np.ndarray, count: int, p: int, height: int = 0):
@@ -487,12 +494,29 @@ def assert_two_sided_ideal(alg: AlgebraBasis, ideal: Subspace, what: str) -> Non
                                     witness=(("left", "right")[side], int(g), int(b)))
 
 
+def block_relations(ctx: TalgContext, talgebra: AlgebraBasis) -> np.ndarray:
+    """The relation of every block of T, after checking that the block is
+    the support of its u_i = E_i* 1, as for T(x), whose generators include
+    every E_i*; then E_i* is the block's indicator f_a.  The context has
+    checked that the u_i partition the points and none is zero, so the
+    blocks are then the supports, one each.  Otherwise
+    InternalInconsistency is raised with the witness ("Ann_T(W0) blocks",
+    block, point) of a point where the block and the support of the u_i
+    at its first point differ.
+    """
+    indicator = talgebra.blocks == np.arange(talgebra.blocks.max() + 1)[:, None]
+    owner = ctx.u[:, indicator.argmax(axis=1)].argmax(axis=0)
+    wrong = ctx.u[owner] != indicator
+    if wrong.any():
+        raise InternalInconsistency("the blocks of T are not the supports of the E_v* 1",
+                                    witness=("Ann_T(W0) blocks", *np.argwhere(wrong)[0].tolist()))
+    return owner
+
+
 def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis,
-          filt: list[Subspace]) -> tuple[Subspace, Subspace]:
+          filt: list[Subspace]) -> tuple[AlgebraBasis, AlgebraBasis]:
     """The ideal B0 = span{E_i* J E_j*} and its sub-ideal B1 from pairs with
-    p | k_i k_j; dim B0 is pinned to (d+1)^2.  B1 is spanned by a subset of
-    those (d+1)^2 matrices, which the pin has just shown independent, so
-    dim B1 is the pair count without a check.
+    p | k_i k_j, graded over T's blocks.
 
     Both are ideals of T because `filtration` checked W_0 = filt[0] and
     W_1 = filt[1] invariant; these must be spanned by the u_i = E_i* 1 used
@@ -505,47 +529,34 @@ def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis,
     B1 = W_1 (x) W_0 + W_0 (x) W_1, closed the same way.  B0 lies in T
     (checked), hence so does B1.
 
-    B0 inside T is decided piece by piece: T is the direct sum of its
-    pieces f_a T f_b, so a matrix lies in T exactly when each of its pieces
-    lies in T's piece of the same grade.  The pieces of u_i u_j^T are the
-    local outer products of u_i on block a and u_j on block b (for T(x),
-    whose blocks are the supports of the u_i, it is the all-ones piece of
-    one grade), each reduced against the echelon basis of its own piece of
-    T at once (see `_outside`).  The u_i u_j^T have disjoint 0/1
-    supports, so sorted by leading column they are in reduced row-echelon
-    form, and `Subspace.span` takes its O(mn) path whatever the order of
-    the points.
-
-    A failed check raises InternalInconsistency with the witness
-    (check, (i, j)): for the dimension, the first pair whose E_i* J E_j*
-    lies in the span of the pairs before it (the first non-pivot column of
-    the products taken as columns); for containment, the first pair whose
-    E_i* J E_j* is not in T.
+    T's blocks are the supports of the u_i (checked by `block_relations`),
+    so u_i u_j^T is the all-ones piece of grade (a, b), a and b the blocks
+    of i and j.  These are (d+1)^2 pieces of distinct grades, each nonzero
+    with leading entry 1, so they are independent and each is the reduced
+    echelon basis of its piece: B0 and B1 need no elimination, and
+    dim B0 = (d+1)^2.  B0 inside T is decided piece by piece, each all-ones
+    piece reduced against the echelon basis of T's piece of its grade (see
+    `_outside`); a failure raises InternalInconsistency with the witness
+    ("B0 not contained in T", (i, j)) of the first pair whose E_i* J E_j*
+    is not in T.
     """
-    d, n, p = ctx.d, ctx.n, ctx.field.p
-    u = ctx.u
+    n, p, nb = ctx.n, ctx.field.p, ctx.d + 1
+    u, blocks = ctx.u, talgebra.blocks
     divisible = np.array([int(k) % p == 0 for k in ctx.scheme.valencies])
     if filt[:2] != [Subspace.span(ctx.field, w, ambient_dim=n) for w in (u, u[divisible])]:
         raise InternalInconsistency("W_0, W_1 are not spanned by their E_i* 1", witness="filtration")
-    outer = (u[:, None, :, None] * u[None, :, None, :]).reshape(-1, n * n)
-    order = np.argsort((outer != 0).argmax(axis=1), kind="stable")
-    b0 = Subspace.span(ctx.field, outer[order], ambient_dim=n * n)
-    if b0.dim != len(outer):
-        k = next(k for k, c in enumerate(rref_array(outer.T, p)[2] + [-1]) if k != c)
-        raise InternalInconsistency(f"dim B0 = {b0.dim}, expected {len(outer)}",
-                                    witness=("dim B0", divmod(k, d + 1)))
-    pieces, nb = talgebra.pieces, int(talgebra.blocks.max()) + 1
-    local = np.zeros((d + 1, nb, pieces.shape[-1]), dtype=np.int64)
-    local[:, talgebra.blocks, _local(talgebra.blocks)] = u
-    i, a = np.nonzero(local.any(axis=2))
-    x, y = np.divmod(np.arange(len(i) ** 2), len(i))
-    outside = _outside(pieces, talgebra.grades, local[i[x], a[x], :, None] * local[i[y], a[y], None, :],
-                       a[x] * nb + a[y], i[x] * (d + 1) + i[y], nb, p)
+    block = np.argsort(block_relations(ctx, talgebra))
+    live = np.arange(talgebra.pieces.shape[-1]) < np.bincount(blocks)[:, None]
+    i, j = np.divmod(np.arange(nb * nb), nb)
+    a, b = block[i], block[j]
+    pieces, grade = (live[a, :, None] & live[b, None, :]).astype(np.int64), a * nb + b
+    outside = np.flatnonzero(_outside(talgebra.pieces, talgebra.grades, pieces, grade, nb, p))
     if outside.size:
         raise InternalInconsistency("B0 not contained in T",
-                                    witness=("B0 not contained in T", divmod(int(outside[0]), d + 1)))
+                                    witness=("B0 not contained in T", divmod(int(outside[0]), nb)))
     pairs = (divisible[:, None] | divisible[None, :]).reshape(-1)
-    return b0, Subspace.span(ctx.field, outer[order][pairs[order]], ambient_dim=n * n)
+    return (AlgebraBasis(ctx.field, None, blocks, pieces, grade),
+            AlgebraBasis(ctx.field, None, blocks, pieces[pairs], grade[pairs]))
 
 
 def _stage_gram(pieces: np.ndarray, grade: np.ndarray, sizes: np.ndarray, p: int,
@@ -625,8 +636,9 @@ def _graded_kernel(images: np.ndarray, grade: np.ndarray, p: int,
     return ker[np.argsort(order[start[which] + (rows != 0).argmax(axis=1)])], int(rank.sum())
 
 
-def radical(algebra: AlgebraBasis, *, _verify: bool = True) -> Subspace:
-    """Jacobson radical of a unital matrix algebra over GF(p).
+def radical(algebra: AlgebraBasis, *, _verify: bool = True) -> AlgebraBasis:
+    """Jacobson radical of a unital matrix algebra over GF(p), graded over
+    the algebra's blocks.
 
     Characteristic-p trace-form iteration: for every p^k <= n the current
     subspace L shrinks to the null space of (x, y) -> c_{p^k}(x y), where
@@ -647,11 +659,10 @@ def radical(algebra: AlgebraBasis, *, _verify: bool = True) -> Subspace:
     rows are checked, and a row that is not homogeneous raises
     InternalInconsistency with the witness (p^k, row).  A row of the kernel
     combines elements of one piece, so (ker G) L is the same combination of
-    their local matrices, with the grade of the row's pivot.  The rows of
-    (ker G) L are independent, both factors being reduced bases, and in
-    flat coordinates they are in reduced row-echelon form already, in order
-    (see `ffmat`): the result, flattened, passes the O(mn) test of
-    `rref_array` in `Subspace.span`.
+    their local matrices, with the grade of the row's pivot.  Per grade,
+    (ker G) L is the product of two reduced bases, so it is the reduced
+    echelon basis of the new candidate's piece with no elimination (see
+    `ffmat`), the form `AlgebraBasis` holds.
 
     A nonzero result is certified by `check_radical_postconditions` on
     every call, on the flag it spans in GF(p)^n, built block by block from
@@ -663,8 +674,7 @@ def radical(algebra: AlgebraBasis, *, _verify: bool = True) -> Subspace:
     and Phi is the identity), and its step 4, the stage radical of T, is
     this computation, deterministic, which has just returned 0.
     """
-    field, p, n = algebra.field, algebra.field.p, algebra.n
-    sizes = np.bincount(algebra.blocks)
+    p, sizes = algebra.field.p, np.bincount(algebra.blocks)
     pieces, grade = algebra.pieces, algebra.grades
     power = 1
     while power <= sizes.max() and len(pieces):
@@ -678,10 +688,8 @@ def radical(algebra: AlgebraBasis, *, _verify: bool = True) -> Subspace:
             pieces = matmul_mod(ker, pieces.reshape(len(pieces), -1), p).reshape(-1, *pieces.shape[1:])
             grade = grade[lead]
         power *= p
-    if not len(pieces):
-        return Subspace.zero(field, n * n)
-    rad = Subspace.span(field, _flatten(pieces, grade, algebra.blocks)[1], ambient_dim=n * n)
-    if _verify:
+    rad = AlgebraBasis(algebra.field, None, algebra.blocks, pieces, grade)
+    if _verify and rad.dim:
         check_radical_postconditions(algebra, rad)
     return rad
 
@@ -731,14 +739,15 @@ def _loewy_flag(pieces: np.ndarray, grade: np.ndarray, sizes: np.ndarray, p: int
     return levels, adapted, inverse, level
 
 
-def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
+def check_radical_postconditions(algebra: AlgebraBasis, rad: AlgebraBasis | Subspace) -> None:
     """Certify that the claim R = `rad` is the Jacobson radical J(T) of the
     algebra T, on its Loewy flag in the standard module V = GF(p)^n: J(T) is
     the annihilator of a flag of submodules with semisimple factors (Curtis
     & Reiner, Methods of Representation Theory, section 5).  The claim is
     never trusted, so this certifies any subspace, not only the output of
-    `radical`.  Every step runs on the pieces of T's grading (see
-    `AlgebraBasis`; f_a is the indicator of block a, S_ab = f_a T f_b).
+    `radical`: graded over T's blocks, or as a `Subspace` of n^2-long rows.
+    Every step runs on the pieces of T's grading (see `AlgebraBasis`; f_a
+    is the indicator of block a, S_ab = f_a T f_b).
 
     1. R lies in T: each piece of each row of R lies in T's piece of its
        grade (see `_outside`).  Every row of R's reduced echelon basis is
@@ -747,7 +756,9 @@ def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
        echelon rows of such a graded space are homogeneous (see
        `algebra_closure`).  A claim with a row that is not is not J(T), and
        rejecting it loses no valid claim.  R is then the direct sum of the
-       R_ab, its rows of grade (a, b) being their echelon bases.
+       R_ab, its rows of grade (a, b) being their echelon bases.  A graded
+       claim holds only homogeneous rows; a flat one is cut into its pieces
+       (see `_claim`).
     2. The flag V_0 = V, V_(k+1) = R V_k reaches 0.  It decreases: V_1 lies
        in V_0, and V_(k+1) = R V_k lies in R V_(k-1) = V_k.  So it stops at
        the first V_(k+1) = V_k, and if that V_k is not 0, then R^j V_k = V_k
@@ -810,26 +821,16 @@ def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
     only then, as R plus the kernel of Phi on C, or ("quotient", dim of the
     stage radical of Phi(T)).
     """
-    quotient = algebra
+    rad, quotient = _claim(algebra, rad), algebra
     if rad.dim:
         field, n, p, blocks = algebra.field, algebra.n, algebra.field.p, algebra.blocks
         nb, K = int(blocks.max()) + 1, algebra.pieces.shape[-1]
-        owner, grade, pieces = _cut(rad.basis.reshape(rad.dim, n, n), blocks)
-        outside = _outside(algebra.pieces, algebra.grades, pieces, grade, owner, nb, p)
-        if outside.size:
-            raise InternalInconsistency("claimed radical is not contained in the algebra",
-                                        witness=("containment", int(outside[0])))
-        mixed = owner[1:][np.diff(owner) == 0]
-        if mixed.size:
-            raise InternalInconsistency(f"row {mixed[0]} of the claimed radical is not homogeneous",
-                                        witness=("graded", int(mixed[0])))
-        levels, adapted, inverse, level = _loewy_flag(pieces, grade, np.bincount(blocks), p)
+        levels, adapted, inverse, level = _loewy_flag(rad.pieces, rad.grades, np.bincount(blocks), p)
         # step 3; v numbers V_k's flat echelon basis, every block's rows at
         # their points, sorted by pivot
         owner, grade, pieces = _cut(algebra.generators, blocks)
         a, b = np.divmod(grade, nb)
-        points = np.full((nb, K + 1), n)
-        points[blocks, _local(blocks)] = np.arange(n)
+        points = _points(blocks, K + 1)
         for k, (basis, pivots) in enumerate(levels[1:], start=1):
             coords = matmul_mod(inverse[a], matmul_mod(pieces, basis[b].transpose(0, 2, 1), p), p)
             e, j = np.nonzero(((coords != 0) & (level[a] < k)[:, :, None]).any(axis=1))
@@ -841,7 +842,7 @@ def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
                                             witness=("flag", g, k, v))
         # Phi(C), C the rows of T's basis whose pivots R lacks: the
         # level-diagonal part of B_a^-1 t B_b for t of grade (a, b)
-        comp = ~np.isin(algebra.space.pivots, rad.pivots)
+        comp = ~np.isin(algebra.pivots, rad.pivots)
         c, cgrade = algebra.pieces[comp], algebra.grades[comp]
         ca, cb = np.divmod(cgrade, nb)
         phi = matmul_mod(matmul_mod(inverse[ca], c, p), adapted[cb], p)
@@ -849,8 +850,12 @@ def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
         keys, item = np.unique(cgrade, return_inverse=True)
         reduced, rank, _ = _grouped_rref(phi, item, len(keys), p)
         if rank.sum() < len(c):
-            kernel = matmul_mod(_graded_kernel(phi, cgrade, p)[0], algebra.space.basis[comp], p)
-            extra = rad.outside(Subspace.span(field, np.concatenate([rad.basis, kernel])).basis)
+            ker = _graded_kernel(phi, cgrade, p)[0]
+            kernel = matmul_mod(ker, c.reshape(len(c), -1), p).reshape(-1, K, K)
+            kgrade = cgrade[(ker != 0).argmax(axis=1)]
+            found = _echelon_by_piece(np.concatenate([rad.pieces, kernel]), np.append(rad.grades, kgrade),
+                                      np.bincount(blocks), p)
+            extra = rad.outside(AlgebraBasis(field, None, blocks, *found[:2]))
             raise InternalInconsistency(
                 f"the radical's flag is annihilated by dim {algebra.dim - int(rank.sum())}, not {rad.dim}",
                 witness=("annihilator", int(extra[0])))
@@ -862,87 +867,86 @@ def check_radical_postconditions(algebra: AlgebraBasis, rad: Subspace) -> None:
                                     witness=("quotient", again.dim))
 
 
-def push(algebra: AlgebraBasis, sub: Subspace, vectors: np.ndarray) -> tuple[np.ndarray, ...]:
+def _claim(algebra: AlgebraBasis, rad: AlgebraBasis | Subspace) -> AlgebraBasis:
+    """Step 1 of `check_radical_postconditions`: the claim, graded over the
+    algebra's blocks, once each piece of each of its rows is found in the
+    algebra's piece of its grade and each row is homogeneous.  A flat claim
+    is cut into its pieces here, the one place it is converted."""
+    nb, p = int(algebra.blocks.max()) + 1, algebra.field.p
+    if isinstance(rad, Subspace):
+        owner, grade, pieces = _cut(rad.basis.reshape(rad.dim, algebra.n, algebra.n), algebra.blocks)
+    else:
+        owner, grade, pieces = np.arange(rad.dim), rad.grades, rad.pieces
+    outside = owner[_outside(algebra.pieces, algebra.grades, pieces, grade, nb, p)]
+    if outside.size:
+        raise InternalInconsistency("claimed radical is not contained in the algebra",
+                                    witness=("containment", int(outside[0])))
+    mixed = owner[1:][np.diff(owner) == 0]
+    if mixed.size:
+        raise InternalInconsistency(f"row {mixed[0]} of the claimed radical is not homogeneous",
+                                    witness=("graded", int(mixed[0])))
+    return AlgebraBasis(algebra.field, None, algebra.blocks, pieces, grade)
+
+
+def push(sub: AlgebraBasis, vectors: np.ndarray) -> tuple[np.ndarray, ...]:
     """(images, element, vector): the nonzero products s v, as rows of
-    length n, of the basis elements s = sub.basis[element] of a subspace of
-    T whose echelon rows are homogeneous, as the radical's are (see
-    `check_radical_postconditions`, step 1), and the rows v =
-    vectors[vector], in order of (element, vector).
+    length n, of the basis elements s of a graded space, element e being
+    s = sub.pieces[e], and the rows v = vectors[vector], in order of
+    (element, vector).
 
     An s of grade (a, b) sends v to s (v on block b), placed on block a: a
     product of local matrices of at most K points a side, instead of an
     n x n product.
     """
-    n, p, blocks = algebra.n, algebra.field.p, algebra.blocks
-    if not sub.dim:
-        return np.zeros((0, n), dtype=np.int64), *np.zeros((2, 0), dtype=np.int64)
-    nb, K, local = int(blocks.max()) + 1, algebra.pieces.shape[-1], _local(blocks)
-    owner, grade, pieces = _cut(sub.basis.reshape(sub.dim, n, n), blocks)
+    n, p, blocks = sub.n, sub.field.p, sub.blocks
+    nb, K, local = int(blocks.max()) + 1, sub.pieces.shape[-1], _local(blocks)
     onblocks = np.zeros((len(vectors), nb, K), dtype=np.int64)
     onblocks[:, blocks, local] = vectors
     placed = np.zeros((sub.dim, nb, K, len(vectors)), dtype=np.int64)
-    placed[owner, grade // nb] = matmul_mod(pieces, onblocks[:, grade % nb].transpose(1, 2, 0), p)
+    placed[np.arange(sub.dim), sub.grades // nb] = matmul_mod(
+        sub.pieces, onblocks[:, sub.grades % nb].transpose(1, 2, 0), p)
     images = placed[:, blocks, local].transpose(0, 2, 1).reshape(-1, n)
     keep = np.flatnonzero(images.any(axis=1))
     return images[keep], *np.divmod(keep, len(vectors))
 
 
-def graded_outside(algebra: AlgebraBasis, sub: Subspace, rows: np.ndarray) -> np.ndarray:
-    """Indices, increasing, of the n^2-long rows outside `sub`, a subspace
-    of T whose echelon rows are homogeneous, as the radical's are (see
-    `check_radical_postconditions`, step 1).  Then sub's rows of grade
-    (a, b) are the reduced echelon basis of its piece f_a sub f_b, and a
-    row lies in sub exactly when each of its pieces lies in sub's piece of
-    its grade (see `_outside`)."""
-    if not sub.dim or not len(rows):
-        return np.flatnonzero(rows.any(axis=1))
-    mats = np.concatenate([sub.basis, rows]).reshape(-1, algebra.n, algebra.n)
-    owner, grade, pieces = _cut(mats, algebra.blocks)
-    ours = owner < sub.dim
-    return _outside(pieces[ours], grade[ours], pieces[~ours], grade[~ours], owner[~ours] - sub.dim,
-                    int(algebra.blocks.max()) + 1, algebra.field.p)
+def annihilator_W0(ctx: TalgContext, talgebra: AlgebraBasis) -> AlgebraBasis:
+    """Ann_T(W_0): the elements of T that kill W_0, the span of the
+    u_v = E_v* 1 (`b0_b1` checks that `filtration`'s W_0 is), graded over
+    T's blocks.  It is an ideal of T because `filtration` checked W_0
+    invariant: for s in Ann and t in T, ts W_0 = 0 and st W_0 lies in
+    s W_0 = 0.
 
+    Solved on T's pieces.  T's blocks are the supports of the u_v (checked
+    by `block_relations`), so an element x of grade (a, b) sends the u_v of
+    block b to its local row sums on block a and every other u_v to 0.
+    Elements of different grades so map into independent coordinates
+    (block a, u_v), and Ann, in the coordinates of T's basis, is the direct
+    sum of the left kernels of the row sums, one per grade, solved in one
+    stacked elimination (see `_graded_kernel`); (ker) L on T's pieces is
+    the reduced echelon basis of Ann's pieces, as in `radical`.
 
-def annihilator_W0(ctx: TalgContext, talgebra: AlgebraBasis, filt: list[Subspace]) -> Subspace:
-    """Ann_T(W_0): the elements of T that kill W_0 = filt[0], spanned by the
-    u_v = E_v* 1 (`b0_b1` checks that), as a subspace of n x n matrices.
-
-    It is an ideal of T because `filtration` checked W_0 invariant: for s
-    in Ann and t in T, ts W_0 = 0 and st W_0 lies in s W_0 = 0.
-
-    Solved on T's pieces.  The blocks of T must be the supports of the u_v,
-    one block each, as they are for T(x), whose generators include every
-    E_v*; otherwise InternalInconsistency is raised with the witness
-    ("Ann_T(W0) blocks", block, point) of a point where the block and the
-    support of the u_v at its first point differ.  Then an element x of
-    grade (a, b) sends the u_v of block b to its local row sums on block a
-    and every other u_v to 0.  Elements of different grades so map into
-    independent coordinates (block a, u_v), and Ann, in the coordinates of
-    T's basis, is the direct sum of the left kernels of the row sums, one
-    per grade, solved in one stacked elimination (see `_graded_kernel`).
-
-    The computed kernel is certified: its basis kills W_0's (so it lies in
-    Ann, being made from T's basis), and dim Ann + rank of the images =
-    dim T, the rank read off the same elimination (so it is all of Ann).
+    Certified: the row sums of the result vanish, so it kills W_0 (and lies
+    in Ann, being made from T's basis); its leading entries are distinct,
+    so it is independent; and its dimension plus the rank of the row sums,
+    read off the same elimination, is dim T.  A failure raises
+    InternalInconsistency with the witness ("Ann_T(W0)", element, v) for
+    the first element that does not kill basis vector v of W_0 (the u_v in
+    order of their first points), or "Ann_T(W0) dimension".
     """
-    n, p = ctx.n, ctx.field.p
-    blocks, pieces, grade = talgebra.blocks, talgebra.pieces, talgebra.grades
-    owner = ctx.u[:, np.unique(blocks, return_index=True)[1]].argmax(axis=0)
-    wrong = np.argwhere(ctx.u[owner] != (blocks == np.arange(len(owner))[:, None]))
-    if wrong.size:
-        raise InternalInconsistency("the blocks of T are not the supports of the E_v* 1",
-                                    witness=("Ann_T(W0) blocks", *wrong[0].tolist()))
+    p, blocks = ctx.field.p, talgebra.blocks
+    block_relations(ctx, talgebra)
+    pieces, grade = talgebra.pieces, talgebra.grades
     ker, rank = _graded_kernel(pieces.sum(axis=2) % p, grade, p)
     mats = matmul_mod(ker, pieces.reshape(len(pieces), -1), p).reshape(-1, *pieces.shape[1:])
-    ann = Subspace.span(ctx.field, _flatten(mats, grade[(ker != 0).argmax(axis=1)], blocks)[1])
-    w0t = filt[0].basis.T
-    kills = matmul_mod(ann.basis.reshape(-1, n), w0t, p).reshape(ann.dim, n, w0t.shape[1])
-    bad = np.argwhere(kills.any(axis=1))
+    ann = AlgebraBasis(ctx.field, None, blocks, mats, grade[(ker != 0).argmax(axis=1)])
+    bad = np.flatnonzero((ann.pieces.sum(axis=2) % p).any(axis=1))
     if bad.size:
-        a, v = (int(i) for i in bad[0])
+        a, first = int(bad[0]), np.unique(blocks, return_index=True)[1]
+        v = int(np.argsort(np.argsort(first))[ann.grades[a] % len(first)])
         raise InternalInconsistency(f"Ann_T(W0) element {a} does not kill basis vector {v} of W_0",
                                     witness=("Ann_T(W0)", a, v))
-    if ann.dim + rank != talgebra.dim:
+    if len(np.unique(ann.pivots)) + rank != talgebra.dim:
         raise InternalInconsistency(f"dim Ann_T(W0) = {ann.dim}, but dim T - rank = "
                                     f"{talgebra.dim - rank}", witness="Ann_T(W0) dimension")
     return ann

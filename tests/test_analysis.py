@@ -4,13 +4,18 @@ InternalInconsistency whose witness names the check and the offending
 element."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from modtalg.analysis import _cross_checks, analyze
+from modtalg.analysis import _cross_checks, analyze, report_to_json
 from modtalg.errors import InternalInconsistency
 from modtalg.ffmat import Subspace, field_ctx
+from modtalg.scheme import gen_cyclic, gen_hamming, validate_axioms
+from modtalg.talg import AlgebraBasis
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 
 def _raises(art):
@@ -33,10 +38,11 @@ def test_radical_image_outside_W1_is_witnessed(artifacts):
     assert str(err) == "Rad(T) W_0 != W_1"
     check, r, b = err.witness
     assert check == "Rad(T) W_0 in W_1"
-    image = art.rad.basis[r].reshape(n, n) @ art.filt[0].basis[b] % 2
+    rad = art.rad.expand().basis
+    image = rad[r].reshape(n, n) @ art.filt[0].basis[b] % 2
     assert image.any()
     # every earlier (element, vector) pair maps to zero
-    earlier = art.rad.basis[:r].reshape(-1, n, n) @ art.filt[0].basis.T % 2
+    earlier = rad[:r].reshape(-1, n, n) @ art.filt[0].basis.T % 2
     assert not earlier.any()
 
 
@@ -56,8 +62,9 @@ def test_B1_outside_the_radical_is_witnessed(artifacts):
     assert str(err) == "B1 escapes the radical"
     check, i = err.witness
     assert check == "B1 in Rad(T)"
-    assert art.rad.outside([art.b0.basis[i]]).size
-    assert not art.rad.outside(art.b0.basis[:i]).size
+    rad, b0 = art.rad.expand(), art.b0.expand()
+    assert rad.outside([b0.basis[i]]).size
+    assert not rad.outside(b0.basis[:i]).size
 
 
 def test_radical_outside_the_annihilator_is_witnessed(artifacts):
@@ -65,14 +72,29 @@ def test_radical_outside_the_annihilator_is_witnessed(artifacts):
     # keeps the first two checks satisfied
     art = artifacts("cyclic-5", 3)
     assert art.strata.p_prime_valenced and art.ann.dim > 0
-    zero = Subspace.zero(art.field, art.ctx.n ** 2)
-    err = _raises(replace(art, rad=art.ann, ann=zero))
+    ann = art.ann
+    zero = AlgebraBasis(ann.field, None, ann.blocks, ann.pieces[:0], ann.grades[:0])
+    err = _raises(replace(art, rad=ann, ann=zero))
     assert str(err) == "irreducible W_0 but Rad(T) not inside Ann(W_0)"
     assert err.witness == ("Rad(T) in Ann(W_0)", 0)
-    assert np.any(art.ann.basis[0])
+    assert np.any(ann.expand().basis[0])
 
 
 def test_analysis_without_base_points_is_witnessed(schemes):
     with pytest.raises(InternalInconsistency, match="^no base points requested$") as err:
         analyze(schemes["cyclic-5"], field_ctx(3), [])
     assert err.value.witness == ("base points", ())
+
+
+def test_analysis_never_expands_a_graded_space(monkeypatch):
+    # T, B0, B1, Rad(T) and Ann_T(W_0) stay in pieces: the one helper that
+    # forms n^2-long rows is refused, and the reports match their goldens
+    def refuse(space):
+        raise AssertionError(f"{space} expanded to n^2-long rows")
+
+    monkeypatch.setattr(AlgebraBasis, "expand", refuse)
+    for table, name, base_points, golden in (
+            (gen_cyclic(16), "cyclic-16", (0,), GOLDEN / "cyclic16-p2" / "cyclic-16-p2.json"),
+            (gen_hamming(3, 2), "hamming-3-2", range(8), GOLDEN / "corpus-allbp" / "hamming-3-2-p2.json")):
+        report = analyze(validate_axioms(table), field_ctx(2), base_points, name)
+        assert report_to_json(report) == golden.read_text(), name

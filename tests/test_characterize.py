@@ -5,7 +5,7 @@ import pytest
 from test_talg import _central_by_full_basis, _ideal_by_full_basis
 
 from modtalg import analysis, characterize
-from modtalg.analysis import analyze
+from modtalg.analysis import analyze, compute_artifacts
 from modtalg.characterize import (
     _complement_ideal,
     b0_unit_element,
@@ -13,7 +13,9 @@ from modtalg.characterize import (
     check_equivalences,
 )
 from modtalg.errors import InternalInconsistency
-from modtalg.ffmat import Subspace, field_ctx, solve_array
+from modtalg.ffmat import Subspace, field_ctx, pairwise_mod, solve_array
+from modtalg.scheme import gen_hamming, validate_axioms
+from modtalg.talg import AlgebraBasis, _claim
 
 PRIMES = (2, 3, 5, 7)
 
@@ -100,7 +102,7 @@ def test_b0_unit_is_central_where_it_exists(artifacts, schemes):
 def _unit_by_dense_solve(art):
     # e b = b and b e = b on every entry of every product, as a reference
     p, n, k = art.field.p, art.ctx.n, art.b0.dim
-    basis = art.b0.basis
+    basis = art.b0.expand().basis
     bm = basis.reshape(k, n, n)
     left = np.einsum("aij,bjk->baik", bm, bm).reshape(k, k, n * n).transpose(0, 2, 1)
     right = np.einsum("bij,ajk->baik", bm, bm).reshape(k, k, n * n).transpose(0, 2, 1)
@@ -141,27 +143,54 @@ def test_report_serialization_is_stable(schemes):
     assert '"schema": 1' in r1
 
 
+def _complement_span(art, unit):
+    # D = (I - e) T as n^2-long rows, every product dense
+    p, n = art.field.p, art.ctx.n
+    proj = (np.eye(n, dtype=np.int64) - unit) % p
+    mats = art.talgebra.expand().basis.reshape(-1, n, n)
+    return Subspace.span(art.field, pairwise_mod(proj[None], mats, p).reshape(len(mats), n * n),
+                         ambient_dim=n * n)
+
+
 def _complement_ideal_dense(art, unit):
     # the definition of (iii): D = (I - e) T is complementary to B0 and a two-sided ideal
     if unit is None:
         return False
-    p, n, tal = art.field.p, art.ctx.n, art.talgebra
-    proj = (np.eye(n, dtype=np.int64) - unit) % p
-    dspace = Subspace.span(art.field, (proj @ tal.mats() % p).reshape(tal.dim, n * n),
-                           ambient_dim=n * n)
-    return (dspace.dim + art.b0.dim == tal.dim
-            and dspace.sum(art.b0).dim == tal.dim
+    dspace, tal, b0 = _complement_span(art, unit), art.talgebra, art.b0.expand()
+    return (dspace.dim + b0.dim == tal.dim
+            and dspace.sum(b0).dim == tal.dim
             and _ideal_by_full_basis(tal, dspace))
 
 
+def _complement_is_the_annihilator(art, unit):
+    # the flat decision (iii) replaced: D = (I - e) T has the complementary
+    # dimension and equals the certified Ann_T(W_0)
+    if unit is None:
+        return False
+    dspace = _complement_span(art, unit)
+    return dspace.dim + art.b0.dim == art.talgebra.dim and dspace == art.ann.expand()
+
+
 def test_complement_ideal_matches_dense_definition(artifacts, schemes):
-    for name in schemes:
+    for name, s in schemes.items():
         for p in PRIMES:
-            art = artifacts(name, p)
-            unit = b0_unit_element(art)
-            # 2e is not B0's unit, so both definitions must also agree on a refusal
-            for e in (unit,) if unit is None else (unit, 2 * unit % p):
-                assert _complement_ideal(art, e) == _complement_ideal_dense(art, e), (name, p)
+            for x in range(s.n):
+                art = artifacts(name, p, x)
+                unit = b0_unit_element(art)
+                # 2e is not B0's unit, so both definitions must also agree on a refusal
+                for e in (unit,) if unit is None else (unit, 2 * unit % p):
+                    want = _complement_ideal_dense(art, e)
+                    assert _complement_ideal(art, e) == want, (name, p, x)
+                    assert _complement_is_the_annihilator(art, e) == want, (name, p, x)
+
+
+def test_complement_ideal_matches_the_flat_decision_on_hamming_8_2_at_p3():
+    # p'-valenced, no k_i = C(8, i) being divisible by 3, so B0's unit exists
+    # and the flat decision forms (I - e) T for all 165 elements of T
+    art = compute_artifacts(validate_axioms(gen_hamming(8, 2)), field_ctx(3), 0)
+    unit = b0_unit_element(art)
+    assert art.strata.p_prime_valenced and unit is not None
+    assert _complement_ideal(art, unit) is _complement_is_the_annihilator(art, unit) is True
 
 
 def _only_iii_fails(err):
@@ -174,9 +203,21 @@ def test_annihilator_missing_a_row_breaks_item_iii(artifacts):
     art = artifacts("cyclic-5", 3)
     ann = art.ann
     assert ann.dim > 0
-    short = Subspace.span(art.field, ann.basis[1:], ambient_dim=ann.ambient_dim)
+    short = AlgebraBasis(art.field, None, ann.blocks, ann.pieces[1:], ann.grades[1:])
     with pytest.raises(InternalInconsistency, match="diverge") as err:
         check_equivalences(replace(art, ann=short))
+    _only_iii_fails(err)
+
+
+def test_annihilator_meeting_b0_breaks_item_iii(artifacts):
+    # Ann with its last row traded for E_1* J E_1*: the dimensions still add
+    # up to dim T, but the sum is no longer direct
+    art = artifacts("cyclic-5", 3)
+    eje = art.ctx.eje(1, 1).reshape(1, -1)
+    ann = Subspace.span(art.field, np.concatenate([art.ann.expand().basis[:-1], eje]))
+    assert ann.dim == art.ann.dim
+    with pytest.raises(InternalInconsistency, match="diverge") as err:
+        check_equivalences(replace(art, ann=_claim(art.talgebra, ann)))
     _only_iii_fails(err)
 
 

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from modtalg.errors import (
     PrimeTooLarge,
 )
 from modtalg.analysis import compute_artifacts
-from modtalg.characterize import b0_unit_element
+from modtalg.characterize import _thin_kills, b0_unit_element
 from modtalg.ffmat import (
     Subspace,
     charpoly_coeffs,
@@ -213,11 +214,11 @@ def _assert_closed(alg):
     # independent of how the closure ran, and of `Subspace.reduce`: adding
     # I, the generators g and every g b and b g (b in the basis) to the
     # basis leaves the rank unchanged
-    n, p = alg.n, alg.field.p
-    mats = alg.mats()
+    n, p, basis = alg.n, alg.field.p, alg.expand().basis
+    mats = basis.reshape(-1, n, n)
     left = np.einsum("gij,bjk->gbik", alg.generators, mats) % p
     right = np.einsum("bij,gjk->gbik", mats, alg.generators) % p
-    everything = [alg.space.basis, np.eye(n, dtype=np.int64).reshape(1, -1),
+    everything = [basis, np.eye(n, dtype=np.int64).reshape(1, -1),
                   alg.generators.reshape(-1, n * n), left.reshape(-1, n * n),
                   right.reshape(-1, n * n)]
     assert rref_array(np.concatenate(everything), p)[1] == alg.dim
@@ -226,8 +227,8 @@ def _assert_closed(alg):
 def _assert_closure_matches_full_rounds(f, gens):
     alg = algebra_closure(f, gens)
     want = _closure_by_full_rounds(f, gens)
-    assert alg.space.pivots == want.pivots
-    assert alg.space.basis.tobytes() == want.basis.tobytes()
+    assert alg.expand().pivots == want.pivots
+    assert alg.expand().basis.tobytes() == want.basis.tobytes()
     _assert_closed(alg)
 
 
@@ -273,8 +274,8 @@ def _flat_worklist_closure(f, gens):
 def _assert_closure_matches_flat_worklist(f, gens):
     alg = algebra_closure(f, gens)
     want = _flat_worklist_closure(f, gens)
-    assert alg.space.pivots == want.pivots
-    assert alg.space.basis.tobytes() == want.basis.tobytes()
+    assert alg.expand().pivots == want.pivots
+    assert alg.expand().basis.tobytes() == want.basis.tobytes()
 
 
 def _graded_stack(p, data):
@@ -382,9 +383,9 @@ def test_b0_identity_thin_scheme():
 def test_b0_identity_cyclic5_p3_central():
     art = compute_artifacts(validate_axioms(gen_cyclic(5)), field_ctx(3), 0)
     e = b0_unit_element(art)
-    bm = art.b0.basis.reshape(-1, art.ctx.n, art.ctx.n)
+    bm = art.b0.expand().basis.reshape(-1, art.ctx.n, art.ctx.n)
     assert np.array_equal((e @ bm) % 3, bm) and np.array_equal((bm @ e) % 3, bm)
-    tm = art.talgebra.mats()
+    tm = art.talgebra.expand().basis.reshape(-1, art.ctx.n, art.ctx.n)
     assert np.array_equal((e @ tm) % 3, (tm @ e) % 3)
 
 
@@ -400,22 +401,26 @@ def _cyclic5_p3():
 
 
 def test_dependent_b0_spanning_set_is_witnessed():
-    # E_2* 1 replaced by E_1* 1, so E_0* J E_2* = E_0* J E_1* is the first dependent pair
+    # E_2* 1 replaced by E_1* 1, so E_0* J E_2* = E_0* J E_1* would be the
+    # first dependent pair; T's block 0, the points {2, 3} of relation 2, is
+    # now no support, and its first point lies in none: the block check of
+    # b0_b1 names point 0 of u_0, which that block lacks
     ctx, t = _cyclic5_p3()
     ctx.u = ctx.u[[0, 1, 1]]
     filt = [Subspace.span(ctx.field, ctx.u, ambient_dim=ctx.n), Subspace.zero(ctx.field, ctx.n)]
-    with pytest.raises(InternalInconsistency, match="^dim B0 = 4, expected 9$") as err:
+    with pytest.raises(InternalInconsistency, match="^the blocks of T are not the supports") as err:
         b0_b1(ctx, t, filt)
-    assert err.value.witness == ("dim B0", (0, 2))
+    assert err.value.witness == ("Ann_T(W0) blocks", 0, 0)
 
 
 def test_b0_outside_the_algebra_is_witnessed():
-    # the Bose-Mesner algebra has a constant diagonal, so it misses E_0* J E_0* = e_x e_x^T
+    # the algebra of the E_i* alone has the blocks of T(x), but it is
+    # diagonal: it holds E_0* J E_0* = e_x e_x^T and misses E_0* J E_1*
     ctx, _ = _cyclic5_p3()
-    bose_mesner = algebra_closure(ctx.field, ctx.A)
+    diagonal = algebra_closure(ctx.field, ctx.Estar)
     with pytest.raises(InternalInconsistency, match="^B0 not contained in T$") as err:
-        b0_b1(ctx, bose_mesner, _filtration(ctx))
-    assert err.value.witness == ("B0 not contained in T", (0, 0))
+        b0_b1(ctx, diagonal, _filtration(ctx))
+    assert err.value.witness == ("B0 not contained in T", (0, 1))
 
 
 def _closure_of(f, mats):
@@ -429,7 +434,7 @@ def test_radical_upper_triangular():
         assert alg.dim == 3
         rad = radical(alg)
         assert rad.dim == 1
-        assert not rad.outside([[0, 1, 0, 0]]).size
+        assert not rad.expand().outside([[0, 1, 0, 0]]).size
 
 
 def test_radical_full_matrix_algebra():
@@ -453,7 +458,7 @@ def test_radical_group_algebra_c2_mod2():
     assert alg.dim == 2
     rad = radical(alg)
     assert rad.dim == 1
-    assert not rad.outside([(np.eye(2, dtype=np.int64) + ctx.A[1]).reshape(-1) % 2]).size
+    assert not rad.expand().outside([(np.eye(2, dtype=np.int64) + ctx.A[1]).reshape(-1) % 2]).size
 
 
 def test_radical_cyclic5_p3_is_zero(artifacts):
@@ -462,10 +467,11 @@ def test_radical_cyclic5_p3_is_zero(artifacts):
 
 def test_radical_postconditions_reject_corruption(artifacts):
     art = artifacts("cyclic-5", 2)
-    extra = next(row for row in art.talgebra.space.basis if art.rad.outside([row]).size)
+    rad = art.rad.expand()
+    extra = next(row for row in art.talgebra.expand().basis if rad.outside([row]).size)
     corrupted = Subspace.span(
         art.field,
-        np.concatenate([art.rad.basis, extra[None, :]]),
+        np.concatenate([rad.basis, extra[None, :]]),
         ambient_dim=art.ctx.n**2,
     )
     with pytest.raises(InternalInconsistency):
@@ -477,7 +483,7 @@ def test_radical_postconditions_reject_deficient_candidates(artifacts, name, p):
     # subspaces strictly inside the radical: their flag is not invariant,
     # or is annihilated by more than them, or leaves a non-semisimple quotient
     art = artifacts(name, p)
-    without_last = Subspace.span(art.field, art.rad.basis[:-1], ambient_dim=art.ctx.n**2)
+    without_last = Subspace.span(art.field, art.rad.expand().basis[:-1], ambient_dim=art.ctx.n**2)
     for candidate in (Subspace.zero(art.field, art.ctx.n**2), without_last):
         with pytest.raises(InternalInconsistency):
             check_radical_postconditions(art.talgebra, candidate)
@@ -522,7 +528,7 @@ def test_non_ideal_radical_claim_is_witnessed(artifacts):
     for name in ("cyclic-5", "hamming-2-2", "as12-no21"):
         for p in (2, 3):
             art = artifacts(name, p)
-            tal, n, rad = art.talgebra, art.ctx.n, art.rad.basis
+            tal, n, rad = art.talgebra, art.ctx.n, art.rad.expand().basis
             for rows in (rad[:1], rad[-1:], rad[::2], rad[1:], rad[:-1]):
                 if len(rows) == 0 or len(rows) == len(rad):
                     continue
@@ -547,7 +553,7 @@ def test_claim_annihilating_less_than_its_flag_is_witnessed(artifacts, name, p):
     # annihilator N of the flag lies in J(T), contains the claim and differs
     # from it; N = J(T), whose first or last basis element is the witness
     art = artifacts(name, p)
-    tal, n, rad = art.talgebra, art.ctx.n, art.rad.basis
+    tal, n, rad = art.talgebra, art.ctx.n, art.rad.expand().basis
     for rows, index in ((rad[1:], 0), (rad[:-1], len(rad) - 1)):
         claim = Subspace.span(tal.field, rows, ambient_dim=n * n)
         assert _first_flag_escape(tal, claim) is None
@@ -634,11 +640,12 @@ def _quotient_regular_rep(algebra, ideal):
     field, p, n, k = algebra.field, algebra.field.p, algebra.n, algebra.dim
     if ideal.dim == k:
         return None
-    icoords, _, ipivots = rref_array(algebra.space.coords(ideal.basis), p)
+    flat = algebra.expand()
+    icoords, _, ipivots = rref_array(flat.coords(ideal.basis), p)
     comp = np.delete(np.arange(k), ipivots)
     q = len(comp)
-    reps = algebra.space.basis[comp].reshape(q, n, n)
-    coords = algebra.space.coords(pairwise_mod(reps, reps, p).reshape(q * q, n * n))
+    reps = flat.basis[comp].reshape(q, n, n)
+    coords = flat.coords(pairwise_mod(reps, reps, p).reshape(q * q, n * n))
     assert coords is not None
     qcoords = (coords[:, comp] - matmul_mod(coords[:, ipivots], icoords[:, comp], p)) % p
     # reg(a)[:, b] = quotient coordinates of rep_a rep_b
@@ -679,8 +686,8 @@ def _flat_flag_certificate(algebra, rad):
     # reference: the Loewy-flag certificate on flat vectors of length n,
     # Phi(T) from a second closure of the Phi(g); the witness of the first
     # step that fails, None when the claim passes
-    field, n, p = algebra.field, algebra.n, algebra.field.p
-    outside = algebra.space.outside(rad.basis)
+    field, n, p, flat = algebra.field, algebra.n, algebra.field.p, algebra.expand()
+    outside = flat.outside(rad.basis)
     if outside.size:
         return "containment", int(outside[0])
     rmats = rad.basis.reshape(-1, n, n)
@@ -701,8 +708,8 @@ def _flat_flag_certificate(algebra, rad):
     if rad.dim:
         quotient = algebra_closure(field, _flat_factor_action(flag, gens, p))
         if quotient.dim + rad.dim != algebra.dim:
-            image = _flat_factor_action(flag, algebra.mats(), p).reshape(algebra.dim, n * n)
-            kernel = matmul_mod(kernel_array(image.T, p), algebra.space.basis, p)
+            image = _flat_factor_action(flag, flat.basis.reshape(-1, n, n), p).reshape(algebra.dim, n * n)
+            kernel = matmul_mod(kernel_array(image.T, p), flat.basis, p)
             return "annihilator", int(rad.outside(Subspace.span(field, kernel, ambient_dim=n * n).basis)[0])
     again = radical(quotient, _verify=False)
     return ("quotient", again.dim) if again.dim else None
@@ -720,9 +727,9 @@ def _assert_certificates_agree(alg):
     # the radical, 0, the radical less its first or its last row, and the
     # radical plus the first row of T outside it: the same verdict and the
     # same witness on pieces as on flat vectors
-    field, n = alg.field, alg.n
-    rad = radical(alg, _verify=False)
-    extra = alg.space.basis[rad.outside(alg.space.basis)[:1]]
+    field, n, flat = alg.field, alg.n, alg.expand()
+    rad = radical(alg, _verify=False).expand()
+    extra = flat.basis[rad.outside(flat.basis)[:1]]
     claims = [rad, Subspace.zero(field, n * n)] + [
         Subspace.span(field, rows, ambient_dim=n * n)
         for rows in (rad.basis[1:], rad.basis[:-1], np.concatenate([rad.basis, extra]))]
@@ -750,7 +757,7 @@ def test_claim_with_a_row_of_two_grades_is_witnessed(artifacts):
     rows = []
     for name, p in (("cyclic-5", 2), ("hamming-2-2", 2), ("hamming-3-2", 3), ("as12-no21", 2)):
         art = artifacts(name, p)
-        tal, rad, n = art.talgebra, art.rad.basis, art.ctx.n
+        tal, rad, n = art.talgebra, art.rad.expand().basis, art.ctx.n
         blocks = tal.blocks
         grades = [{(int(blocks[r]), int(blocks[c])) for r, c in zip(*np.nonzero(row.reshape(n, n)))}
                   for row in rad]
@@ -781,12 +788,12 @@ def test_flag_certificate_agrees_with_quotient_rerun(p, n, data):
         supports = st.lists(st.integers(0, 1), min_size=n, max_size=n)
         gens = np.concatenate([gens, [np.diag(d) for d in data.draw(st.lists(supports, min_size=1, max_size=2))]])
     alg = algebra_closure(field_ctx(p), gens)
-    rad = radical(alg, _verify=False)
+    rad, flat = radical(alg, _verify=False).expand(), alg.expand()
     candidates = [rad, Subspace.zero(alg.field, n * n)]
     if rad.dim:
         candidates.append(Subspace.span(alg.field, rad.basis[1:], ambient_dim=n * n))
-    extra = rad.outside(alg.space.basis)
-    candidates.append(Subspace.span(alg.field, np.vstack([rad.basis, alg.space.basis[extra[-1:]]]),
+    extra = rad.outside(flat.basis)
+    candidates.append(Subspace.span(alg.field, np.vstack([rad.basis, flat.basis[extra[-1:]]]),
                                     ambient_dim=n * n))
     for candidate in candidates:
         assert _passes(check_radical_postconditions, alg, candidate) == _passes(
@@ -801,7 +808,7 @@ def test_b1_cubed_vanishes(artifacts, schemes):
             if art.b1.dim == 0:
                 continue
             n = art.ctx.n
-            mats = art.b1.basis.reshape(-1, n, n)
+            mats = art.b1.expand().basis.reshape(-1, n, n)
             sq = np.einsum("aij,bjk->abik", mats, mats).reshape(-1, n, n) % p
             span2 = Subspace.span(art.field, sq.reshape(-1, n * n), ambient_dim=n * n)
             cubes = (
@@ -814,7 +821,7 @@ def test_b1_inside_radical(artifacts, schemes):
     for name in schemes:
         for p in PRIMES:
             art = artifacts(name, p)
-            assert art.rad.contains(art.b1), (name, p)
+            assert art.rad.expand().contains(art.b1.expand()), (name, p)
 
 
 def test_mixed_block_square_identity(artifacts, schemes):
@@ -859,7 +866,7 @@ def test_annihilator_one_point():
     s = validate_axioms(gen_cyclic(1))
     ctx = build_context(s, field_ctx(5), 0)
     t = generate_algebra(ctx)
-    assert annihilator_W0(ctx, t, _filtration(ctx)).dim == 0
+    assert annihilator_W0(ctx, t).dim == 0
 
 
 def _flat_stage_kernels(alg):
@@ -881,9 +888,10 @@ def _flat_annihilator(ctx, alg, filt):
     # reference: the kernel of Z -> (Z w)_w over all of T's basis, with the
     # rank of the images from a second elimination
     n, p = ctx.n, ctx.field.p
-    images = matmul_mod(alg.space.basis.reshape(-1, n), filt[0].basis.T, p).reshape(alg.dim, -1)
+    basis = alg.expand().basis
+    images = matmul_mod(basis.reshape(-1, n), filt[0].basis.T, p).reshape(alg.dim, -1)
     ker = kernel_array(images.T, p)
-    ann = Subspace.span(ctx.field, matmul_mod(ker, alg.space.basis, p), ambient_dim=n * n)
+    ann = Subspace.span(ctx.field, matmul_mod(ker, basis, p), ambient_dim=n * n)
     return ker, rref_array(images.T, p)[1], ann
 
 
@@ -908,9 +916,10 @@ def _assert_graded_solves_are_the_flat_ones(alg, ctx=None):
         assert ker.dtype == want.dtype and ker.tobytes() == want.tobytes() and ker.shape == want.shape
     if ctx is not None:
         filt = _filtration(ctx)
-        ann, [(ker, rank)] = _graded_solves(lambda: annihilator_W0(ctx, alg, filt))
+        ann, [(ker, rank)] = _graded_solves(lambda: annihilator_W0(ctx, alg))
         want_ker, want_rank, want_ann = _flat_annihilator(ctx, alg, filt)
         assert ker.shape == want_ker.shape and ker.tobytes() == want_ker.tobytes()
+        ann = ann.expand()
         assert rank == want_rank and ann.basis.tobytes() == want_ann.basis.tobytes() and ann == want_ann
 
 
@@ -934,13 +943,17 @@ def test_graded_stage_kernels_equal_the_flat_ones_on_graded_stacks(p, data):
     _assert_graded_solves_are_the_flat_ones(algebra_closure(field_ctx(p), _graded_stack(p, data)))
 
 
-def test_annihilator_needs_the_blocks_to_be_the_supports():
-    # the Bose-Mesner algebra has one block; u_0 = e_x covers only point 0 of it
+def test_annihilator_needs_the_blocks_to_be_the_supports(artifacts):
+    # the Bose-Mesner algebra has one block; u_0 = e_x covers only point 0
+    # of it.  b0_b1 and the thin-kill items run the same check
     ctx, _ = _cyclic5_p3()
     bose_mesner = algebra_closure(ctx.field, ctx.A)
-    with pytest.raises(InternalInconsistency, match="^the blocks of T are not the supports") as err:
-        annihilator_W0(ctx, bose_mesner, _filtration(ctx))
-    assert err.value.witness == ("Ann_T(W0) blocks", 0, 1)
+    art = replace(artifacts("cyclic-5", 3), talgebra=bose_mesner)
+    for check in (lambda: annihilator_W0(ctx, bose_mesner), lambda: b0_b1(ctx, bose_mesner, _filtration(ctx)),
+                  lambda: _thin_kills(art, art.rad)):
+        with pytest.raises(InternalInconsistency, match="^the blocks of T are not the supports") as err:
+            check()
+        assert err.value.witness == ("Ann_T(W0) blocks", 0, 1)
 
 
 # the annihilator solves its grades in one stacked kernel_array, which
@@ -973,15 +986,64 @@ def test_corrupted_annihilator_kernel_is_rejected(artifacts, monkeypatch, corrup
     assert art.ann.dim > 0
     monkeypatch.setattr(talg, "kernel_array", corrupt(kernel_array))
     with pytest.raises(InternalInconsistency) as err:
-        annihilator_W0(art.ctx, art.talgebra, art.filt)
+        annihilator_W0(art.ctx, art.talgebra)
     assert witness(err.value.witness), err.value.witness
+
+
+def _flat_b0_b1(ctx):
+    # reference: the spans of the (d+1)^2 outer products u_i u_j^T as
+    # n^2-long rows, and of those with p | k_i k_j
+    n, p, u = ctx.n, ctx.field.p, ctx.u
+    divisible = np.array([int(k) % p == 0 for k in ctx.scheme.valencies])
+    outer = (u[:, None, :, None] * u[None, :, None, :]).reshape(-1, n * n)
+    pairs = (divisible[:, None] | divisible[None, :]).reshape(-1)
+    return (Subspace.span(ctx.field, outer, ambient_dim=n * n),
+            Subspace.span(ctx.field, outer[pairs], ambient_dim=n * n))
+
+
+def _flat_thin_kills(art, space):
+    # reference: E_i* Z and Z E_i* on the n x n matrices of a flat space
+    mats = space.basis.reshape(-1, art.ctx.n, art.ctx.n)
+    for i in art.strata.thin:
+        pts = np.flatnonzero(art.ctx.u[i])
+        if mats[:, pts].any() or mats[:, :, pts].any():
+            return False
+    return True
+
+
+def _flat_graded_outside(algebra, sub, rows):
+    # reference: n^2-long rows cut into their pieces, each reduced against
+    # the piece of its grade of sub, a flat space with homogeneous rows
+    if not sub.dim or not len(rows):
+        return np.flatnonzero(rows.any(axis=1))
+    mats = np.concatenate([sub.basis, rows]).reshape(-1, algebra.n, algebra.n)
+    owner, grade, pieces = talg._cut(mats, algebra.blocks)
+    ours, nb = owner < sub.dim, int(algebra.blocks.max()) + 1
+    out = talg._outside(pieces[ours], grade[ours], pieces[~ours], grade[~ours], nb, algebra.field.p)
+    return np.unique(owner[~ours][out] - sub.dim)
+
+
+def test_graded_spaces_equal_their_flat_references_on_the_corpus(artifacts, schemes):
+    for name, s in schemes.items():
+        for p in PRIMES:
+            for x in range(s.n):
+                art = artifacts(name, p, x)
+                assert (art.b0.expand(), art.b1.expand()) == _flat_b0_b1(art.ctx), (name, p, x)
+                for space in (art.ann, art.rad):
+                    assert _thin_kills(art, space) == _flat_thin_kills(art, space.expand()), (name, p, x)
+                pairs = ((art.rad, art.b1), (art.ann, art.rad), (art.rad, art.b0), (art.ann, art.b0))
+                for sub, other in pairs:
+                    flat = sub.expand()
+                    want = _flat_graded_outside(art.talgebra, flat, other.expand().basis)
+                    assert np.array_equal(sub.outside(other), want), (name, p, x)
+                    assert np.array_equal(want, flat.outside(other.expand().basis)), (name, p, x)
 
 
 def test_annihilator_cyclic5_p3_contains_difference(artifacts):
     art = artifacts("cyclic-5", 3)
     z = (triple_product(art.ctx, 1, 1, 2) - triple_product(art.ctx, 1, 2, 2)) % 3
     assert z.any()
-    assert not art.ann.outside([z.reshape(-1)]).size
+    assert not art.ann.expand().outside([z.reshape(-1)]).size
     # radical is zero here, so Ann is strictly larger than Rad
     assert art.rad.dim == 0 and art.ann.dim > 0
 
@@ -993,7 +1055,7 @@ def test_annihilator_right_thin_kill(artifacts, schemes):
             art = artifacts(name, p)
             if art.ann.dim == 0:
                 continue
-            mats = art.ann.basis.reshape(-1, art.ctx.n, art.ctx.n)
+            mats = art.ann.expand().basis.reshape(-1, art.ctx.n, art.ctx.n)
             for i in art.strata.thin:
                 assert not ((mats @ art.ctx.Estar[i]) % p).any(), (name, p, i)
 
@@ -1003,7 +1065,7 @@ def test_radical_inside_annihilator_when_pprime(artifacts, schemes):
         for p in PRIMES:
             art = artifacts(name, p)
             if art.strata.p_prime_valenced:
-                assert art.ann.contains(art.rad), (name, p)
+                assert art.ann.expand().contains(art.rad.expand()), (name, p)
 
 
 def test_radical_matches_exhaustive_search():
@@ -1024,7 +1086,7 @@ def test_radical_matches_exhaustive_search():
                 continue
             fast = radical(alg)
             brute = radical_brute(alg)
-            assert fast == brute, (p, gens.tolist())
+            assert fast.expand() == brute, (p, gens.tolist())
             checked += 1
         total += checked
     assert total >= 12
@@ -1035,7 +1097,7 @@ def _ideal_by_full_basis(alg, space):
     n, p = alg.n, alg.field.p
     if space.dim == 0:
         return True
-    tm = alg.mats()
+    tm = alg.expand().basis.reshape(-1, n, n)
     im = space.basis.reshape(-1, n, n)
     left = np.einsum("aij,bjk->abik", tm, im) % p
     right = np.einsum("bij,ajk->abik", im, tm) % p
@@ -1044,7 +1106,7 @@ def _ideal_by_full_basis(alg, space):
 
 
 def _central_by_full_basis(alg, m):
-    tm = alg.mats()
+    tm = alg.expand().basis.reshape(-1, alg.n, alg.n)
     p = alg.field.p
     return np.array_equal((m @ tm) % p, (tm @ m) % p)
 
@@ -1058,14 +1120,15 @@ def test_generator_ideal_test_matches_full_basis(artifacts, schemes):
         for p in (2, 3):
             art = artifacts(name, p)
             tal, n = art.talgebra, s.n
-            for what, space in (("B0", art.b0), ("B1", art.b1),
-                                ("Rad", art.rad), ("Ann", art.ann)):
+            for what, graded in (("B0", art.b0), ("B1", art.b1),
+                                 ("Rad", art.rad), ("Ann", art.ann)):
+                space = graded.expand()
                 assert_two_sided_ideal(tal, space, what)
                 assert _ideal_by_full_basis(tal, space), (name, p, what)
             if s.d == 0:
                 continue
             # T E_0* is a left ideal; E_0* A_1 is outside it, so it is not a right ideal
-            left = (tal.mats() @ art.ctx.Estar[0]) % p
+            left = (tal.expand().basis.reshape(-1, n, n) @ art.ctx.Estar[0]) % p
             left_ideal = Subspace.span(art.field, left.reshape(-1, n * n), ambient_dim=n * n)
             assert not _passes(_ideal_check, tal, left_ideal), (name, p)
             assert not _ideal_by_full_basis(tal, left_ideal), (name, p)
@@ -1102,9 +1165,10 @@ def test_generator_products_peak_is_the_output_plus_one_megabyte():
     # the float64 temporaries of the kernel stay in blocks, not whole stacks
     tal = generate_algebra(build_context(validate_axioms(gen_cyclic(16)), field_ctx(2), 0))
     assert tal.dim == 130
+    mats = tal.expand().basis.reshape(-1, tal.n, tal.n)
     tracemalloc.start()
     try:
-        prods = talg._generator_products(tal.generators, tal.mats(), 2)
+        prods = talg._generator_products(tal.generators, mats, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1144,6 +1208,16 @@ def _flat_stage_gram(basis, n, p, power):
     return gram.reshape(k, k)
 
 
+def _flat_rows(pieces, grade, blocks):
+    # each homogeneous element as an n^2-long row, in the order given
+    n, nb = len(blocks), int(blocks.max()) + 1
+    rows = np.zeros((len(pieces), n, n), dtype=np.int64)
+    for e, (piece, g) in enumerate(zip(pieces, grade.tolist())):
+        r, c = np.flatnonzero(blocks == g // nb), np.flatnonzero(blocks == g % nb)
+        rows[e][np.ix_(r, c)] = piece[: len(r), : len(c)]
+    return rows.reshape(len(pieces), n * n)
+
+
 def _radical_with_checked_grams(alg):
     # the unverified radical, with the Gram of every stage compared with the
     # flat reference on that stage's candidate; returns it and the powers
@@ -1151,9 +1225,8 @@ def _radical_with_checked_grams(alg):
 
     def checked(pieces, grade, sizes, p, power):
         gram = stage_gram(pieces, grade, sizes, p, power)
-        order, rows, _ = talg._flatten(pieces, grade, alg.blocks)
-        want = _flat_stage_gram(rows, alg.n, p, power)
-        assert np.array_equal(gram[np.ix_(order, order)], want), power
+        want = _flat_stage_gram(_flat_rows(pieces, grade, alg.blocks), alg.n, p, power)
+        assert np.array_equal(gram, want), power
         powers.append(power)
         return gram
 
@@ -1168,7 +1241,7 @@ def test_graded_stage_gram_equals_one_block_gram(artifacts, schemes):
         for p in PRIMES:
             art = artifacts(name, p)
             rad, powers = _radical_with_checked_grams(art.talgebra)
-            assert rad == art.rad, (name, p)
+            assert rad.expand() == art.rad.expand(), (name, p)
             assert powers and powers[0] == 1, (name, p)
 
 
@@ -1177,7 +1250,8 @@ def test_graded_stage_gram_equals_one_block_gram(artifacts, schemes):
 def test_stage_grams_equal_the_flat_grams_on_graded_stacks(p, data):
     alg = algebra_closure(field_ctx(p), _graded_stack(p, data))
     rad, _ = _radical_with_checked_grams(alg)
-    assert rad == radical(_one_block(alg.field, alg.space, alg.generators), _verify=False)
+    one_block = _one_block(alg.field, alg.expand(), alg.generators)
+    assert rad.expand() == radical(one_block, _verify=False).expand()
 
 
 def test_stage_grams_at_the_largest_prime_rref_accepts():
@@ -1200,7 +1274,7 @@ def test_radical_with_derived_blocks_equals_one_block(p, n, data):
     supports = st.lists(st.integers(0, 1), min_size=n, max_size=n)
     idempotents = [np.diag(d) for d in data.draw(st.lists(supports, min_size=1, max_size=3))]
     alg = algebra_closure(field_ctx(p), np.concatenate([gens, idempotents]))
-    assert radical(alg) == radical(_one_block(alg.field, alg.space, alg.generators))
+    assert radical(alg).expand() == radical(_one_block(alg.field, alg.expand(), alg.generators)).expand()
 
 
 def test_radical_certifies_only_a_nonzero_result(artifacts, monkeypatch):
@@ -1262,16 +1336,17 @@ def _quotient_by_pivot_loop(algebra, ideal):
     p, n, k = algebra.field.p, algebra.n, algebra.dim
     if ideal.dim == k:
         return None
+    flat = algebra.expand()
     if ideal.dim == 0:
         icoords, ipivots = np.zeros((0, k), dtype=np.int64), []
     else:
-        reduced, rank, ipivots = rref_array(algebra.space.coords(ideal.basis), p)
+        reduced, rank, ipivots = rref_array(flat.coords(ideal.basis), p)
         icoords = reduced[:rank]
     comp = [c for c in range(k) if c not in set(ipivots)]
     q = len(comp)
-    reps = algebra.space.basis[comp].reshape(q, n, n)
+    reps = flat.basis[comp].reshape(q, n, n)
     prods = np.einsum("aij,bjk->abik", reps, reps) % p
-    coords = algebra.space.coords(prods.reshape(q * q, n * n)) % p
+    coords = flat.coords(prods.reshape(q * q, n * n)) % p
     for row, pc in zip(icoords, ipivots):
         coords = (coords - np.outer(coords[:, pc], row)) % p
     reg = coords[:, comp].reshape(q, q, q).transpose(0, 2, 1)
@@ -1283,9 +1358,9 @@ def test_quotient_elimination_equals_the_pivot_loop(artifacts, schemes):
         for p in (2, 3):
             art = artifacts(name, p)
             zero = Subspace.zero(art.field, art.ctx.n ** 2)
-            for ideal in (art.rad, art.b1, art.ann, zero):
+            for ideal in (art.rad.expand(), art.b1.expand(), art.ann.expand(), zero):
                 fast = _quotient_regular_rep(art.talgebra, ideal)
                 want = _quotient_by_pivot_loop(art.talgebra, ideal)
                 assert (fast is None) == (want is None), (name, p)
                 if want is not None:
-                    assert fast.space == want, (name, p)
+                    assert fast.expand() == want, (name, p)
