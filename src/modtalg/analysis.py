@@ -11,9 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .characterize import CharReport, CorollaryReport, check_corollary, check_equivalences
 from .errors import InternalInconsistency
-from .ffmat import FieldCtx, Subspace
+from .ffmat import FieldCtx
 from .primary import (
     ClosureDigraph,
     CompositionReport,
@@ -32,9 +34,9 @@ from .talg import (
     TalgContext,
     annihilator_W0,
     b0_b1,
+    block_relations,
     build_context,
     generate_algebra,
-    push,
     radical,
 )
 
@@ -56,8 +58,10 @@ class Artifacts:
     rad: AlgebraBasis
     ann: AlgebraBasis
     module: PrimaryModule
-    filt: list[Subspace]
-    rad_layers: list[Subspace]
+    relation: np.ndarray
+    filt: list[np.ndarray]
+    rad_targets: np.ndarray
+    rad_layers: list[np.ndarray]
     digraph: ClosureDigraph
     comp: CompositionReport
     uniserial: bool
@@ -71,12 +75,13 @@ def compute_artifacts(s: SchemeData, f: FieldCtx, x: int = 0) -> Artifacts:
     module = build_primary(ctx)
     # the invariance of W_0 and W_1 checked here makes B0, B1 and Ann ideals
     filt = filtration(ctx, strata_, module)
-    b0, b1 = b0_b1(ctx, talgebra, filt)
+    relation = block_relations(ctx, talgebra)
+    b0, b1 = b0_b1(talgebra, relation, filt)
     rad = radical(talgebra)
-    ann = annihilator_W0(ctx, talgebra)
+    ann = annihilator_W0(talgebra)
     digraph = closure_digraph(s, f)
     comp = composition_factors(ctx, strata_, digraph, module)
-    rad_layers = radical_layers(rad, filt)
+    rad_targets, rad_layers = radical_layers(rad, relation, filt)
     uniserial = uniserial_check(comp, rad_layers, filt)
     w0sc = selfcontra_W0(module, strata_)
     art = Artifacts(
@@ -91,7 +96,9 @@ def compute_artifacts(s: SchemeData, f: FieldCtx, x: int = 0) -> Artifacts:
         rad=rad,
         ann=ann,
         module=module,
+        relation=relation,
         filt=filt,
+        rad_targets=rad_targets,
         rad_layers=rad_layers,
         digraph=digraph,
         comp=comp,
@@ -105,26 +112,30 @@ def compute_artifacts(s: SchemeData, f: FieldCtx, x: int = 0) -> Artifacts:
 def _cross_checks(art: Artifacts) -> None:
     """Provable identities tying independent artifacts together.
 
-    Rad(T) W_0 is the radical of the module, which is exactly W_1; it is
-    `rad_layers[0]`, computed once from the radical's pieces and shared
-    with `uniserial_check`.  B1 lies in Rad(T).  When W_0 is irreducible,
+    Rad(T) W_0 is the radical of the module, which is exactly W_1; both
+    are sets of relations, Rad(T) W_0 = `rad_layers[0]` shared with
+    `uniserial_check`.  B1 lies in Rad(T).  When W_0 is irreducible,
     Rad(T) kills it, so it lies in Ann_T(W_0).  All four spaces are graded
     over T's blocks, so each containment is decided piece by piece (see
     `AlgebraBasis.outside`).
 
     A failure names the check and the offending basis element in its
-    witness: (check, r, b) when Rad(T) basis element r sends W_0 basis
-    vector b outside W_1, the products recomputed only then, otherwise
-    (check, i) for basis element i of the space that should lie in the
-    other."""
-    w0, w1, pushed = art.filt[0], art.filt[1], art.rad_layers[0]
-    if pushed != w1:
-        if not w1.contains(pushed):
-            images, r, b = push(art.rad, w0.basis)
-            i = int(w1.outside(images)[0])
-            witness = ("Rad(T) W_0 in W_1", int(r[i]), int(b[i]))
+    witness: (check, r, b) when Rad(T) basis element r sends basis vector
+    b of W_0 outside W_1 (read off `rad_targets`), otherwise (check, i)
+    for basis element i of the space that should lie in the other; the
+    basis vectors of W_0 and W_1 are the u_i in order of their first
+    points."""
+    w1, pushed = art.filt[1], art.rad_layers[0]
+    if not np.array_equal(pushed, w1):
+        reps = art.module.reps  # the first point of every u_i
+        escaped = np.flatnonzero((art.rad_targets >= 0) & ~np.isin(art.rad_targets, w1))
+        if escaped.size:
+            r = int(escaped[0])
+            source = art.relation[art.rad.grades[r] % len(art.relation)]
+            witness = ("Rad(T) W_0 in W_1", r, int((reps < reps[source]).sum()))
         else:
-            witness = ("W_1 in Rad(T) W_0", int(pushed.outside(w1.basis)[0]))
+            ordered = w1[np.argsort(reps[w1])]
+            witness = ("W_1 in Rad(T) W_0", int(np.flatnonzero(~np.isin(ordered, pushed))[0]))
         raise InternalInconsistency("Rad(T) W_0 != W_1", witness=witness)
     outside = art.rad.outside(art.b1)
     if outside.size:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InternalInconsistency
 from .ffmat import matmul_mod, rref_array
-from .talg import AlgebraBasis, block_relations
+from .talg import AlgebraBasis
 
 __all__ = ["CharReport", "CorollaryReport", "b0_unit_element", "check_equivalences", "check_corollary"]
 
@@ -93,12 +93,12 @@ def _thin_kills(artifacts, space: AlgebraBasis) -> bool:
     """E_i* Z = Z E_i* = 0 for every Z in the space and every thin i.
 
     The space is graded over T's blocks, which are the supports of the
-    u_i = E_i* 1 (see `talg.block_relations`), so E_i* is the indicator of
-    the block of i.  An element of grade (a, b) is its one nonzero piece,
+    u_i = E_i* 1 (checked by `talg.block_relations`, whose result is
+    `artifacts.relation`), so E_i* is the indicator of the block of i.  An element of grade (a, b) is its one nonzero piece,
     which E_i* keeps on the left when a is the block of i and on the right
     when b is, and kills otherwise: the condition holds exactly when no
     element has a grade with a thin block on either side."""
-    thin = np.isin(block_relations(artifacts.ctx, artifacts.talgebra), artifacts.strata.thin)
+    thin = np.isin(artifacts.relation, artifacts.strata.thin)
     a, b = np.divmod(space.grades, len(thin))
     return not (thin[a] | thin[b]).any()
 
@@ -147,7 +147,7 @@ def check_equivalences(artifacts) -> CharReport:
         iv_b0_simple=artifacts.b1.dim == 0 and unit is not None,
         v_ann_thin_kills=_thin_kills(artifacts, artifacts.ann),
         vi_rad_thin_kills=_thin_kills(artifacts, artifacts.rad),
-        viii_W0_irreducible=artifacts.filt[1].dim == 0,
+        viii_W0_irreducible=artifacts.filt[1].size == 0,
         ix_W0_selfcontra=artifacts.w0_selfcontra,
         consistent=True,
     )

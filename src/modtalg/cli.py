@@ -52,6 +52,7 @@ from .scheme import (
     validate_axioms,
 )
 from .talg import (
+    block_relations,
     build_context,
     check_radical_postconditions,
     generate_algebra,
@@ -343,7 +344,8 @@ def cmd_verify(args) -> int:
         if subcount <= 5000:
             filt = filtration(ctx, st, module)
             comp = composition_factors(ctx, st, closure_digraph(s, f), module)
-            uni = uniserial_check(comp, radical_layers(rad, filt), filt)
+            layers = radical_layers(rad, block_relations(ctx, talgebra), filt)[1]
+            uni = uniserial_check(comp, layers, filt)
             fast = (comp.composition_length, sorted(fac.dim for fac in comp.factors), uni)
             brute = oracles.module_lattice_analysis(module.action.all_mats(), f.p)
             if brute != fast:

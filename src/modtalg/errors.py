@@ -85,9 +85,10 @@ class InternalInconsistency(Error):
     for a claim outside the algebra, ("valencies", valencies, n),
     ("triangle identity", (i, j, l)), ("strata", invariant) and
     ("strata partition", count, d + 1) from `scheme`, or (stage, basis
-    index, block pairs it touches) for an element outside the grading.  A
-    few certificates name themselves with a bare string ("filtration",
-    "Ann_T(W0) dimension")."""
+    index, block pairs it touches) for an element outside the grading.
+    The annihilator's dimension check names itself with a bare string,
+    "Ann_T(W0) dimension", and `primary.filtration` gives (m, g, h) with
+    no name."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

@@ -1,10 +1,11 @@
 """The primary module W_0 and its structure.
 
-W_0 is spanned by the d+1 vectors E_i* 1.  Its submodule chain W_n (one
-step per p-adic valuation of the valencies), the reachability relation on
-relation indices, the composition factors cut out by strongly connected
-components, the uniserial criterion, and contragredient duals all live
-here.
+W_0 is held in its basis u_i = E_i* 1; its submodule chain W_m (one step
+per p-adic valuation of the valencies) and the layers Rad(T) W_m are
+increasing arrays of the relations i whose u_i span them.  The
+reachability relation on relation indices, the composition factors cut
+out by strongly connected components, the uniserial criterion, and
+contragredient duals all live here.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, InternalInconsistency, InvalidParameter
-from .ffmat import FieldCtx, Subspace, kernel_array, matmul_mod, pairwise_mod, rref_array
+from .ffmat import FieldCtx, kernel_array, matmul_mod, rref_array
 from .scheme import SchemeData, Strata
-from .talg import AlgebraBasis, TalgContext, push
+from .talg import AlgebraBasis, TalgContext
 
 __all__ = [
     "GeneratorAction",
@@ -97,18 +98,6 @@ class PrimaryModule:
     def dim(self) -> int:
         return self.ctx.d + 1
 
-    def coords(self, w: np.ndarray) -> np.ndarray:
-        """Coordinates in the basis {E_i* 1}; the basis vectors have disjoint
-        supports, so coordinates read off at support representatives."""
-        p = self.ctx.field.p
-        w = np.asarray(w, dtype=np.int64) % p
-        c = w[self.reps]
-        wrong = np.flatnonzero(matmul_mod(c[None], self.vectors, p)[0] != w)
-        if wrong.size:
-            raise InternalInconsistency("vector outside the span of {E_i* 1}",
-                                        witness=("span of E_i* 1", int(wrong[0])))
-        return c
-
     def _verify_action(self) -> None:
         """A failure's witness (check, (j, i, h)) names the entry (i, h) of
         the action of A_j or E_j* that differs from the formula."""
@@ -130,30 +119,36 @@ def build_primary(ctx: TalgContext) -> PrimaryModule:
     return PrimaryModule(ctx)
 
 
-def filtration(ctx: TalgContext, strata_: Strata, module: PrimaryModule) -> list[Subspace]:
-    """Chain of subspaces W_0 > W_1 >= ... with W_m spanned by the E_i* 1
-    whose valency is divisible by p^m; index eps+1 is the zero space.
-    Every W_m is verified invariant under every generator (the ideal proofs
-    of `b0_b1` and `annihilator_W0` rest on this); a failure's witness
-    (m, g, i) says generator g (A_0..A_d, E_0*..E_d*) moves E_i* 1 out."""
-    f = ctx.field
-    p = f.p
-    n = ctx.n
-    chain: list[Subspace] = []
-    for m in range(strata_.epsilon + 2):
-        keep = np.nonzero(strata_.valuations >= m)[0]
-        sub = Subspace.span(f, module.vectors[keep], ambient_dim=n)
-        if sub.dim != keep.size:
-            raise InternalInconsistency("filtration dimensions collapsed",
-                                        witness=("filtration dimension", m))
-        if sub.dim:
-            images = pairwise_mod(ctx.gens, module.vectors[keep, :, None], p).reshape(-1, n)
-            if sub.coords(images) is None:
-                g, b = divmod(int(sub.outside(images)[0]), keep.size)
-                raise InternalInconsistency(f"W_{m} is not invariant under generator {g}",
-                                            witness=(m, g, int(keep[b])))
-        chain.append(sub)
-    return chain
+def filtration(ctx: TalgContext, strata_: Strata, module: PrimaryModule) -> list[np.ndarray]:
+    """The chain W_0 > W_1 >= ... >= W_{eps+1} = 0, W_m the relations i
+    with p^m | k_i, whose u_i = E_i* 1 span it.
+
+    Every W_m is checked invariant under every generator g (A_0..A_d,
+    E_0*..E_d*); `b0_b1`, `annihilator_W0` and `composition_factors` rest
+    on it.  W_0 is invariant when g u_h = sum_i act(g)_ih u_i, act(g) the
+    matrix of g in `module`, checked by one product with the n-long u_i.
+    The u_i are independent (checked by `PrimaryModule`), so W_m is then
+    invariant iff no act(g)_ih != 0 has p^m | k_h but not p^m | k_i.  The
+    witness (m, g, h) of a failure, the first in the order of m, g, h,
+    says g moves E_h* 1 out of W_m.
+    """
+    p, n, u = ctx.field.p, ctx.n, module.vectors
+    acts, val = module.action.all_mats() % p, strata_.valuations
+    count, dim = acts.shape[:2]
+    images = matmul_mod(ctx.gens.reshape(-1, n), u.T, p).reshape(count, n, dim)
+    combined = matmul_mod(u.T, acts.transpose(1, 0, 2).reshape(dim, -1), p).reshape(n, count, dim)
+    wrong = np.argwhere((images != combined.transpose(1, 0, 2)).any(axis=1))
+    if wrong.size:
+        g, h = (int(v) for v in wrong[0])
+        raise InternalInconsistency(f"W_0 is not invariant under generator {g}", witness=(0, g, h))
+    # lowest[g, h]: the least valuation of an i with act(g)_ih != 0
+    lowest = np.where(acts != 0, val[:, None], strata_.epsilon + 1).min(axis=1)
+    levels = np.arange(strata_.epsilon + 2)[:, None, None]
+    wrong = np.argwhere((lowest < levels) & (levels <= val))
+    if wrong.size:
+        m, g, h = (int(v) for v in wrong[0])
+        raise InternalInconsistency(f"W_{m} is not invariant under generator {g}", witness=(m, g, h))
+    return [np.flatnonzero(val >= m) for m in range(strata_.epsilon + 2)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,12 +221,6 @@ def factor_action(module: PrimaryModule, cls: tuple[int, ...]) -> GeneratorActio
     return GeneratorAction(module.ctx.field, module.action.converse, actA, actE)
 
 
-def _first_edge(gens: np.ndarray, rows: np.ndarray, cols: np.ndarray, p: int):
-    """The first (i, h) in rows x cols where some generator is nonzero mod p, or None."""
-    hits = np.argwhere((gens[:, rows[:, None], cols[None, :]] % p).any(axis=0))
-    return (int(rows[hits[0, 0]]), int(cols[hits[0, 1]])) if hits.size else None
-
-
 def composition_factors(
     ctx: TalgContext,
     strata_: Strata,
@@ -243,9 +232,10 @@ def composition_factors(
 
     Classes are the strongly connected components of the full digraph
     restricted to S_n (connecting paths may leave S_n).  Independently of
-    the tensor, the action matrices of `module` must show that W_n does
-    not leak below its level and that each factor is invariant in
-    W_n/W_{n+1} and irreducible.
+    the tensor, the action matrices of `module` must show that each factor
+    is invariant in W_n/W_{n+1} and irreducible; that W_n does not leak
+    below its level (no act(g)_ih != 0 with v_p(k_i) < v_p(k_h)) is a
+    precondition, checked first by `filtration`.
 
     Lemma.  Let the E_j* act on M as coordinate projectors of rank at
     most 1 (checked here; W_0 and so every factor meet this).  For u in a
@@ -259,37 +249,32 @@ def composition_factors(
     The factor labels (level, class) are distinct with no check: the
     classes of one level are the elements of a set.
 
-    Witnesses: ("composition", level, (i, h)) for a nonzero entry (i, h)
-    with h in the stratum and i below it, ("composition", level, cls,
-    (i, h)) for h in cls and i in another class of the stratum, and
+    Witnesses: ("composition", level, cls, (i, h)) for a nonzero entry
+    (i, h) with h in cls and i in another class of the stratum, and
     ("composition", level, cls, h) when e_h does not generate the factor,
     and ("bottom stratum", i) for the first i of S_0 outside the class of
     relation 0.
     """
     _check_weight_spaces(module.action)
     p = ctx.field.p
-    val = strata_.valuations
     qn: list[list[tuple[int, ...]]] = []
     factors: list[CompositionFactor] = []
     gens = module.action.all_mats()
     support = (module.action.actA % p).any(axis=0)
     for n_level in range(strata_.epsilon + 1):
         sn = strata_.sets[n_level]
-        edge = _first_edge(gens, np.nonzero(val < n_level)[0], np.array(sn, dtype=np.int64), p)
-        if edge:
-            raise InternalInconsistency(f"W_{n_level} leaks below its level",
-                                        witness=("composition", n_level, edge))
         classes = sorted({tuple(i for i in sn if digraph.same_class(i, j)) for j in sn})
         qn.append(classes)
         if n_level == 0 and len(classes) != 1:
             raise InternalInconsistency("the bottom stratum must form a single class",
                                         witness=("bottom stratum", classes[1][0]))
         for cls in classes:
-            others = np.array([i for i in sn if i not in cls], dtype=np.int64)
-            edge = _first_edge(gens, others, np.array(cls), p)
-            if edge:
-                raise InternalInconsistency(f"factor class {cls} is not invariant",
-                                            witness=("composition", n_level, cls, edge))
+            # the first (i, h), i in another class and h in this one, that some generator joins
+            others = [i for i in sn if i not in cls]
+            edge = np.argwhere((gens[:, others][:, :, cls] % p).any(axis=0))
+            if edge.size:
+                raise InternalInconsistency(f"factor class {cls} is not invariant", witness=(
+                    "composition", n_level, cls, (others[edge[0, 0]], cls[edge[0, 1]])))
             # column h of the closure holds the coordinates of the factor generated by e_h
             reach = _reachability(support[np.ix_(cls, cls)])
             missing = np.flatnonzero(~reach.all(axis=0))
@@ -307,23 +292,46 @@ def composition_factors(
     )
 
 
-def radical_layers(rad: AlgebraBasis, filt: list[Subspace]) -> list[Subspace]:
-    """Rad(T) W_m for every level m = 0..epsilon of the filtration `filt`
-    (its last entry is 0), from the pieces of the radical's basis acting on
-    the bases of all levels at once (see `talg.push`)."""
-    images, _, vector = push(rad, np.concatenate([w.basis for w in filt]))
-    level = np.repeat(np.arange(len(filt)), [w.dim for w in filt])[vector]
-    return [Subspace.span(rad.field, images[level == m], rad.n) for m in range(len(filt) - 1)]
+def radical_layers(rad: AlgebraBasis, relation: np.ndarray,
+                   filt: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(target, layers): layers[m] = Rad(T) W_m, m = 0..eps, as relations
+    like `filt`, and target[e] the relation onto whose u radical element e
+    sends W_0, -1 if e kills W_0; relation[a] is the relation of T's block
+    a (see `talg.block_relations`).
+
+    Read off the radical's pieces, as `talg.annihilator_W0` reads Ann: an
+    element of grade (a, b) sends u_relation[b] to its local row sums on
+    block a and every other u_i to 0.  W_0 is invariant and Rad(T) lies in
+    T, so the row sums are c u_relation[a], constant on block a (checked;
+    the witness ("Rad(T) W_0", e, v) names the first element e and the
+    basis vector v of W_0, the u_i in order of their first points, that it
+    sends out of W_0).  So Rad(T) W_m = {relation[a] : c != 0 and
+    relation[b] in W_m}.
+    """
+    p, nb = rad.field.p, len(relation)
+    a, b = np.divmod(rad.grades, nb)
+    sums = rad.pieces.sum(axis=2) % p
+    live = np.arange(sums.shape[1]) < np.bincount(rad.blocks, minlength=nb)[a, None]
+    bad = np.flatnonzero(((sums != sums[:, :1]) & live).any(axis=1))
+    if bad.size:
+        e, first = int(bad[0]), np.unique(rad.blocks, return_index=True)[1]
+        v = int(np.argsort(np.argsort(first))[b[e]])
+        raise InternalInconsistency(f"radical element {e} sends basis vector {v} of W_0 out of W_0",
+                                    witness=("Rad(T) W_0", e, v))
+    target = np.where(sums[:, 0] != 0, relation[a], -1)
+    source = relation[b]
+    layers = [np.unique(target[(target >= 0) & np.isin(source, w)]) for w in filt[:-1]]
+    return target, layers
 
 
-def uniserial_check(report: CompositionReport, layers: list[Subspace], filt: list[Subspace]) -> bool:
+def uniserial_check(report: CompositionReport, layers: list[np.ndarray], filt: list[np.ndarray]) -> bool:
     """W_0 has a totally ordered submodule lattice iff every nontrivial
     filtration step has a single class and the radical pushes each W_n onto
     exactly W_{n+1}; layers[n] is Rad(T) W_n (see `radical_layers`)."""
     for level in range(report.epsilon + 1):
-        if filt[level].dim == filt[level + 1].dim:
+        if len(filt[level]) == len(filt[level + 1]):
             continue
-        if len(report.qn[level]) != 1 or layers[level] != filt[level + 1]:
+        if len(report.qn[level]) != 1 or not np.array_equal(layers[level], filt[level + 1]):
             return False
     return True
 

@@ -40,7 +40,6 @@ __all__ = [
     "b0_b1",
     "radical",
     "check_radical_postconditions",
-    "push",
     "block_relations",
     "annihilator_W0",
 ]
@@ -502,7 +501,8 @@ def block_relations(ctx: TalgContext, talgebra: AlgebraBasis) -> np.ndarray:
     blocks are then the supports, one each.  Otherwise
     InternalInconsistency is raised with the witness ("Ann_T(W0) blocks",
     block, point) of a point where the block and the support of the u_i
-    at its first point differ.
+    at its first point differ.  `analysis.compute_artifacts` runs it once,
+    before the annihilator, and passes its result on.
     """
     indicator = talgebra.blocks == np.arange(talgebra.blocks.max() + 1)[:, None]
     owner = ctx.u[:, indicator.argmax(axis=1)].argmax(axis=0)
@@ -513,14 +513,15 @@ def block_relations(ctx: TalgContext, talgebra: AlgebraBasis) -> np.ndarray:
     return owner
 
 
-def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis,
-          filt: list[Subspace]) -> tuple[AlgebraBasis, AlgebraBasis]:
+def b0_b1(talgebra: AlgebraBasis, relation: np.ndarray,
+          filt: list[np.ndarray]) -> tuple[AlgebraBasis, AlgebraBasis]:
     """The ideal B0 = span{E_i* J E_j*} and its sub-ideal B1 from pairs with
-    p | k_i k_j, graded over T's blocks.
+    p | k_i k_j, graded over T's blocks; relation[a] is the relation of
+    block a (see `block_relations`) and `filt` the chain of
+    `primary.filtration`, whose W_1 = filt[1] holds the i with p | k_i.
 
-    Both are ideals of T because `filtration` checked W_0 = filt[0] and
-    W_1 = filt[1] invariant; these must be spanned by the u_i = E_i* 1 used
-    here (W_1 by those with p | k_i).  E_i* J E_j* = u_i u_j^T, so
+    Both are ideals of T because `filtration` checked W_0 and W_1
+    invariant, W_m spanned by its u_i = E_i* 1.  E_i* J E_j* = u_i u_j^T, so
     B0 = W_0 (x) W_0.  For a generator g, g u_i u_j^T = (g u_i) u_j^T and
     u_i u_j^T g = u_i (g^T u_j)^T, where g^T is again a generator
     (A_k^T = A_k' and E_k* is symmetric, asserted by TalgContext), so B0 is
@@ -540,12 +541,8 @@ def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis,
     ("B0 not contained in T", (i, j)) of the first pair whose E_i* J E_j*
     is not in T.
     """
-    n, p, nb = ctx.n, ctx.field.p, ctx.d + 1
-    u, blocks = ctx.u, talgebra.blocks
-    divisible = np.array([int(k) % p == 0 for k in ctx.scheme.valencies])
-    if filt[:2] != [Subspace.span(ctx.field, w, ambient_dim=n) for w in (u, u[divisible])]:
-        raise InternalInconsistency("W_0, W_1 are not spanned by their E_i* 1", witness="filtration")
-    block = np.argsort(block_relations(ctx, talgebra))
+    p, nb, blocks = talgebra.field.p, len(relation), talgebra.blocks
+    block = np.argsort(relation)
     live = np.arange(talgebra.pieces.shape[-1]) < np.bincount(blocks)[:, None]
     i, j = np.divmod(np.arange(nb * nb), nb)
     a, b = block[i], block[j]
@@ -554,9 +551,10 @@ def b0_b1(ctx: TalgContext, talgebra: AlgebraBasis,
     if outside.size:
         raise InternalInconsistency("B0 not contained in T",
                                     witness=("B0 not contained in T", divmod(int(outside[0]), nb)))
+    divisible = np.isin(np.arange(nb), filt[1])
     pairs = (divisible[:, None] | divisible[None, :]).reshape(-1)
-    return (AlgebraBasis(ctx.field, None, blocks, pieces, grade),
-            AlgebraBasis(ctx.field, None, blocks, pieces[pairs], grade[pairs]))
+    return (AlgebraBasis(talgebra.field, None, blocks, pieces, grade),
+            AlgebraBasis(talgebra.field, None, blocks, pieces[pairs], grade[pairs]))
 
 
 def _stage_gram(pieces: np.ndarray, grade: np.ndarray, sizes: np.ndarray, p: int,
@@ -888,38 +886,16 @@ def _claim(algebra: AlgebraBasis, rad: AlgebraBasis | Subspace) -> AlgebraBasis:
     return AlgebraBasis(algebra.field, None, algebra.blocks, pieces, grade)
 
 
-def push(sub: AlgebraBasis, vectors: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(images, element, vector): the nonzero products s v, as rows of
-    length n, of the basis elements s of a graded space, element e being
-    s = sub.pieces[e], and the rows v = vectors[vector], in order of
-    (element, vector).
-
-    An s of grade (a, b) sends v to s (v on block b), placed on block a: a
-    product of local matrices of at most K points a side, instead of an
-    n x n product.
-    """
-    n, p, blocks = sub.n, sub.field.p, sub.blocks
-    nb, K, local = int(blocks.max()) + 1, sub.pieces.shape[-1], _local(blocks)
-    onblocks = np.zeros((len(vectors), nb, K), dtype=np.int64)
-    onblocks[:, blocks, local] = vectors
-    placed = np.zeros((sub.dim, nb, K, len(vectors)), dtype=np.int64)
-    placed[np.arange(sub.dim), sub.grades // nb] = matmul_mod(
-        sub.pieces, onblocks[:, sub.grades % nb].transpose(1, 2, 0), p)
-    images = placed[:, blocks, local].transpose(0, 2, 1).reshape(-1, n)
-    keep = np.flatnonzero(images.any(axis=1))
-    return images[keep], *np.divmod(keep, len(vectors))
-
-
-def annihilator_W0(ctx: TalgContext, talgebra: AlgebraBasis) -> AlgebraBasis:
+def annihilator_W0(talgebra: AlgebraBasis) -> AlgebraBasis:
     """Ann_T(W_0): the elements of T that kill W_0, the span of the
-    u_v = E_v* 1 (`b0_b1` checks that `filtration`'s W_0 is), graded over
-    T's blocks.  It is an ideal of T because `filtration` checked W_0
-    invariant: for s in Ann and t in T, ts W_0 = 0 and st W_0 lies in
-    s W_0 = 0.
+    u_v = E_v* 1, graded over T's blocks.  It is an ideal of T because
+    `filtration` checked W_0 invariant: for s in Ann and t in T, ts W_0 = 0
+    and st W_0 lies in s W_0 = 0.
 
-    Solved on T's pieces.  T's blocks are the supports of the u_v (checked
-    by `block_relations`), so an element x of grade (a, b) sends the u_v of
-    block b to its local row sums on block a and every other u_v to 0.
+    Solved on T's pieces.  T's blocks must be the supports of the u_v, as
+    `block_relations` checks before `analysis.compute_artifacts` calls
+    this; then an element x of grade (a, b) sends the u_v of block b to
+    its local row sums on block a and every other u_v to 0.
     Elements of different grades so map into independent coordinates
     (block a, u_v), and Ann, in the coordinates of T's basis, is the direct
     sum of the left kernels of the row sums, one per grade, solved in one
@@ -934,12 +910,11 @@ def annihilator_W0(ctx: TalgContext, talgebra: AlgebraBasis) -> AlgebraBasis:
     the first element that does not kill basis vector v of W_0 (the u_v in
     order of their first points), or "Ann_T(W0) dimension".
     """
-    p, blocks = ctx.field.p, talgebra.blocks
-    block_relations(ctx, talgebra)
+    p, blocks = talgebra.field.p, talgebra.blocks
     pieces, grade = talgebra.pieces, talgebra.grades
     ker, rank = _graded_kernel(pieces.sum(axis=2) % p, grade, p)
     mats = matmul_mod(ker, pieces.reshape(len(pieces), -1), p).reshape(-1, *pieces.shape[1:])
-    ann = AlgebraBasis(ctx.field, None, blocks, mats, grade[(ker != 0).argmax(axis=1)])
+    ann = AlgebraBasis(talgebra.field, None, blocks, mats, grade[(ker != 0).argmax(axis=1)])
     bad = np.flatnonzero((ann.pieces.sum(axis=2) % p).any(axis=1))
     if bad.size:
         a, first = int(bad[0]), np.unique(blocks, return_index=True)[1]

@@ -99,7 +99,7 @@ def test_criterion_4_structural_constants_sweep():
             if art.module.dim != s.d + 1:
                 failures.append((name, p, "dimW0"))
             for m, sn in enumerate(art.strata.sets):
-                if art.filt[m].dim - art.filt[m + 1].dim != len(sn):
+                if len(art.filt[m]) - len(art.filt[m + 1]) != len(sn):
                     failures.append((name, p, "quotient", m))
             if art.b1.dim:
                 n = art.ctx.n

@@ -30,19 +30,23 @@ def test_uncorrupted_artifacts_pass(artifacts, schemes):
             _cross_checks(artifacts(name, p))
 
 
+def _flat(art, m):
+    # W_m as the span of its n-long u_i, in echelon order (by first points)
+    return Subspace.span(art.field, art.ctx.u[art.filt[m]], ambient_dim=art.ctx.n)
+
+
 def test_radical_image_outside_W1_is_witnessed(artifacts):
     art = artifacts("hamming-2-2", 2)
-    n = art.ctx.n
-    zero = Subspace.zero(art.field, n)
-    err = _raises(replace(art, filt=[art.filt[0], zero, *art.filt[2:]]))
+    n, w0 = art.ctx.n, _flat(art, 0)
+    err = _raises(replace(art, filt=[art.filt[0], art.filt[0][:0], *art.filt[2:]]))
     assert str(err) == "Rad(T) W_0 != W_1"
     check, r, b = err.witness
     assert check == "Rad(T) W_0 in W_1"
     rad = art.rad.expand().basis
-    image = rad[r].reshape(n, n) @ art.filt[0].basis[b] % 2
+    image = rad[r].reshape(n, n) @ w0.basis[b] % 2
     assert image.any()
     # every earlier (element, vector) pair maps to zero
-    earlier = rad[:r].reshape(-1, n, n) @ art.filt[0].basis.T % 2
+    earlier = rad[:r].reshape(-1, n, n) @ w0.basis.T % 2
     assert not earlier.any()
 
 
@@ -52,8 +56,9 @@ def test_W1_beyond_the_radical_image_is_witnessed(artifacts):
     assert str(err) == "Rad(T) W_0 != W_1"
     check, i = err.witness
     assert check == "W_1 in Rad(T) W_0"
-    assert art.filt[1].outside([art.filt[0].basis[i]]).size
-    assert not art.filt[1].outside(art.filt[0].basis[:i]).size
+    w0, w1 = _flat(art, 0), _flat(art, 1)
+    assert w1.outside([w0.basis[i]]).size
+    assert not w1.outside(w0.basis[:i]).size
 
 
 def test_B1_outside_the_radical_is_witnessed(artifacts):
@@ -87,12 +92,19 @@ def test_analysis_without_base_points_is_witnessed(schemes):
 
 
 def test_analysis_never_expands_a_graded_space(monkeypatch):
-    # T, B0, B1, Rad(T) and Ann_T(W_0) stay in pieces: the one helper that
-    # forms n^2-long rows is refused, and the reports match their goldens
+    # T, B0, B1, Rad(T) and Ann_T(W_0) stay in pieces and W_0's submodules
+    # in W_0's basis: the one helper that forms n^2-long rows is refused, and
+    # so is every Subspace, span and zero included; the reports match their
+    # goldens
     def refuse(space):
         raise AssertionError(f"{space} expanded to n^2-long rows")
 
+    def refuse_subspace(self, *args, **kwargs):
+        raise AssertionError("analyze built a Subspace")
+
     monkeypatch.setattr(AlgebraBasis, "expand", refuse)
+    monkeypatch.setattr(Subspace, "span", classmethod(refuse_subspace))
+    monkeypatch.setattr(Subspace, "__init__", refuse_subspace)
     for table, name, base_points, golden in (
             (gen_cyclic(16), "cyclic-16", (0,), GOLDEN / "cyclic16-p2" / "cyclic-16-p2.json"),
             (gen_hamming(3, 2), "hamming-3-2", range(8), GOLDEN / "corpus-allbp" / "hamming-3-2-p2.json")):

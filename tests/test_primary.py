@@ -19,11 +19,12 @@ from modtalg.primary import (
     filtration,
     hom_space,
     is_selfcontragredient,
+    radical_layers,
     selfcontra_W0,
     verify_Ml_iso,
 )
 from modtalg.scheme import SchemeData, gen_cyclic, strata, validate_axioms
-from modtalg.talg import build_context, triple_product
+from modtalg.talg import AlgebraBasis, build_context, triple_product
 
 PRIMES = (2, 3, 5, 7)
 
@@ -32,7 +33,7 @@ def test_primary_dimension(artifacts, schemes):
     for name, s in schemes.items():
         art = artifacts(name, 2)
         assert art.module.dim == s.d + 1
-        assert art.filt[0].dim == s.d + 1
+        assert len(art.filt[0]) == s.d + 1
 
 
 def test_J_action_on_basis(schemes):
@@ -61,7 +62,7 @@ def test_action_matches_direct_arithmetic(schemes):
         for j in range(s.d + 1):
             for h in range(s.d + 1):
                 img = ctx.A[j] @ m.vectors[h] % 3
-                assert np.array_equal(m.coords(img), m.action.actA[j][:, h])
+                assert np.array_equal(img, m.action.actA[j][:, h] @ m.vectors % 3)
 
 
 def test_filtration_pprime_is_simple(artifacts, schemes):
@@ -69,13 +70,13 @@ def test_filtration_pprime_is_simple(artifacts, schemes):
         for p in PRIMES:
             art = artifacts(name, p)
             if art.strata.p_prime_valenced:
-                assert art.filt[1].dim == 0, (name, p)
+                assert len(art.filt[1]) == 0, (name, p)
                 assert len(art.filt) == 2
 
 
 def test_filtration_dims_order12_p2(artifacts):
     art = artifacts("as12-no21", 2)
-    assert [w.dim for w in art.filt] == [5, 3, 2, 0]
+    assert [len(w) for w in art.filt] == [5, 3, 2, 0]
 
 
 def test_filtration_quotient_dims_are_strata_sizes(artifacts, schemes):
@@ -83,21 +84,51 @@ def test_filtration_quotient_dims_are_strata_sizes(artifacts, schemes):
         for p in PRIMES:
             art = artifacts(name, p)
             for m, sn in enumerate(art.strata.sets):
-                assert art.filt[m].dim - art.filt[m + 1].dim == len(sn), (name, p)
+                assert len(art.filt[m]) - len(art.filt[m + 1]) == len(sn), (name, p)
 
 
-def test_rad_times_W0_is_W1(artifacts, schemes):
-    for name in schemes:
+def test_rad_times_W0_is_W1(schemes):
+    # flat oracle at every base point: W_m, spanned by the n-long u_i with
+    # p^m | k_i, is invariant and spanned by the u_i of filt[m]; Rad(T) W_m,
+    # spanned by the products of the expanded radical with those u_i, is
+    # spanned by the u_i of rad_layers[m]; and Rad(T) W_0 = W_1
+    for name, s in schemes.items():
         for p in PRIMES:
-            art = artifacts(name, p)
-            n = art.ctx.n
-            if art.rad.dim == 0:
-                pushed = Subspace.zero(art.field, n)
-            else:
+            f = field_ctx(p)
+            for x in range(s.n):
+                art = analysis.compute_artifacts(s, f, x)
+                n, u = s.n, art.ctx.u
                 rmats = art.rad.expand().basis.reshape(-1, n, n)
-                imgs = np.einsum("rij,bj->rbi", rmats, art.filt[0].basis) % p
-                pushed = Subspace.span(art.field, imgs.reshape(-1, n), ambient_dim=n)
-            assert pushed == art.filt[1], (name, p)
+                for m, w in enumerate(art.filt):
+                    keep = u[art.strata.valuations >= m]
+                    flat = Subspace.span(f, keep, ambient_dim=n)
+                    assert flat == Subspace.span(f, u[w], ambient_dim=n), (name, p, x, m)
+                    images = np.einsum("gij,bj->gbi", art.ctx.gens, keep) % p
+                    assert flat.contains(Subspace.span(f, images.reshape(-1, n), ambient_dim=n))
+                for m, layer in enumerate(art.rad_layers):
+                    images = np.einsum("rij,bj->rbi", rmats, u[art.filt[m]]) % p
+                    pushed = Subspace.span(f, images.reshape(-1, n), ambient_dim=n)
+                    assert pushed == Subspace.span(f, u[layer], ambient_dim=n), (name, p, x, m)
+                assert np.array_equal(art.rad_layers[0], art.filt[1]), (name, p, x)
+
+
+def test_radical_image_outside_W0_is_witnessed(artifacts):
+    # one more entry in the second row of a radical piece: its row sums, the
+    # image of a basis vector of W_0, are no longer constant on the block
+    art = artifacts("hamming-2-2", 2)
+    rad, p, n = art.rad, art.field.p, art.ctx.n
+    rows = np.bincount(rad.blocks)[rad.grades // len(art.relation)]
+    pieces = rad.pieces.copy()
+    pieces[np.flatnonzero(rows > 1)[0], 1, 0] += 1
+    corrupted = AlgebraBasis(rad.field, None, rad.blocks, pieces % p, rad.grades)
+    with pytest.raises(InternalInconsistency, match="out of W_0$") as err:
+        radical_layers(corrupted, art.relation, art.filt)
+    check, e, v = err.value.witness
+    assert check == "Rad(T) W_0"
+    w0 = Subspace.span(art.field, art.ctx.u)
+    images = corrupted.expand().basis.reshape(-1, n, n) @ w0.basis.T % p
+    assert w0.outside(images[e].T[[v]]).size
+    assert not w0.outside(images[:e].transpose(0, 2, 1).reshape(-1, n)).size
 
 
 def test_digraph_order12_components():
@@ -454,11 +485,15 @@ def test_edge_out_of_a_class_fails_the_invariance_check(artifacts):
 
 
 def test_edge_below_the_level_fails_the_leak_check(artifacts):
+    # with E_1* 1 put in W_1, the entry (0, 1) of A_1 (A_1 E_1* 1 = E_0* 1)
+    # lies below the level of relation 1
     art = artifacts("as12-no21", 2)
-    module = _with_edge(art, 1, 0, 2)
-    with pytest.raises(InternalInconsistency, match="leaks below") as err:
-        composition_factors(art.ctx, art.strata, art.digraph, module)
-    assert err.value.witness == ("composition", 1, (0, 2))
+    valuations = art.strata.valuations.copy()
+    valuations[1] = 1
+    raised = dataclasses.replace(art.strata, valuations=valuations)
+    with pytest.raises(InternalInconsistency, match="^W_1 is not invariant under generator 1$") as err:
+        filtration(art.ctx, raised, art.module)
+    assert err.value.witness == (1, 1, 1)
 
 
 def test_composition_rejects_non_coordinate_projectors(artifacts):
@@ -477,7 +512,7 @@ def test_empty_middle_stratum_pipeline(artifacts):
     art = artifacts("hamming-2-3", 2)
     assert art.strata.sets == ((0,), (), (1, 2))
     assert art.strata.epsilon == 2
-    assert [w.dim for w in art.filt] == [3, 2, 2, 0]
+    assert [len(w) for w in art.filt] == [3, 2, 2, 0]
     assert art.comp.qn[1] == []
     assert art.comp.composition_length == 1 + len(art.comp.qn[2])
 
@@ -588,13 +623,16 @@ def test_dependent_basis_vectors_are_witnessed():
     assert err.value.witness == ("E_i* 1 independent", 2)
 
 
-def test_coordinates_of_a_vector_outside_W0_are_witnessed():
-    module = build_primary(_cyclic5_context())
-    assert module.coords(module.vectors[1] * 2).tolist() == [0, 2, 0]
-    # cyclic-5 at x = 0: E_1* 1 = e_1 + e_4, so e_1 alone is off at point 4
-    with pytest.raises(InternalInconsistency, match="outside the span") as err:
-        module.coords(np.eye(5, dtype=np.int64)[1])
-    assert err.value.witness == ("span of E_i* 1", 4)
+def test_action_that_T_does_not_have_is_witnessed_at_W0():
+    # the action of A_1 also sends E_0* 1 to E_2* 1, which A_1 does not
+    ctx = _cyclic5_context()
+    module = build_primary(ctx)
+    act_a = module.action.actA.copy()
+    act_a[1, 2, 0] = 1
+    module.action = dataclasses.replace(module.action, actA=act_a)
+    with pytest.raises(InternalInconsistency, match="^W_0 is not invariant under generator 1$") as err:
+        filtration(ctx, strata(ctx.scheme, ctx.field), module)
+    assert err.value.witness == (0, 1, 0)
 
 
 def test_action_against_a_corrupted_tensor_is_witnessed():
@@ -619,15 +657,6 @@ def test_dual_idempotent_action_off_its_coordinate_is_witnessed():
     with pytest.raises(InternalInconsistency, match=r"^action of E_1\* is not") as err:
         build_primary(ctx)
     assert err.value.witness == ("action of E_j* is not the coordinate projector", (1, 2, 2))
-
-
-def test_collapsed_filtration_is_witnessed():
-    ctx = _cyclic5_context()
-    module = build_primary(ctx)
-    module.vectors = module.vectors[[0, 1, 1]]
-    with pytest.raises(InternalInconsistency, match="collapsed") as err:
-        filtration(ctx, strata(ctx.scheme, ctx.field), module)
-    assert err.value.witness == ("filtration dimension", 0)
 
 
 def test_missing_self_loop_is_witnessed():

@@ -1,6 +1,5 @@
 import re
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from modtalg.errors import (
     InternalInconsistency,
     PrimeTooLarge,
 )
+from modtalg import analysis
 from modtalg.analysis import compute_artifacts
 from modtalg.characterize import _thin_kills, b0_unit_element
 from modtalg.ffmat import (
@@ -42,6 +42,7 @@ from modtalg.talg import (
     annihilator_W0,
     assert_two_sided_ideal,
     b0_b1,
+    block_relations,
     build_context,
     check_radical_postconditions,
     generate_algebra,
@@ -366,14 +367,6 @@ def test_hamming22_b1_dim_is_pair_count(artifacts):
     assert art.b1.dim == 5
 
 
-def test_b0_b1_rejects_a_filtration_it_was_not_built_from(artifacts):
-    art = artifacts("hamming-2-2", 2)
-    for filt in ([art.filt[1], art.filt[0]], [art.filt[0], art.filt[0]]):
-        with pytest.raises(InternalInconsistency) as err:
-            b0_b1(art.ctx, art.talgebra, filt)
-        assert err.value.witness == "filtration"
-
-
 def test_b0_identity_thin_scheme():
     art = compute_artifacts(validate_axioms(gen_thin([[0, 1], [1, 0]])), field_ctx(3), 0)
     e = b0_unit_element(art)
@@ -403,13 +396,12 @@ def _cyclic5_p3():
 def test_dependent_b0_spanning_set_is_witnessed():
     # E_2* 1 replaced by E_1* 1, so E_0* J E_2* = E_0* J E_1* would be the
     # first dependent pair; T's block 0, the points {2, 3} of relation 2, is
-    # now no support, and its first point lies in none: the block check of
-    # b0_b1 names point 0 of u_0, which that block lacks
+    # now no support, and its first point lies in none: the block check that
+    # b0_b1 rests on names point 0 of u_0, which that block lacks
     ctx, t = _cyclic5_p3()
     ctx.u = ctx.u[[0, 1, 1]]
-    filt = [Subspace.span(ctx.field, ctx.u, ambient_dim=ctx.n), Subspace.zero(ctx.field, ctx.n)]
     with pytest.raises(InternalInconsistency, match="^the blocks of T are not the supports") as err:
-        b0_b1(ctx, t, filt)
+        block_relations(ctx, t)
     assert err.value.witness == ("Ann_T(W0) blocks", 0, 0)
 
 
@@ -419,7 +411,7 @@ def test_b0_outside_the_algebra_is_witnessed():
     ctx, _ = _cyclic5_p3()
     diagonal = algebra_closure(ctx.field, ctx.Estar)
     with pytest.raises(InternalInconsistency, match="^B0 not contained in T$") as err:
-        b0_b1(ctx, diagonal, _filtration(ctx))
+        b0_b1(diagonal, block_relations(ctx, diagonal), _filtration(ctx))
     assert err.value.witness == ("B0 not contained in T", (0, 1))
 
 
@@ -866,7 +858,7 @@ def test_annihilator_one_point():
     s = validate_axioms(gen_cyclic(1))
     ctx = build_context(s, field_ctx(5), 0)
     t = generate_algebra(ctx)
-    assert annihilator_W0(ctx, t).dim == 0
+    assert annihilator_W0(t).dim == 0
 
 
 def _flat_stage_kernels(alg):
@@ -884,12 +876,12 @@ def _flat_stage_kernels(alg):
     return kers
 
 
-def _flat_annihilator(ctx, alg, filt):
-    # reference: the kernel of Z -> (Z w)_w over all of T's basis, with the
+def _flat_annihilator(ctx, alg):
+    # reference: the kernel of Z -> (Z u_i)_i over all of T's basis, with the
     # rank of the images from a second elimination
     n, p = ctx.n, ctx.field.p
     basis = alg.expand().basis
-    images = matmul_mod(basis.reshape(-1, n), filt[0].basis.T, p).reshape(alg.dim, -1)
+    images = matmul_mod(basis.reshape(-1, n), ctx.u.T, p).reshape(alg.dim, -1)
     ker = kernel_array(images.T, p)
     ann = Subspace.span(ctx.field, matmul_mod(ker, basis, p), ambient_dim=n * n)
     return ker, rref_array(images.T, p)[1], ann
@@ -915,9 +907,8 @@ def _assert_graded_solves_are_the_flat_ones(alg, ctx=None):
     for (ker, _), want in zip(solved, flat):
         assert ker.dtype == want.dtype and ker.tobytes() == want.tobytes() and ker.shape == want.shape
     if ctx is not None:
-        filt = _filtration(ctx)
-        ann, [(ker, rank)] = _graded_solves(lambda: annihilator_W0(ctx, alg))
-        want_ker, want_rank, want_ann = _flat_annihilator(ctx, alg, filt)
+        ann, [(ker, rank)] = _graded_solves(lambda: annihilator_W0(alg))
+        want_ker, want_rank, want_ann = _flat_annihilator(ctx, alg)
         assert ker.shape == want_ker.shape and ker.tobytes() == want_ker.tobytes()
         ann = ann.expand()
         assert rank == want_rank and ann.basis.tobytes() == want_ann.basis.tobytes() and ann == want_ann
@@ -943,14 +934,15 @@ def test_graded_stage_kernels_equal_the_flat_ones_on_graded_stacks(p, data):
     _assert_graded_solves_are_the_flat_ones(algebra_closure(field_ctx(p), _graded_stack(p, data)))
 
 
-def test_annihilator_needs_the_blocks_to_be_the_supports(artifacts):
+def test_annihilator_needs_the_blocks_to_be_the_supports(schemes, monkeypatch):
     # the Bose-Mesner algebra has one block; u_0 = e_x covers only point 0
-    # of it.  b0_b1 and the thin-kill items run the same check
+    # of it.  The pipeline runs the check once, before the annihilator,
+    # b0_b1 and the thin-kill items, which take its result
     ctx, _ = _cyclic5_p3()
     bose_mesner = algebra_closure(ctx.field, ctx.A)
-    art = replace(artifacts("cyclic-5", 3), talgebra=bose_mesner)
-    for check in (lambda: annihilator_W0(ctx, bose_mesner), lambda: b0_b1(ctx, bose_mesner, _filtration(ctx)),
-                  lambda: _thin_kills(art, art.rad)):
+    monkeypatch.setattr(analysis, "generate_algebra", lambda ctx: algebra_closure(ctx.field, ctx.A))
+    for check in (lambda: block_relations(ctx, bose_mesner),
+                  lambda: compute_artifacts(schemes["cyclic-5"], field_ctx(3))):
         with pytest.raises(InternalInconsistency, match="^the blocks of T are not the supports") as err:
             check()
         assert err.value.witness == ("Ann_T(W0) blocks", 0, 1)
@@ -986,7 +978,7 @@ def test_corrupted_annihilator_kernel_is_rejected(artifacts, monkeypatch, corrup
     assert art.ann.dim > 0
     monkeypatch.setattr(talg, "kernel_array", corrupt(kernel_array))
     with pytest.raises(InternalInconsistency) as err:
-        annihilator_W0(art.ctx, art.talgebra)
+        annihilator_W0(art.talgebra)
     assert witness(err.value.witness), err.value.witness
 
 
