@@ -8,13 +8,21 @@ suite of equivalent p'-valenced characterizations.
 """
 
 from . import analysis, characterize, errors, ffmat, fixtures, oracles, primary, scheme, talg
-from .analysis import AnalysisReport, Artifacts, analyze, compute_artifacts, report_to_json
+from .analysis import (
+    AnalysisReport,
+    Artifacts,
+    SchemeArtifacts,
+    analyze,
+    compute_artifacts,
+    report_to_json,
+    scheme_artifacts,
+)
 from .characterize import CharReport, CorollaryReport, check_corollary, check_equivalences
 from .ffmat import FieldCtx, Subspace, field_ctx
 from .primary import (
     ClosureDigraph,
     CompositionReport,
-    PrimaryModule,
+    GeneratorAction,
     build_primary,
     closure_digraph,
     composition_factors,

@@ -1,9 +1,10 @@
 """Per (scheme, prime, base point) analysis pipeline and its JSON report.
 
 Everything downstream of a validated scheme is computed here once and
-shared: algebra, ideals, radical, annihilator, primary module structure,
-and the characterization verdicts.  Reports serialize to key-sorted JSON,
-byte-identical across runs on identical input.
+shared: W_0's structure once per (scheme, prime), and the algebra,
+ideals, radical, annihilator and characterization verdicts once per base
+point.  Reports serialize to key-sorted JSON, byte-identical across runs
+on identical input.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .ffmat import FieldCtx
 from .primary import (
     ClosureDigraph,
     CompositionReport,
-    PrimaryModule,
+    GeneratorAction,
     build_primary,
     closure_digraph,
     composition_factors,
@@ -36,74 +37,94 @@ from .talg import (
     b0_b1,
     block_relations,
     build_context,
+    check_prime_bound,
     generate_algebra,
     radical,
 )
 
-__all__ = ["Artifacts", "compute_artifacts", "AnalysisReport", "analyze", "report_to_json"]
+__all__ = [
+    "SchemeArtifacts",
+    "scheme_artifacts",
+    "Artifacts",
+    "compute_artifacts",
+    "AnalysisReport",
+    "analyze",
+    "report_to_json",
+]
 
 SCHEMA_VERSION = 1
 
 
 @dataclass(eq=False)
-class Artifacts:
+class SchemeArtifacts:
+    """What depends on (scheme, p) alone: the strata, W_0's action (see
+    `build_primary`), its closure digraph, composition factors and
+    self-duality."""
+
     scheme: SchemeData
     field: FieldCtx
-    x: int
     strata: Strata
+    module: GeneratorAction
+    digraph: ClosureDigraph
+    comp: CompositionReport
+    w0_selfcontra: bool
+
+
+def scheme_artifacts(s: SchemeData, f: FieldCtx) -> SchemeArtifacts:
+    check_prime_bound(s, f)
+    strata_ = strata(s, f)
+    module = build_primary(s, f)
+    digraph = closure_digraph(s, f)
+    comp = composition_factors(strata_, digraph, module)
+    w0sc = selfcontra_W0(module, strata_)
+    return SchemeArtifacts(s, f, strata_, module, digraph, comp, w0sc)
+
+
+@dataclass(eq=False)
+class Artifacts(SchemeArtifacts):
+    """The scheme's artifacts with those of T(x) at one base point x."""
+
+    x: int
     ctx: TalgContext
     talgebra: AlgebraBasis
     b0: AlgebraBasis
     b1: AlgebraBasis
     rad: AlgebraBasis
     ann: AlgebraBasis
-    module: PrimaryModule
     relation: np.ndarray
     filt: list[np.ndarray]
     rad_targets: np.ndarray
     rad_layers: list[np.ndarray]
-    digraph: ClosureDigraph
-    comp: CompositionReport
     uniserial: bool
-    w0_selfcontra: bool
 
 
-def compute_artifacts(s: SchemeData, f: FieldCtx, x: int = 0) -> Artifacts:
-    strata_ = strata(s, f)
-    ctx = build_context(s, f, x)
+def compute_artifacts(sa: SchemeArtifacts, x: int = 0) -> Artifacts:
+    """The artifacts at base point x.  `filtration` certifies first that
+    T(x) acts on W_0 by `sa.module`, on which `sa.comp` and
+    `sa.w0_selfcontra` were computed."""
+    ctx = build_context(sa.scheme, sa.field, x)
     talgebra = generate_algebra(ctx)
-    module = build_primary(ctx)
     # the invariance of W_0 and W_1 checked here makes B0, B1 and Ann ideals
-    filt = filtration(ctx, strata_, module)
+    filt = filtration(ctx, sa.strata, sa.module)
     relation = block_relations(ctx, talgebra)
     b0, b1 = b0_b1(talgebra, relation, filt)
     rad = radical(talgebra)
     ann = annihilator_W0(talgebra)
-    digraph = closure_digraph(s, f)
-    comp = composition_factors(ctx, strata_, digraph, module)
     rad_targets, rad_layers = radical_layers(rad, relation, filt)
-    uniserial = uniserial_check(comp, rad_layers, filt)
-    w0sc = selfcontra_W0(module, strata_)
     art = Artifacts(
-        scheme=s,
-        field=f,
+        **vars(sa),
         x=x,
-        strata=strata_,
         ctx=ctx,
         talgebra=talgebra,
         b0=b0,
         b1=b1,
         rad=rad,
         ann=ann,
-        module=module,
         relation=relation,
         filt=filt,
         rad_targets=rad_targets,
         rad_layers=rad_layers,
-        digraph=digraph,
-        comp=comp,
-        uniserial=uniserial,
-        w0_selfcontra=w0sc,
+        uniserial=uniserial_check(sa.comp, rad_layers, filt),
     )
     _cross_checks(art)
     return art
@@ -127,7 +148,7 @@ def _cross_checks(art: Artifacts) -> None:
     points."""
     w1, pushed = art.filt[1], art.rad_layers[0]
     if not np.array_equal(pushed, w1):
-        reps = art.module.reps  # the first point of every u_i
+        reps = art.ctx.u.argmax(axis=1)  # the first point of every u_i
         escaped = np.flatnonzero((art.rad_targets >= 0) & ~np.isin(art.rad_targets, w1))
         if escaped.size:
             r = int(escaped[0])
@@ -215,10 +236,12 @@ class AnalysisReport:
 def analyze(
     s: SchemeData, f: FieldCtx, base_points, scheme_id: str = "scheme"
 ) -> AnalysisReport:
-    """Run the full pipeline at each requested base point.
+    """Run the full pipeline: W_0's structure once, then T(x) at each
+    requested base point x.
 
-    Per-base-point dimensions may differ, but every characterization
-    boolean must agree across base points; a flip raises
+    No report is returned before `filtration` has certified W_0's action
+    at every base point.  Per-base-point dimensions may differ, but every
+    characterization boolean must agree across base points; a flip raises
     InternalInconsistency.
     """
     base_points = tuple(int(x) for x in base_points)
@@ -230,8 +253,9 @@ def analyze(
     first: Artifacts | None = None
     char: CharReport | None = None
     coro: CorollaryReport | None = None
+    sa = scheme_artifacts(s, f)
     for x in base_points:
-        art = compute_artifacts(s, f, x)
+        art = compute_artifacts(sa, x)
         c = check_equivalences(art)
         cc = check_corollary(art, c)
         dim_T.append(art.talgebra.dim)
@@ -258,10 +282,10 @@ def analyze(
         dim_B1=first.b1.dim,
         dim_rad=tuple(dim_rad),
         dim_ann=tuple(dim_ann),
-        strata=first.strata,
-        composition=first.comp,
+        strata=sa.strata,
+        composition=sa.comp,
         uniserial=first.uniserial,
-        self_contragredient_W0=first.w0_selfcontra,
+        self_contragredient_W0=sa.w0_selfcontra,
         characterization=char,
         corollary=coro,
     )

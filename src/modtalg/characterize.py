@@ -80,7 +80,7 @@ def b0_unit_element(artifacts) -> np.ndarray | None:
     off the row reduction of [K | I].  K is computed from the vectors,
     never from the valencies."""
     p = artifacts.field.p
-    u = artifacts.module.vectors
+    u = artifacts.ctx.u
     m = u.shape[0]
     gram = matmul_mod(u, u.T, p)
     reduced, _, pivots = rref_array(np.concatenate([gram, np.eye(m, dtype=np.int64)], axis=1), p)

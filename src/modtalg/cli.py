@@ -3,7 +3,8 @@
 Subcommands: analyze (one scheme, one prime), batch (directory sweep),
 gen (fixture generators), verify (brute-force oracle cross-checks).
 Exit codes: 0 success, 1 I/O or argument error or out of memory, 2 input
-validation failure, 3 characterization-consistency or oracle failure.
+validation failure, 3 characterization-consistency or oracle failure or
+any other InternalInconsistency.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from traceback import walk_tb
 import numpy as np
 
 from . import oracles
-from .analysis import analyze, report_to_json
+from .analysis import analyze, report_to_json, scheme_artifacts
 from .errors import (
     AxiomViolation,
     Error,
@@ -31,26 +32,8 @@ from .errors import (
 )
 from .ffmat import Subspace, field_ctx
 from .fixtures import cyclic_group_table
-from .primary import (
-    build_primary,
-    closure_digraph,
-    composition_factors,
-    filtration,
-    hom_space,
-    is_selfcontragredient,
-    radical_layers,
-    uniserial_check,
-    verify_Ml_iso,
-)
-from .scheme import (
-    gen_cyclic,
-    gen_hamming,
-    gen_thin,
-    parse_scheme,
-    serialize_scheme,
-    strata,
-    validate_axioms,
-)
+from .primary import filtration, hom_space, radical_layers, uniserial_check, verify_Ml_iso
+from .scheme import gen_cyclic, gen_hamming, gen_thin, parse_scheme, serialize_scheme, validate_axioms
 from .talg import (
     block_relations,
     build_context,
@@ -118,9 +101,6 @@ def cmd_analyze(args) -> int:
     except PrimeTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InternalInconsistency as exc:
-        print(f"internal inconsistency: {_with_witness(exc)}", file=sys.stderr)
-        return EXIT_INCONSISTENT
     return _emit(report_to_json(report) if args.json else _human_summary(report), args.out)
 
 
@@ -264,11 +244,11 @@ def cmd_verify(args) -> int:
         return EXIT_INVALID
     try:
         f = field_ctx(args.prime)
+        sa = scheme_artifacts(s, f)
     except (NotPrime, PrimeTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    st = strata(s, f)
+    st = sa.strata
     brute_sets, brute_eps = oracles.strata_brute(s, f.p)
     if tuple(st.sets) != tuple(brute_sets) or st.epsilon != brute_eps:
         return _verify_fail("strata", (st.sets, st.epsilon), (brute_sets, brute_eps))
@@ -282,11 +262,7 @@ def cmd_verify(args) -> int:
                 if brute != s.p(i, j, l):
                     return _verify_fail(f"p_{i}{j}^{l}", s.p(i, j, l), brute)
 
-    try:
-        ctx = build_context(s, f, 0)
-    except PrimeTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    ctx = build_context(s, f, 0)
     talgebra = generate_algebra(ctx)
     words = oracles.word_closure_dim(ctx)
     if words != talgebra.dim:
@@ -314,7 +290,8 @@ def cmd_verify(args) -> int:
         return _verify_fail("radical postconditions", rad.dim, _with_witness(exc))
 
     if args.deep:
-        module = build_primary(ctx)
+        module = sa.module
+        filt = filtration(ctx, st, module)
         for l in range(s.d + 1):
             if not verify_Ml_iso(ctx, l, module):
                 return _verify_fail(f"column module iso at {l}", False, True)
@@ -328,26 +305,19 @@ def cmd_verify(args) -> int:
                     rhs = coef * ctx.u[i] % p
                     if not np.array_equal(lhs, rhs):
                         return _verify_fail(f"triple product ({i},{j},{l})", lhs.tolist(), rhs.tolist())
-        # every intertwiner W_0 -> W_0* is diagonal, and W_0 ~ W_0* iff p'-valenced
-        homs = hom_space(module.action, module.action.contragredient())
+        # every intertwiner W_0 -> W_0* is diagonal (`scheme_artifacts` checked
+        # that W_0 ~ W_0* iff p'-valenced)
+        homs = hom_space(module, module.contragredient())
         off = np.nonzero(homs * (1 - np.eye(module.dim, dtype=np.int64)))
         if off[0].size:
             return _verify_fail("diagonal intertwiners of W_0", "diagonal",
                                 f"entry {(int(off[1][0]), int(off[2][0]))} nonzero")
-        try:
-            selfdual = is_selfcontragredient(module.action)
-        except InternalInconsistency as exc:
-            return _verify_fail("self-duality of W_0", _with_witness(exc), st.p_prime_valenced)
-        if selfdual != st.p_prime_valenced:
-            return _verify_fail("self-duality of W_0", selfdual, st.p_prime_valenced)
         subcount = oracles.count_subspaces(f.p, s.d + 1)
         if subcount <= 5000:
-            filt = filtration(ctx, st, module)
-            comp = composition_factors(ctx, st, closure_digraph(s, f), module)
             layers = radical_layers(rad, block_relations(ctx, talgebra), filt)[1]
-            uni = uniserial_check(comp, layers, filt)
-            fast = (comp.composition_length, sorted(fac.dim for fac in comp.factors), uni)
-            brute = oracles.module_lattice_analysis(module.action.all_mats(), f.p)
+            uni = uniserial_check(sa.comp, layers, filt)
+            fast = (sa.comp.composition_length, sorted(fac.dim for fac in sa.comp.factors), uni)
+            brute = oracles.module_lattice_analysis(module.all_mats(), f.p)
             if brute != fast:
                 return _verify_fail("module lattice", fast, brute)
         else:
@@ -404,7 +374,8 @@ def main(argv=None) -> int:
     it; `_emit` still reports a write that fails.  Running out of memory
     (numpy's allocation failures are MemoryError too) exits 1 naming the
     stage it happened in, the innermost frame of this package, not with a
-    traceback."""
+    traceback.  So does an InternalInconsistency, the mark of a bug, from
+    any subcommand: it exits 3 with its message and witness."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -416,6 +387,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
+    except InternalInconsistency as exc:
+        print(f"internal inconsistency: {_with_witness(exc)}", file=sys.stderr)
+        return EXIT_INCONSISTENT
     except MemoryError as exc:
         ours = [f for f, _ in walk_tb(exc.__traceback__) if f.f_globals.get("__package__") == __package__]
         module = ours[-1].f_globals["__name__"].rpartition(".")[2]

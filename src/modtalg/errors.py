@@ -78,17 +78,21 @@ class FixtureInvalid(Error):
 class InternalInconsistency(Error):
     """A proven identity failed numerically; this flags an implementation bug.
 
-    `witness` names what failed, as a tuple that starts with the check's
-    name and is followed by the offending indices, for example
+    `cli.main` prints it with its witness and exits 3, from every
+    subcommand.  `witness` names what failed, as a tuple that starts with
+    the check's name and is followed by the offending indices, for example
     ("nilpotency", k, dim V_k), ("flag", g, k, v), ("annihilator", i) and
     ("quotient", dim) from the radical's certificate, ("containment", i)
     for a claim outside the algebra, ("valencies", valencies, n),
-    ("triangle identity", (i, j, l)), ("strata", invariant) and
-    ("strata partition", count, d + 1) from `scheme`, or (stage, basis
-    index, block pairs it touches) for an element outside the grading.
-    The annihilator's dimension check names itself with a bare string,
-    "Ann_T(W0) dimension", and `primary.filtration` gives (m, g, h) with
-    no name."""
+    ("triangle identity", (i, j, l)), ("strata", invariant) and ("strata
+    partition", count, d + 1) from `scheme`, or (stage, basis index, block
+    pairs it touches) for an element outside the grading.  The
+    annihilator's dimension check names itself with a bare string,
+    "Ann_T(W0) dimension".  `primary.filtration` gives ("E_i* 1
+    independent", i) for dependent basis vectors of W_0, and (m, g, h),
+    with no name, when generator g moves E_h* 1 out of W_m; at m = 0 this
+    says T(x) does not act on W_0 by the matrices read off the
+    intersection numbers."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

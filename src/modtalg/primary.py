@@ -1,11 +1,14 @@
 """The primary module W_0 and its structure.
 
-W_0 is held in its basis u_i = E_i* 1; its submodule chain W_m (one step
-per p-adic valuation of the valencies) and the layers Rad(T) W_m are
-increasing arrays of the relations i whose u_i span them.  The
-reachability relation on relation indices, the composition factors cut
-out by strongly connected components, the uniserial criterion, and
-contragredient duals all live here.
+W_0 is held in its basis u_i = E_i* 1, in which T(x) acts by the same
+matrices at every base point x: its action, closure digraph, composition
+factors and self-duality are facts about (scheme, p), built once from the
+intersection numbers.  Its submodule chain W_m (one step per p-adic
+valuation of the valencies) and the layers Rad(T) W_m are increasing
+arrays of the relations i whose u_i span them; `filtration` ties W_0's
+basis at x to T(x).  The reachability relation on relation indices, the
+composition factors cut out by strongly connected components, the
+uniserial criterion, and contragredient duals all live here.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .talg import AlgebraBasis, TalgContext
 
 __all__ = [
     "GeneratorAction",
-    "PrimaryModule",
     "build_primary",
     "filtration",
     "ClosureDigraph",
@@ -67,73 +69,40 @@ class GeneratorAction:
         return GeneratorAction(self.field, conv, dualA % self.field.p, dualE % self.field.p)
 
 
-class PrimaryModule:
-    """W_0 in the basis {E_i* 1}, with per-generator action matrices.
-
-    Action matrices come from direct n-dimensional arithmetic and are
-    verified against the structure-constant formula: A_j sends the h-th
-    basis vector to sum_i (p_{h j'}^i mod p) times the i-th one.
-    """
-
-    __slots__ = ("ctx", "vectors", "reps", "action")
-
-    def __init__(self, ctx: TalgContext):
-        self.ctx = ctx
-        d, p = ctx.d, ctx.field.p
-        pivots = rref_array(ctx.u.T, p)[2]
-        if len(pivots) != d + 1:
-            i = next(i for i, c in enumerate(pivots + [-1]) if i != c)
-            raise InternalInconsistency("the vectors E_i* 1 are not independent",
-                                        witness=("E_i* 1 independent", i))
-        self.vectors = ctx.u
-        row = ctx.scheme.table.entries[ctx.x]
-        self.reps = np.array([int(np.nonzero(row == i)[0][0]) for i in range(d + 1)])
-        # the image of basis vector h under generator g, read at the representatives
-        rows = ctx.gens[:, self.reps].reshape(-1, ctx.n)
-        act = matmul_mod(rows, self.vectors.T, p).reshape(-1, d + 1, d + 1)
-        self.action = GeneratorAction(ctx.field, ctx.scheme.converse.copy(), act[: d + 1], act[d + 1 :])
-        self._verify_action()
-
-    @property
-    def dim(self) -> int:
-        return self.ctx.d + 1
-
-    def _verify_action(self) -> None:
-        """A failure's witness (check, (j, i, h)) names the entry (i, h) of
-        the action of A_j or E_j* that differs from the formula."""
-        scheme = self.ctx.scheme
-        eye = np.eye(self.dim, dtype=np.int64)
-        # entry (j, i, h): p_{h j'}^i for A_j, and [i = h = j] for E_j*
-        checks = (("action of A_{} disagrees with p_{{h j'}}^i", self.action.actA,
-                   np.transpose(scheme.tensor[:, scheme.converse], (1, 2, 0)) % self.ctx.field.p),
-                  ("action of E_{}* is not the coordinate projector", self.action.actE,
-                   eye[:, :, None] * eye[:, None, :]))
-        for message, got, want in checks:
-            wrong = np.argwhere(got != want)
-            if wrong.size:
-                j, i, h = (int(v) for v in wrong[0])
-                raise InternalInconsistency(message.format(j), witness=(message.format("j"), (j, i, h)))
+def build_primary(s: SchemeData, f: FieldCtx) -> GeneratorAction:
+    """W_0 as a module of the scheme: in the basis u_i = E_i* 1, A_j sends
+    u_h to sum_i (p_{h j'}^i mod p) u_i and E_j* is the projector onto
+    coordinate j, at every base point x.  Read off the intersection numbers
+    alone; `filtration` certifies at each x that T(x) acts on W_0 by these
+    matrices."""
+    eye = np.eye(s.d + 1, dtype=np.int64)
+    act_a = np.transpose(s.tensor[:, s.converse], (1, 2, 0)) % f.p
+    return GeneratorAction(f, s.converse.copy(), act_a, eye[:, :, None] * eye[:, None, :])
 
 
-def build_primary(ctx: TalgContext) -> PrimaryModule:
-    return PrimaryModule(ctx)
-
-
-def filtration(ctx: TalgContext, strata_: Strata, module: PrimaryModule) -> list[np.ndarray]:
+def filtration(ctx: TalgContext, strata_: Strata, module: GeneratorAction) -> list[np.ndarray]:
     """The chain W_0 > W_1 >= ... >= W_{eps+1} = 0, W_m the relations i
-    with p^m | k_i, whose u_i = E_i* 1 span it.
+    with p^m | k_i, whose u_i = E_i* 1 (the rows of `ctx.u`) span it.
 
     Every W_m is checked invariant under every generator g (A_0..A_d,
     E_0*..E_d*); `b0_b1`, `annihilator_W0` and `composition_factors` rest
-    on it.  W_0 is invariant when g u_h = sum_i act(g)_ih u_i, act(g) the
-    matrix of g in `module`, checked by one product with the n-long u_i.
-    The u_i are independent (checked by `PrimaryModule`), so W_m is then
-    invariant iff no act(g)_ih != 0 has p^m | k_h but not p^m | k_i.  The
-    witness (m, g, h) of a failure, the first in the order of m, g, h,
-    says g moves E_h* 1 out of W_m.
+    on it.  The u_i are checked independent (witness ("E_i* 1
+    independent", i), i the first dependent one).  Then T(x) acts on W_0
+    by `module`, the action `build_primary` read off the intersection
+    numbers, exactly when g u_h = sum_i act(g)_ih u_i for every g and h,
+    checked by one product with the n-long u_i; this is the one
+    certificate of that action at x.  W_m is then invariant iff no
+    act(g)_ih != 0 has p^m | k_h but not p^m | k_i.  The witness (m, g, h)
+    of a failure, the first in the order of m, g, h, says g moves E_h* 1
+    out of W_m.
     """
-    p, n, u = ctx.field.p, ctx.n, module.vectors
-    acts, val = module.action.all_mats() % p, strata_.valuations
+    p, n, u = ctx.field.p, ctx.n, ctx.u
+    pivots = rref_array(u.T, p)[2]
+    if len(pivots) != len(u):
+        i = next(i for i, c in enumerate(pivots + [-1]) if i != c)
+        raise InternalInconsistency("the vectors E_i* 1 are not independent",
+                                    witness=("E_i* 1 independent", i))
+    acts, val = module.all_mats() % p, strata_.valuations
     count, dim = acts.shape[:2]
     images = matmul_mod(ctx.gens.reshape(-1, n), u.T, p).reshape(count, n, dim)
     combined = matmul_mod(u.T, acts.transpose(1, 0, 2).reshape(dim, -1), p).reshape(n, count, dim)
@@ -213,20 +182,16 @@ class CompositionReport:
     composition_length: int
 
 
-def factor_action(module: PrimaryModule, cls: tuple[int, ...]) -> GeneratorAction:
+def factor_action(module: GeneratorAction, cls: tuple[int, ...]) -> GeneratorAction:
     """Action matrices restricted to the coordinates of one factor class."""
     ix = np.ix_(list(cls), list(cls))
-    actA = np.stack([m[ix] for m in module.action.actA])
-    actE = np.stack([m[ix] for m in module.action.actE])
-    return GeneratorAction(module.ctx.field, module.action.converse, actA, actE)
+    actA = np.stack([m[ix] for m in module.actA])
+    actE = np.stack([m[ix] for m in module.actE])
+    return GeneratorAction(module.field, module.converse, actA, actE)
 
 
-def composition_factors(
-    ctx: TalgContext,
-    strata_: Strata,
-    digraph: ClosureDigraph,
-    module: PrimaryModule,
-) -> CompositionReport:
+def composition_factors(strata_: Strata, digraph: ClosureDigraph,
+                        module: GeneratorAction) -> CompositionReport:
     """Classes of each stratum under mutual reachability, one irreducible
     factor per class of dimension |class|.
 
@@ -235,7 +200,8 @@ def composition_factors(
     the tensor, the action matrices of `module` must show that each factor
     is invariant in W_n/W_{n+1} and irreducible; that W_n does not leak
     below its level (no act(g)_ih != 0 with v_p(k_i) < v_p(k_h)) is a
-    precondition, checked first by `filtration`.
+    precondition, checked by `filtration` at every base point before
+    `analysis.analyze` reports.
 
     Lemma.  Let the E_j* act on M as coordinate projectors of rank at
     most 1 (checked here; W_0 and so every factor meet this).  For u in a
@@ -255,12 +221,12 @@ def composition_factors(
     and ("bottom stratum", i) for the first i of S_0 outside the class of
     relation 0.
     """
-    _check_weight_spaces(module.action)
-    p = ctx.field.p
+    _check_weight_spaces(module)
+    p = module.field.p
     qn: list[list[tuple[int, ...]]] = []
     factors: list[CompositionFactor] = []
-    gens = module.action.all_mats()
-    support = (module.action.actA % p).any(axis=0)
+    gens = module.all_mats()
+    support = (module.actA % p).any(axis=0)
     for n_level in range(strata_.epsilon + 1):
         sn = strata_.sets[n_level]
         classes = sorted({tuple(i for i in sn if digraph.same_class(i, j)) for j in sn})
@@ -336,7 +302,7 @@ def uniserial_check(report: CompositionReport, layers: list[np.ndarray], filt: l
     return True
 
 
-def verify_Ml_iso(ctx: TalgContext, l: int, module: PrimaryModule) -> bool:
+def verify_Ml_iso(ctx: TalgContext, l: int, module: GeneratorAction) -> bool:
     """Check that E_i* 1 -> E_i* J E_l* intertwines every generator, i.e.
     the column module at l is a copy of W_0."""
     if not 0 <= l <= ctx.d:
@@ -344,7 +310,7 @@ def verify_Ml_iso(ctx: TalgContext, l: int, module: PrimaryModule) -> bool:
     p = ctx.field.p
     targets = np.stack([ctx.eje(i, l) for i in range(ctx.d + 1)])
     flat = targets.reshape(ctx.d + 1, -1)
-    for g, act in zip(ctx.gens, module.action.all_mats()):
+    for g, act in zip(ctx.gens, module.all_mats()):
         for h in range(ctx.d + 1):
             lhs = matmul_mod(act[:, h][None], flat, p).reshape(targets.shape[1:])
             rhs = matmul_mod(g, targets[h], p)
@@ -432,10 +398,10 @@ def is_selfcontragredient(action: GeneratorAction) -> bool:
     )
 
 
-def selfcontra_W0(module: PrimaryModule, strata_: Strata) -> bool:
+def selfcontra_W0(module: GeneratorAction, strata_: Strata) -> bool:
     """Self-contragredience of W_0, cross-checked against the p'-valenced
     flag (the two are provably equivalent, so a mismatch is a bug)."""
-    verdict = is_selfcontragredient(module.action)
+    verdict = is_selfcontragredient(module)
     if verdict != strata_.p_prime_valenced:
         raise InternalInconsistency(
             f"W_0 self-contragredient verdict {verdict} contradicts "

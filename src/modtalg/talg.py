@@ -31,6 +31,7 @@ from .ffmat import (
 from .scheme import SchemeData
 
 __all__ = [
+    "check_prime_bound",
     "TalgContext",
     "build_context",
     "triple_product",
@@ -45,6 +46,12 @@ __all__ = [
 ]
 
 
+def check_prime_bound(s: SchemeData, f: FieldCtx) -> None:
+    """Raise PrimeTooLarge when n^2 (p-1)^2 >= 2^63 (see `TalgContext`)."""
+    if s.n ** 2 * (f.p - 1) ** 2 >= 2 ** 63:
+        raise PrimeTooLarge(f"p={f.p} is too large for n={s.n}: n^2 (p-1)^2 >= 2^63 would overflow int64")
+
+
 class TalgContext:
     """The generators of T(x) for (scheme, GF(p), base point x).
 
@@ -57,15 +64,16 @@ class TalgContext:
     at construction; a bad table fails here, not later.  The dual
     idempotents are symmetric and orthogonal by construction (see
     `_assert_identities`).
-    A prime with n^2 (p-1)^2 >= 2^63 is rejected before any arithmetic, so
-    the int64 sums that do not go through `ffmat.matmul_mod` (the Berkowitz
-    recurrence of `charpoly_coeffs`, and the independent products of
-    `oracles` behind `verify --deep`) cannot overflow halfway through an
-    analysis.  Products, including the residuals of `Subspace.reduce` and
-    the trace Grams of the radical (K^2 terms each, K the largest block of
-    T's grading), run through `matmul_mod`, which is exact at any
-    contraction length by its delayed reduction and needs only
-    (p-1)^2 < 2^63, the bound `ffmat.rref_array` enforces as well.
+    A prime with n^2 (p-1)^2 >= 2^63 is rejected before any arithmetic
+    (`check_prime_bound`, which `analysis.scheme_artifacts` runs first as
+    well), so the int64 sums that do not go through `ffmat.matmul_mod` (the
+    Berkowitz recurrence of `charpoly_coeffs`, and the independent products
+    of `oracles` behind `verify --deep`) cannot overflow halfway through an
+    analysis.  Products, including the trace Grams of the radical (K^2
+    terms each, K the largest block of T's grading), run through
+    `matmul_mod`, which is exact at any contraction length by its delayed
+    reduction and needs only (p-1)^2 < 2^63, the bound `ffmat.rref_array`
+    enforces as well.
     """
 
     __slots__ = ("scheme", "field", "x", "n", "d", "gens", "A", "Estar", "u")
@@ -73,11 +81,7 @@ class TalgContext:
     def __init__(self, scheme: SchemeData, field: FieldCtx, x: int):
         if not 0 <= x < scheme.n:
             raise BasePointOutOfRange(f"base point {x} outside [0, {scheme.n})")
-        if scheme.n ** 2 * (field.p - 1) ** 2 >= 2 ** 63:
-            raise PrimeTooLarge(
-                f"p={field.p} is too large for n={scheme.n}: "
-                f"n^2 (p-1)^2 >= 2^63 would overflow int64"
-            )
+        check_prime_bound(scheme, field)
         self.scheme = scheme
         self.field = field
         self.x = int(x)

@@ -1,6 +1,6 @@
 import pytest
 
-from modtalg.analysis import compute_artifacts
+from modtalg.analysis import compute_artifacts, scheme_artifacts
 from modtalg.ffmat import field_ctx
 from modtalg.fixtures import corpus
 
@@ -15,13 +15,15 @@ def schemes():
 @pytest.fixture(scope="session")
 def artifacts():
     """Memoized full-pipeline artifacts keyed by (fixture name, p, x)."""
-    cache = {}
+    cache, per_scheme = {}, {}
     named = dict(corpus())
 
     def get(name, p, x=0):
         key = (name, p, x)
         if key not in cache:
-            cache[key] = compute_artifacts(named[name], field_ctx(p), x)
+            if (name, p) not in per_scheme:
+                per_scheme[name, p] = scheme_artifacts(named[name], field_ctx(p))
+            cache[key] = compute_artifacts(per_scheme[name, p], x)
         return cache[key]
 
     return get

@@ -6,7 +6,7 @@ import time
 import numpy as np
 from test_primary import explicit_map_intertwines
 
-from modtalg.analysis import compute_artifacts
+from modtalg.analysis import compute_artifacts, scheme_artifacts
 from modtalg.characterize import check_equivalences
 from modtalg.cli import main
 from modtalg.errors import InternalInconsistency
@@ -33,7 +33,7 @@ def _report(criterion, ok, detail=""):
 
 def test_criterion_1_order12_p2_reproduction():
     start = time.perf_counter()
-    art = compute_artifacts(load_order12_no21(), field_ctx(2), 0)
+    art = compute_artifacts(scheme_artifacts(load_order12_no21(), field_ctx(2)), 0)
     elapsed = time.perf_counter() - start
     ok = (
         art.strata.sets == ((0, 1), (2,), (3, 4))
@@ -49,7 +49,7 @@ def test_criterion_1_order12_p2_reproduction():
 def test_criterion_2_order12_p3_reachability():
     start = time.perf_counter()
     s = load_order12_no21()
-    art = compute_artifacts(s, field_ctx(3), 0)
+    art = compute_artifacts(scheme_artifacts(s, field_ctx(3)), 0)
     elapsed = time.perf_counter() - start
     ok = (
         art.digraph.same_class(3, 4)
@@ -64,7 +64,7 @@ def test_criterion_2_order12_p3_reachability():
 def test_criterion_3_order5_no2_p3():
     start = time.perf_counter()
     s = validate_axioms(gen_cyclic(5))
-    art = compute_artifacts(s, field_ctx(3), 0)
+    art = compute_artifacts(scheme_artifacts(s, field_ctx(3)), 0)
     z = (triple_product(art.ctx, 1, 1, 2) - triple_product(art.ctx, 1, 2, 2)) % 3
     elapsed = time.perf_counter() - start
     ok = (
@@ -93,7 +93,7 @@ def test_criterion_4_structural_constants_sweep():
                     ):
                         failures.append((name, "triangle", i, j, l))
         for p in PRIMES:
-            art = compute_artifacts(s, field_ctx(p), 0)
+            art = compute_artifacts(scheme_artifacts(s, field_ctx(p)), 0)
             if art.b0.dim != (s.d + 1) ** 2:
                 failures.append((name, p, "dimB0"))
             if art.module.dim != s.d + 1:
@@ -124,10 +124,10 @@ def test_criterion_5_theorem_consistency_all_base_points():
     failures = []
     for name, s in corpus():
         for p in PRIMES:
-            f = field_ctx(p)
+            sa = scheme_artifacts(s, field_ctx(p))
             flag = None
             for x in range(s.n):
-                art = compute_artifacts(s, f, x)
+                art = compute_artifacts(sa, x)
                 try:
                     c = check_equivalences(art)
                 except InternalInconsistency as exc:
@@ -179,9 +179,9 @@ def test_criterion_7_lattice_oracle_equivalence():
         if s.d > 3:
             continue
         for p in (2, 3):
-            art = compute_artifacts(s, field_ctx(p), 0)
+            art = compute_artifacts(scheme_artifacts(s, field_ctx(p)), 0)
             length, dims, uniserial = module_lattice_analysis(
-                art.module.action.all_mats(), p
+                art.module.all_mats(), p
             )
             if (
                 length != art.comp.composition_length
@@ -196,7 +196,7 @@ def test_criterion_8_selfcontragredient_suite():
     failures = []
     for name, s in corpus():
         for p in PRIMES:
-            art = compute_artifacts(s, field_ctx(p), 0)
+            art = compute_artifacts(scheme_artifacts(s, field_ctx(p)), 0)
             if art.w0_selfcontra != art.strata.p_prime_valenced:
                 failures.append((name, p, "W0 flag"))
             for fac in art.comp.factors:
@@ -209,7 +209,7 @@ def test_criterion_9_mixed_block_squares_and_semisimplicity():
     failures = []
     for name, s in corpus():
         for p in PRIMES:
-            art = compute_artifacts(s, field_ctx(p), 0)
+            art = compute_artifacts(scheme_artifacts(s, field_ctx(p)), 0)
             if art.rad.dim == 0 and not art.strata.p_prime_valenced:
                 failures.append((name, p, "zero radical but not p'-valenced"))
             if art.strata.p_prime_valenced:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from modtalg import analysis
 from modtalg.analysis import _cross_checks, analyze, report_to_json
 from modtalg.errors import InternalInconsistency
 from modtalg.ffmat import Subspace, field_ctx
@@ -89,6 +90,24 @@ def test_analysis_without_base_points_is_witnessed(schemes):
     with pytest.raises(InternalInconsistency, match="^no base points requested$") as err:
         analyze(schemes["cyclic-5"], field_ctx(3), [])
     assert err.value.witness == ("base points", ())
+
+
+def test_scheme_level_stages_run_once_per_analysis(schemes, monkeypatch):
+    # W_0's action and what is read off it depend on (scheme, p) alone
+    stages = ("strata", "build_primary", "closure_digraph", "composition_factors", "selfcontra_W0")
+    calls = dict.fromkeys(stages, 0)
+
+    def counted(name, real):
+        def stage(*args):
+            calls[name] += 1
+            return real(*args)
+        return stage
+
+    for name in stages:
+        monkeypatch.setattr(analysis, name, counted(name, getattr(analysis, name)))
+    s = schemes["as12-no21"]
+    analyze(s, field_ctx(2), range(s.n))
+    assert calls == dict.fromkeys(stages, 1)
 
 
 def test_analysis_never_expands_a_graded_space(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from test_talg import _central_by_full_basis, _ideal_by_full_basis
 
 from modtalg import analysis, characterize
-from modtalg.analysis import analyze, compute_artifacts
+from modtalg.analysis import analyze, compute_artifacts, scheme_artifacts
 from modtalg.characterize import (
     _complement_ideal,
     b0_unit_element,
@@ -187,7 +187,7 @@ def test_complement_ideal_matches_dense_definition(artifacts, schemes):
 def test_complement_ideal_matches_the_flat_decision_on_hamming_8_2_at_p3():
     # p'-valenced, no k_i = C(8, i) being divisible by 3, so B0's unit exists
     # and the flat decision forms (I - e) T for all 165 elements of T
-    art = compute_artifacts(validate_axioms(gen_hamming(8, 2)), field_ctx(3), 0)
+    art = compute_artifacts(scheme_artifacts(validate_axioms(gen_hamming(8, 2)), field_ctx(3)), 0)
     unit = b0_unit_element(art)
     assert art.strata.p_prime_valenced and unit is not None
     assert _complement_ideal(art, unit) is _complement_is_the_annihilator(art, unit) is True

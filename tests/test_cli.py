@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from modtalg.cli import main
+from modtalg.errors import InternalInconsistency
 
 
 @pytest.fixture()
@@ -334,24 +335,23 @@ def test_verify_fault_injection_exits_3(z5_file, capsys):
 
 def test_inconsistency_witness_is_printed(z5_file, tmp_path, capsys, monkeypatch):
     from modtalg import cli
-    from modtalg.errors import InternalInconsistency
 
     assert main(["verify", "--scheme", str(z5_file), "--prime", "2",
                  "--inject-radical-fault"]) == 3
     assert "witness=('nilpotency', 1, 3)" in capsys.readouterr().err
 
     from modtalg import analysis
-    real_primary = analysis.build_primary
+    real_context = analysis.build_context
 
-    def stray_vector(ctx):
+    def stray_vector(s, f, x):
         # E_1* 1 shrunk to one point, so A_1 E_0* 1 = E_1* 1 leaves W_0
-        module = real_primary(ctx)
-        module.vectors = module.vectors.copy()
-        module.vectors[1, module.vectors[1].nonzero()[0][1:]] = 0
-        return module
+        ctx = real_context(s, f, x)
+        ctx.u = ctx.u.copy()
+        ctx.u[1, ctx.u[1].nonzero()[0][1:]] = 0
+        return ctx
 
     with monkeypatch.context() as patch:
-        patch.setattr(analysis, "build_primary", stray_vector)
+        patch.setattr(analysis, "build_context", stray_vector)
         assert main(["analyze", "--scheme", str(z5_file), "--prime", "2"]) == 3
     assert "W_0 is not invariant" in (err := capsys.readouterr().err)
     assert "witness=(0, 1, 0)" in err
@@ -365,6 +365,29 @@ def test_inconsistency_witness_is_printed(z5_file, tmp_path, capsys, monkeypatch
     assert main(["batch", "--dir", str(z5_file.parent), "--primes", "2",
                  "--out", str(tmp_path / "out.json")]) == 3
     assert "witness=(2, 7, [(0, 1), (1, 1)])" in capsys.readouterr().err
+
+
+def _inconsistent(*args, **kwargs):
+    raise InternalInconsistency("stage failed", witness=("stage", 1))
+
+
+def test_inconsistency_in_a_verify_stage_exits_3(z5_file, capsys, monkeypatch):
+    from modtalg import cli
+
+    monkeypatch.setattr(cli, "filtration", _inconsistent)
+    assert main(["verify", "--scheme", str(z5_file), "--prime", "2", "--deep"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal inconsistency: stage failed witness=('stage', 1)\n"
+
+
+def test_inconsistency_in_the_scheme_load_exits_3(z5_file, capsys, monkeypatch):
+    # `validate_axioms` raises this when the valencies or the triangle identity fail
+    from modtalg import cli
+
+    monkeypatch.setattr(cli, "validate_axioms", _inconsistent)
+    assert main(["analyze", "--scheme", str(z5_file), "--prime", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal inconsistency: stage failed witness=('stage', 1)\n"
 
 
 def test_out_of_memory_exits_1_with_its_stage(z5_file, tmp_path, capsys, monkeypatch):

@@ -48,21 +48,24 @@ def test_J_action_on_basis(schemes):
 
 
 def test_one_point_primary_module():
-    ctx = build_context(validate_axioms(gen_cyclic(1)), field_ctx(2), 0)
-    m = build_primary(ctx)
-    assert m.dim == 1 and m.vectors.tolist() == [[1]]
+    s, f = validate_axioms(gen_cyclic(1)), field_ctx(2)
+    m, ctx = build_primary(s, f), build_context(s, f, 0)
+    assert m.dim == 1 and ctx.u.tolist() == [[1]]
+    assert [w.tolist() for w in filtration(ctx, strata(s, f), m)] == [[0], []]
 
 
 def test_action_matches_direct_arithmetic(schemes):
-    # column h of the A_j action equals the coordinates of A_j (E_h* 1)
-    for name in ("cyclic-5", "hamming-2-2", "thin-s3"):
-        s = schemes[name]
-        ctx = build_context(s, field_ctx(3), 0)
-        m = build_primary(ctx)
-        for j in range(s.d + 1):
-            for h in range(s.d + 1):
-                img = ctx.A[j] @ m.vectors[h] % 3
-                assert np.array_equal(img, m.action.actA[j][:, h] @ m.vectors % 3)
+    # the action read off the intersection numbers is T(x)'s at every base
+    # point: column h of each generator's matrix holds the coordinates of
+    # its image of E_h* 1
+    for name, s in schemes.items():
+        for p in PRIMES:
+            f = field_ctx(p)
+            m = build_primary(s, f)
+            for x in range(s.n):
+                ctx = build_context(s, f, x)
+                for g, act in enumerate(m.all_mats()):
+                    assert np.array_equal(ctx.gens[g] @ ctx.u.T % p, ctx.u.T @ act % p), (name, p, x, g)
 
 
 def test_filtration_pprime_is_simple(artifacts, schemes):
@@ -95,8 +98,9 @@ def test_rad_times_W0_is_W1(schemes):
     for name, s in schemes.items():
         for p in PRIMES:
             f = field_ctx(p)
+            sa = analysis.scheme_artifacts(s, f)
             for x in range(s.n):
-                art = analysis.compute_artifacts(s, f, x)
+                art = analysis.compute_artifacts(sa, x)
                 n, u = s.n, art.ctx.u
                 rmats = art.rad.expand().basis.reshape(-1, n, n)
                 for m, w in enumerate(art.filt):
@@ -185,7 +189,7 @@ def test_composition_against_lattice_oracle(artifacts, schemes):
             continue
         for p in (2, 3):
             art = artifacts(name, p)
-            mats = art.module.action.all_mats()
+            mats = art.module.all_mats()
             length, dims, uniserial = module_lattice_analysis(mats, p)
             assert length == art.comp.composition_length, (name, p)
             assert dims == sorted(f.dim for f in art.comp.factors), (name, p)
@@ -240,7 +244,7 @@ def test_Ml_iso_all_columns_cyclic5():
     s = validate_axioms(gen_cyclic(5))
     for p in (2, 3):
         ctx = build_context(s, field_ctx(p), 0)
-        m = build_primary(ctx)
+        m = build_primary(s, ctx.field)
         for l in range(s.d + 1):
             assert verify_Ml_iso(ctx, l, m)
 
@@ -272,7 +276,7 @@ def test_b0_decomposes_into_columns(artifacts, schemes):
 
 def test_contragredient_identity_and_double_dual(artifacts):
     art = artifacts("cyclic-5", 3)
-    act = art.module.action
+    act = art.module
     dual = act.contragredient()
     # A_0 = I acts as the identity on both sides
     assert np.array_equal(dual.actA[0], np.eye(act.dim, dtype=np.int64))
@@ -313,7 +317,7 @@ def test_trivial_one_dim_module_selfcontra():
 
 
 def test_selfcontra_rejects_non_coordinate_projectors(artifacts):
-    act = artifacts("cyclic-5", 3).module.action
+    act = artifacts("cyclic-5", 3).module
     off_diagonal = act.actE.copy()
     off_diagonal[1, 0, 1] = 1
     merged = act.actE.copy()
@@ -346,7 +350,7 @@ def test_factor_selfcontra_explicit_map(artifacts, schemes):
 
 def test_hom_space_of_identical_actions(artifacts):
     art = artifacts("cyclic-5", 3)
-    act = art.module.action
+    act = art.module
     homs = hom_space(act, act)
     m = act.dim
     span = Subspace.span(act.field, homs.reshape(-1, m * m), ambient_dim=m * m)
@@ -359,7 +363,7 @@ def test_dim_E0_of_top_quotient_is_one(artifacts, schemes):
         for p in PRIMES:
             art = artifacts(name, p)
             s0 = list(art.strata.sets[0])
-            sub = art.module.action.actE[0][np.ix_(s0, s0)]
+            sub = art.module.actE[0][np.ix_(s0, s0)]
             assert rref_array(sub, p)[1] == 1, (name, p)
 
 
@@ -444,7 +448,7 @@ def test_reachable_coordinates_span_the_cyclic_submodule(artifacts, schemes):
     for name in schemes:
         for p in PRIMES:
             art = artifacts(name, p)
-            modules = [art.module.action] + [
+            modules = [art.module] + [
                 factor_action(art.module, fac.cls) for fac in art.comp.factors
             ]
             for act in modules:
@@ -458,11 +462,9 @@ def test_reachable_coordinates_span_the_cyclic_submodule(artifacts, schemes):
 
 def _with_edge(art, g, i, h):
     # a copy of W_0 whose A_g also sends e_h to e_i
-    module = build_primary(art.ctx)
-    act_a = module.action.actA.copy()
+    act_a = art.module.actA.copy()
     act_a[g, i, h] = 1
-    module.action = dataclasses.replace(module.action, actA=act_a)
-    return module
+    return dataclasses.replace(art.module, actA=act_a)
 
 
 def test_merged_classes_fail_the_irreducibility_check(artifacts):
@@ -472,7 +474,7 @@ def test_merged_classes_fail_the_irreducibility_check(artifacts):
     ids[4] = ids[3]
     merged = dataclasses.replace(art.digraph, scc_ids=ids)
     with pytest.raises(InternalInconsistency, match="not regenerated") as err:
-        composition_factors(art.ctx, art.strata, merged, art.module)
+        composition_factors(art.strata, merged, art.module)
     assert err.value.witness == ("composition", 2, (3, 4), 3)
 
 
@@ -480,7 +482,7 @@ def test_edge_out_of_a_class_fails_the_invariance_check(artifacts):
     art = artifacts("as12-no21", 2)
     module = _with_edge(art, 1, 4, 3)
     with pytest.raises(InternalInconsistency, match="not invariant") as err:
-        composition_factors(art.ctx, art.strata, art.digraph, module)
+        composition_factors(art.strata, art.digraph, module)
     assert err.value.witness == ("composition", 2, (3,), (4, 3))
 
 
@@ -498,13 +500,12 @@ def test_edge_below_the_level_fails_the_leak_check(artifacts):
 
 def test_composition_rejects_non_coordinate_projectors(artifacts):
     art = artifacts("as12-no21", 2)
-    module = build_primary(art.ctx)
-    act_e = module.action.actE.copy()
+    act_e = art.module.actE.copy()
     act_e[1] += act_e[2]
     act_e[2] = 0
-    module.action = dataclasses.replace(module.action, actE=act_e)
+    module = dataclasses.replace(art.module, actE=act_e)
     with pytest.raises(InvalidParameter):
-        composition_factors(art.ctx, art.strata, art.digraph, module)
+        composition_factors(art.strata, art.digraph, module)
 
 
 def test_empty_middle_stratum_pipeline(artifacts):
@@ -540,7 +541,7 @@ def test_selfcontra_equals_exhaustive_hom_search(artifacts, schemes):
     for name in schemes:
         for p in PRIMES:
             art = artifacts(name, p)
-            modules = [art.module.action] + [
+            modules = [art.module] + [
                 factor_action(art.module, fac.cls) for fac in art.comp.factors
             ]
             for act in modules:
@@ -561,7 +562,7 @@ def test_intertwining_system_without_E_rows_has_the_full_kernel(artifacts, schem
     for name in schemes:
         for p in PRIMES:
             art = artifacts(name, p)
-            modules = [art.module.action] + [
+            modules = [art.module] + [
                 factor_action(art.module, fac.cls) for fac in art.comp.factors
             ]
             for act in modules:
@@ -587,26 +588,26 @@ def test_non_invariant_W1_raises_before_b0_b1(schemes, monkeypatch):
     monkeypatch.setattr(analysis, "strata", valuation_of_k0_is_one)
     monkeypatch.setattr(analysis, "b0_b1", _b0_b1_unreachable)
     with pytest.raises(InternalInconsistency) as err:
-        analysis.compute_artifacts(schemes["hamming-2-2"], field_ctx(2))
+        analysis.compute_artifacts(analysis.scheme_artifacts(schemes["hamming-2-2"], field_ctx(2)))
     assert err.value.witness == (1, 2, 0)
 
 
 def test_non_invariant_W0_raises_before_b0_b1(schemes, monkeypatch):
     # E_1* 1 replaced by one point of Gamma_1(x): A_1 E_0* 1 = E_1* 1 leaves the span
-    real_primary = analysis.build_primary
+    real_context = analysis.build_context
 
-    def stray_vector(ctx):
-        module = real_primary(ctx)
-        vectors = module.vectors.copy()
-        vectors[1, np.flatnonzero(vectors[1])[1:]] = 0
-        module.vectors = vectors
-        return module
+    def stray_vector(s, f, x):
+        ctx = real_context(s, f, x)
+        u = ctx.u.copy()
+        u[1, np.flatnonzero(u[1])[1:]] = 0
+        ctx.u = u
+        return ctx
 
-    monkeypatch.setattr(analysis, "build_primary", stray_vector)
+    monkeypatch.setattr(analysis, "build_context", stray_vector)
     monkeypatch.setattr(analysis, "b0_b1", _b0_b1_unreachable)
     for p in (2, 3):
         with pytest.raises(InternalInconsistency) as err:
-            analysis.compute_artifacts(schemes["cyclic-5"], field_ctx(p))
+            analysis.compute_artifacts(analysis.scheme_artifacts(schemes["cyclic-5"], field_ctx(p)))
         assert err.value.witness == (0, 1, 0), p
 
 
@@ -614,22 +615,28 @@ def _cyclic5_context(p=3):
     return build_context(validate_axioms(gen_cyclic(5)), field_ctx(p), 0)
 
 
+def _filtration(ctx, scheme=None):
+    # W_0's action read off the intersection numbers of `scheme`, ctx's by default
+    module = build_primary(scheme or ctx.scheme, ctx.field)
+    return filtration(ctx, strata(ctx.scheme, ctx.field), module)
+
+
 def test_dependent_basis_vectors_are_witnessed():
     # E_2* 1 replaced by E_1* 1: the third vector depends on the first two
     ctx = _cyclic5_context()
     ctx.u = ctx.u[[0, 1, 1]]
     with pytest.raises(InternalInconsistency, match="not independent") as err:
-        build_primary(ctx)
+        _filtration(ctx)
     assert err.value.witness == ("E_i* 1 independent", 2)
 
 
 def test_action_that_T_does_not_have_is_witnessed_at_W0():
     # the action of A_1 also sends E_0* 1 to E_2* 1, which A_1 does not
     ctx = _cyclic5_context()
-    module = build_primary(ctx)
-    act_a = module.action.actA.copy()
+    module = build_primary(ctx.scheme, ctx.field)
+    act_a = module.actA.copy()
     act_a[1, 2, 0] = 1
-    module.action = dataclasses.replace(module.action, actA=act_a)
+    module = dataclasses.replace(module, actA=act_a)
     with pytest.raises(InternalInconsistency, match="^W_0 is not invariant under generator 1$") as err:
         filtration(ctx, strata(ctx.scheme, ctx.field), module)
     assert err.value.witness == (0, 1, 0)
@@ -641,22 +648,21 @@ def test_action_against_a_corrupted_tensor_is_witnessed():
     tensor = s.tensor.copy()
     # entry (i, h) = (2, 0) of A_1 is p_{0 1'}^2
     tensor[0, s.converse[1], 2] += 1
-    ctx.scheme = SchemeData(s.table, s.converse, s.valencies, tensor)
-    with pytest.raises(InternalInconsistency, match="^action of A_1 disagrees") as err:
-        build_primary(ctx)
-    assert err.value.witness == ("action of A_j disagrees with p_{h j'}^i", (1, 2, 0))
+    with pytest.raises(InternalInconsistency, match="^W_0 is not invariant under generator 1$") as err:
+        _filtration(ctx, SchemeData(s.table, s.converse, s.valencies, tensor))
+    assert err.value.witness == (0, 1, 0)
 
 
 def test_dual_idempotent_action_off_its_coordinate_is_witnessed():
-    # E_1* also keeps the representative point of relation 2
+    # E_1* (generator d + 2 = 4) also keeps the first point of relation 2
     ctx = _cyclic5_context()
-    module = build_primary(ctx)
+    point = np.flatnonzero(ctx.u[2])[0]
     gens = ctx.gens.copy()
-    gens[ctx.d + 2, module.reps[2], module.reps[2]] = 1
+    gens[ctx.d + 2, point, point] = 1
     ctx.gens = gens
-    with pytest.raises(InternalInconsistency, match=r"^action of E_1\* is not") as err:
-        build_primary(ctx)
-    assert err.value.witness == ("action of E_j* is not the coordinate projector", (1, 2, 2))
+    with pytest.raises(InternalInconsistency, match="^W_0 is not invariant under generator 4$") as err:
+        _filtration(ctx)
+    assert err.value.witness == (0, 4, 2)
 
 
 def test_missing_self_loop_is_witnessed():
@@ -675,5 +681,5 @@ def test_split_bottom_stratum_is_witnessed(artifacts):
     ids[2] = ids.max() + 1
     split = dataclasses.replace(art.digraph, scc_ids=ids)
     with pytest.raises(InternalInconsistency, match="bottom stratum") as err:
-        composition_factors(art.ctx, art.strata, split, art.module)
+        composition_factors(art.strata, split, art.module)
     assert err.value.witness == ("bottom stratum", 2)

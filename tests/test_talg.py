@@ -12,7 +12,7 @@ from modtalg.errors import (
     PrimeTooLarge,
 )
 from modtalg import analysis
-from modtalg.analysis import compute_artifacts
+from modtalg.analysis import compute_artifacts, scheme_artifacts
 from modtalg.characterize import _thin_kills, b0_unit_element
 from modtalg.ffmat import (
     Subspace,
@@ -54,7 +54,7 @@ PRIMES = (2, 3, 5, 7)
 
 
 def _filtration(ctx):
-    return filtration(ctx, strata(ctx.scheme, ctx.field), build_primary(ctx))
+    return filtration(ctx, strata(ctx.scheme, ctx.field), build_primary(ctx.scheme, ctx.field))
 
 
 def test_context_identities_hold(schemes):
@@ -368,13 +368,13 @@ def test_hamming22_b1_dim_is_pair_count(artifacts):
 
 
 def test_b0_identity_thin_scheme():
-    art = compute_artifacts(validate_axioms(gen_thin([[0, 1], [1, 0]])), field_ctx(3), 0)
+    art = compute_artifacts(scheme_artifacts(validate_axioms(gen_thin([[0, 1], [1, 0]])), field_ctx(3)), 0)
     e = b0_unit_element(art)
     assert np.array_equal(e, art.ctx.eje(0, 0) + art.ctx.eje(1, 1))
 
 
 def test_b0_identity_cyclic5_p3_central():
-    art = compute_artifacts(validate_axioms(gen_cyclic(5)), field_ctx(3), 0)
+    art = compute_artifacts(scheme_artifacts(validate_axioms(gen_cyclic(5)), field_ctx(3)), 0)
     e = b0_unit_element(art)
     bm = art.b0.expand().basis.reshape(-1, art.ctx.n, art.ctx.n)
     assert np.array_equal((e @ bm) % 3, bm) and np.array_equal((bm @ e) % 3, bm)
@@ -384,7 +384,7 @@ def test_b0_identity_cyclic5_p3_central():
 
 def test_b0_identity_not_pprime():
     # hamming(2,2) at p=2: k_1 = 2, so K = (u_i . u_j) is singular
-    art = compute_artifacts(validate_axioms(gen_hamming(2, 2)), field_ctx(2), 0)
+    art = compute_artifacts(scheme_artifacts(validate_axioms(gen_hamming(2, 2)), field_ctx(2)), 0)
     assert b0_unit_element(art) is None
 
 
@@ -942,7 +942,7 @@ def test_annihilator_needs_the_blocks_to_be_the_supports(schemes, monkeypatch):
     bose_mesner = algebra_closure(ctx.field, ctx.A)
     monkeypatch.setattr(analysis, "generate_algebra", lambda ctx: algebra_closure(ctx.field, ctx.A))
     for check in (lambda: block_relations(ctx, bose_mesner),
-                  lambda: compute_artifacts(schemes["cyclic-5"], field_ctx(3))):
+                  lambda: compute_artifacts(scheme_artifacts(schemes["cyclic-5"], field_ctx(3)))):
         with pytest.raises(InternalInconsistency, match="^the blocks of T are not the supports") as err:
             check()
         assert err.value.witness == ("Ann_T(W0) blocks", 0, 1)
